@@ -6,6 +6,11 @@ smallest threshold that connects the graph equals the maximum edge of
 the Euclidean minimum spanning tree, and the reported score is
 (tau - mu) / sigma over the pairwise-distance multiset: lower means the
 class is better connected relative to its own spread.
+
+For k points of width d both quantities take O(k^2 d) time and compute
+one row of distances at a time.  tau needs O(k d) memory; mu and sigma
+keep the k(k-1)/2 distances in one vector (8 bytes per pair), because
+reducing that whole vector is what fixes their last bits.
 """
 
 from __future__ import annotations
@@ -48,43 +53,72 @@ class ConnectivityReport:
     max_score: float | None
 
 
-def _distance_matrix(points):
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+def _distances(point, others, buf, out):
+    """Write the Euclidean distance from `point` to each row of `others`
+    into `out`, using `buf` (at least as many rows as `others`) for the
+    differences.
+
+    Each distance is the sum of squared coordinate differences reduced
+    along one contiguous row, then square-rooted: the same operations, in
+    the same order, as a row of the dense k x k distance matrix, so every
+    bit matches it.
+    """
+    diff = buf[:len(others)]
+    np.subtract(others, point, out=diff)
+    np.multiply(diff, diff, out=diff)
+    np.add.reduce(diff, axis=1, out=out)
+    np.sqrt(out, out=out)
+    return out
 
 
 def pairwise_stats(points):
-    """Mean and population std of the k(k-1)/2 pairwise Euclidean distances."""
+    """Mean and population std of the k(k-1)/2 pairwise Euclidean distances.
+
+    The distances fill one condensed vector in `np.triu_indices` row-major
+    order, row by row; the mean and std then reduce that vector whole, so
+    their summation order, and with it every bit, is fixed.
+    """
     points = np.asarray(points, dtype=np.float64)
     k = len(points)
     if k < 2:
         raise ValueError("pairwise_stats needs at least 2 points")
-    dm = _distance_matrix(points)
-    iu = np.triu_indices(k, 1)
-    dists = dm[iu]
+    dists = np.empty(k * (k - 1) // 2)
+    buf = np.empty((k - 1, points.shape[1]))
+    start = 0
+    for i in range(k - 1):
+        stop = start + k - 1 - i
+        _distances(points[i], points[i + 1:], buf, dists[start:stop])
+        start = stop
     return float(dists.mean()), float(dists.std()), len(dists)
 
 
 def connecting_threshold(points):
     """Smallest threshold connecting the proximity graph (edges at distance
-    <= threshold), computed as the maximum edge of the dense-graph MST."""
+    <= threshold), computed as the maximum edge of the Euclidean MST.
+
+    Prim's algorithm, computing one row of distances per step: from the
+    point that just joined the tree to the points still outside it.  Time
+    is O(k^2 d), memory O(k d).  Ties may pick a different tree than a
+    dense scan would, but every MST has the same largest edge.
+    """
     points = np.asarray(points, dtype=np.float64)
     k = len(points)
     if k < 2:
         raise ValueError("connecting_threshold needs at least 2 points")
-    dm = _distance_matrix(points)
-    # Prim's algorithm on the dense distance matrix, O(k^2).
-    visited = np.zeros(k, dtype=bool)
-    visited[0] = True
-    best = dm[0].copy()
-    best[0] = np.inf
+    # outside[:n] are the points not yet in the tree and best[:n] their
+    # distance to it; a joining point is overwritten by the last of them.
+    outside = points.copy()
+    buf = np.empty_like(outside)
+    row = np.empty(k)
+    best = _distances(outside[0], outside, buf, np.empty(k))
+    outside[0], best[0] = outside[k - 1], best[k - 1]
     tau = 0.0
-    for _ in range(k - 1):
-        best_masked = np.where(visited, np.inf, best)
-        j = int(np.argmin(best_masked))
-        tau = max(tau, float(best_masked[j]))
-        visited[j] = True
-        best = np.minimum(best, dm[j])
+    for n in range(k - 1, 0, -1):
+        j = int(np.argmin(best[:n]))
+        tau = max(tau, float(best[j]))
+        np.minimum(best[:n], _distances(outside[j], outside[:n], buf, row[:n]),
+                   out=best[:n])
+        outside[j], best[j] = outside[n - 1], best[n - 1]
     return tau
 
 

@@ -20,16 +20,11 @@ from . import autodiff as ad
 from .connectivity import EmbeddingRecord, connectivity_report
 from .formats import fmt, save_checkpoint
 from .losses import ContrastBatch, LossConfig, resolve_positives, total_loss
-from .nets import AnchorEncoder, Model, ModelSpec, build_anchor, dataset_hash
+from .nets import (AnchorEncoder, Model, ModelSpec, TrainingDiverged, build_anchor,
+                   dataset_hash)
 from .optim import Adam
 from .synthdata import (AugmentationSpec, augment, gen_example31_both,
                         gen_rotated_gaussians, make_batches)
-
-
-class TrainingDiverged(RuntimeError):
-    def __init__(self, step, value):
-        super().__init__(f"non-finite loss ({value}) at step {step}")
-        self.step = step
 
 
 @dataclass(frozen=True)

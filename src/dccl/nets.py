@@ -22,6 +22,20 @@ from .autodiff import Tensor
 SOFTPLUS_INV_ONE = math.log(math.e - 1.0)  # softplus(x) == 1
 
 
+class TrainingDiverged(RuntimeError):
+    """A training loop met a non-finite loss; `cli` maps it to exit code 2."""
+
+    def __init__(self, step, value, what="loss"):
+        super().__init__(f"non-finite {what} ({value}) at step {step}")
+        self.step = step
+        self.value = value
+        self.what = what
+
+    def __reduce__(self):
+        # a grid worker's exception reaches the parent pickled
+        return type(self), (self.step, self.value, self.what)
+
+
 class Affine:
     def __init__(self, in_dim, out_dim, rng, scale=None):
         if scale is None:
@@ -355,14 +369,14 @@ def build_anchor(dataset, steps=1500, seed=0, spec=None, lr=1e-3,
     n_dom = len(np.unique(train.domains))
     per_domain = max(1, int(round(batch_size / n_dom)))
     batches = make_batches(train, per_domain * n_dom, seed=batch_s)
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         idx = next(batches)
         with ad.Tape() as tape:
             model.watch(tape)
             logits = model.forward_logits(train.X[idx], training=True)
             loss = erm_loss(logits, train.labels[idx])
         if not np.isfinite(loss.item()):
-            raise RuntimeError("anchor training diverged")
+            raise TrainingDiverged(step, loss.item(), what="anchor loss")
         adam.step(params, tape.gradients(loss))
     val_acc = model.accuracy(dataset.X[val_idx], dataset.labels[val_idx])
     return AnchorEncoder(model, seed=seed, data_hash=dataset_hash(dataset),

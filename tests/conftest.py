@@ -30,13 +30,44 @@ def max_rel_err(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
+def dense_distance_matrix(points):
+    """The k x k Euclidean distance matrix through a k x k x d difference
+    array: the reference formula the row-wise kernels must match bit for bit."""
+    points = np.asarray(points, dtype=np.float64)
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def dense_pairwise_stats(points):
+    """Mean, population std and count of the upper-triangle distances."""
+    dm = dense_distance_matrix(points)
+    dists = dm[np.triu_indices(len(dm), 1)]
+    return float(dists.mean()), float(dists.std()), len(dists)
+
+
+def dense_threshold(points):
+    """Largest MST edge by Prim's algorithm on the dense distance matrix."""
+    dm = dense_distance_matrix(points)
+    k = len(dm)
+    visited = np.zeros(k, dtype=bool)
+    visited[0] = True
+    best = dm[0].copy()
+    best[0] = np.inf
+    tau = 0.0
+    for _ in range(k - 1):
+        best_masked = np.where(visited, np.inf, best)
+        j = int(np.argmin(best_masked))
+        tau = max(tau, float(best_masked[j]))
+        visited[j] = True
+        best = np.minimum(best, dm[j])
+    return tau
+
+
 def brute_force_threshold(points):
     """Smallest connecting threshold by sweeping the sorted distance multiset
     and BFS-checking connectivity at each candidate."""
-    points = np.asarray(points, dtype=np.float64)
-    k = len(points)
-    diff = points[:, None, :] - points[None, :, :]
-    dm = np.sqrt(np.sum(diff * diff, axis=2))
+    dm = dense_distance_matrix(points)
+    k = len(dm)
     candidates = sorted({dm[i, j] for i in range(k) for j in range(i + 1, k)})
     for threshold in candidates:
         adj = dm <= threshold

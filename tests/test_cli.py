@@ -138,6 +138,20 @@ def test_train_rerun_is_byte_identical(tmp_path, capsys):
     assert (tmp_path / "runs" / "micro" / "train" / "seed0" / "config.txt").exists()
 
 
+def test_train_with_diverging_anchor_is_runtime_failure(tmp_path, capsys):
+    path = write_config(tmp_path, "loss.pma = true\nanchor.lr = 1e200\n")
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(path)]) == 2
+    assert "runtime failure: non-finite anchor loss" in capsys.readouterr().err
+
+
+def test_ablate_divergence_in_a_worker_is_runtime_failure(tmp_path, capsys):
+    path = write_config(tmp_path, "optim.lr = 1e200\n")
+    with np.errstate(all="ignore"):
+        assert main(["ablate", "--config", str(path), "--workers", "2"]) == 2
+    assert "runtime failure: non-finite loss" in capsys.readouterr().err
+
+
 def test_loo_summary_table(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["loo", "--config", str(path)]) == 0

@@ -1,11 +1,33 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.spatial.distance import pdist, squareform
 
 from dccl import connectivity as cn
 
-from conftest import brute_force_threshold
+from conftest import brute_force_threshold, dense_pairwise_stats, dense_threshold
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def point_sets(draw, elements):
+    """k x d point sets, k >= 2, with some rows copied over others so that
+    duplicate points, zero distances and tied edges turn up."""
+    k = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 12))
+    pts = draw(hnp.arrays(np.float64, (k, d), elements=elements))
+    copies = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                           max_size=k))
+    for src, dst in copies:
+        pts[dst] = pts[src]
+    return pts
 
 
 def records_from(vectors, class_ids, domain_ids=None):
@@ -55,6 +77,60 @@ def test_mst_matches_brute_force_on_random_sets(rng):
         d = int(rng.integers(1, 5))
         pts = rng.standard_normal((k, d)) * rng.uniform(0.5, 3.0)
         assert cn.connecting_threshold(pts) == brute_force_threshold(pts)
+
+
+@PROPERTY
+@given(point_sets(st.floats(-1e3, 1e3)))
+@example(np.array([[0.0], [1.0]]))
+@example(np.zeros((5, 3)))
+def test_kernels_match_dense_reference_bit_for_bit(pts):
+    assert cn.pairwise_stats(pts) == dense_pairwise_stats(pts)
+    assert cn.connecting_threshold(pts) == dense_threshold(pts)
+
+
+@pytest.mark.parametrize("d", [7, 8, 9, 127, 128, 129, 300])
+def test_kernels_match_dense_reference_on_long_rows(rng, d):
+    # rows of 8 and 128 or more values switch numpy's summation to its
+    # unrolled and blocked pairwise forms
+    pts = rng.standard_normal((30, d))
+    assert cn.pairwise_stats(pts) == dense_pairwise_stats(pts)
+    assert cn.connecting_threshold(pts) == dense_threshold(pts)
+
+
+@PROPERTY
+@given(point_sets(st.integers(-20, 20).map(lambda v: v / 4.0)))
+def test_kernels_agree_with_scipy(pts):
+    dists = pdist(pts)
+    mu, sigma, count = cn.pairwise_stats(pts)
+    assert count == len(dists)
+    assert mu == pytest.approx(dists.mean(), rel=1e-12, abs=1e-12)
+    assert sigma == pytest.approx(dists.std(), rel=1e-12, abs=1e-12)
+    # csgraph reads a zero entry as a missing edge, so merge duplicate
+    # points first: they only add zero-length edges to the tree
+    unique = np.unique(pts, axis=0)
+    want = 0.0
+    if len(unique) > 1:
+        want = minimum_spanning_tree(squareform(pdist(unique))).data.max()
+    assert cn.connecting_threshold(pts) == pytest.approx(want, rel=1e-12)
+
+
+def test_kernels_hold_no_dense_distance_array():
+    k, d = 2000, 16
+    pts = np.random.default_rng(0).standard_normal((k, d))
+    # numpy reports its buffers to tracemalloc; a k x k x d array would
+    # take k * k * d * 8 = 512 MB
+    bounds = {cn.connecting_threshold: 4 * k * d * 8,
+              cn.pairwise_stats: 3 * 4 * k * k}
+    tracemalloc.start()
+    try:
+        for kernel, bound in bounds.items():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            kernel(pts)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak <= bound, f"{kernel.__name__} peaked at {peak} bytes > {bound}"
+    finally:
+        tracemalloc.stop()
 
 
 def test_score_invariant_under_isometry_and_scale(rng):

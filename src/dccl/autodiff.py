@@ -184,11 +184,6 @@ class Tape:
         return grads
 
 
-def backward(tape, root):
-    """Functional alias for :meth:`Tape.gradients`."""
-    return tape.gradients(root)
-
-
 def _emit(out_data, parents, backward_rule):
     tape = active_tape()
     if tape is not None and any(

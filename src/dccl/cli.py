@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import DegenerateInputError
 from .config import ConfigError, config_snapshot, experiment_config, load_config
 from .connectivity import connectivity_report
 from .formats import (FormatError, fmt, load_checkpoint, read_dataset,
                       read_embeddings, write_dataset, write_embeddings)
-from .harness import (DEFAULT_ROWS, TrainingDiverged, ablation_grid,
+from .harness import (DEFAULT_ROWS, DatasetSpec, TrainingDiverged, ablation_grid,
                       collect_embeddings, leave_one_out, train)
-from .synthdata import gen_example31, gen_rotated_gaussians, toy_map_accuracy
+from .synthdata import gen_example31, toy_map_accuracy
 
 
 class _UsageError(Exception):
@@ -111,14 +112,11 @@ def cmd_toy(args):
 
 
 def cmd_gen_data(args):
-    if args.kind == "rotated_gaussians":
-        ds = gen_rotated_gaussians(args.domains, args.classes, args.per_domain_class,
-                                   args.rotation_step, args.class_separation,
-                                   args.noise_std, seed=args.seed)
-    else:
-        from .synthdata import gen_example31_both
-
-        ds = gen_example31_both(args.n_per_class, seed=args.seed)
+    ds = DatasetSpec(kind=args.kind, n_domains=args.domains, n_classes=args.classes,
+                     n_per_domain_class=args.per_domain_class,
+                     rotation_step=args.rotation_step, class_separation=args.class_separation,
+                     noise_std=args.noise_std, n_per_class=args.n_per_class,
+                     seed=args.seed).build()
     write_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples ({ds.n_domains} domains, {ds.n_classes} classes) "
           f"to {args.out}")
@@ -155,9 +153,8 @@ def cmd_loo(args):
         (run_dir / "config.txt").write_text(config_snapshot(values))
         accs[seed] = leave_one_out(cfg, run_dir=run_dir)
     seeds = list(values["seeds"])
-    n_domains = values["dataset.domains"] if values["dataset.kind"] == "rotated_gaussians" else 2
     cells = []
-    for m in range(n_domains):
+    for m in range(len(accs[seeds[0]].runs)):
         row = [accs[s].accuracy_by_holdout()[m] for s in seeds]
         cells.append((str(m), row + [float(np.mean(row))]))
     averages = [accs[s].average for s in seeds]
@@ -252,7 +249,7 @@ def main(argv=None):
     except (ConfigError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, DegenerateInputError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -1,18 +1,17 @@
 """Flat `key = value` experiment configs with block prefixes.
 
 The format is deliberately minimal: one assignment per line, `#` lines
-are comments, keys are validated against the schema below (unknown keys
-are rejected, every key has a documented default).
+are comments, keys are validated against `SCHEMA` (unknown keys are
+rejected, every key has a default and help text).  Apart from the three
+command-level keys, `SCHEMA` is derived from the `option` fields of
+`ExperimentConfig` and its blocks, so each default is written once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
-from .harness import (AnchorConfig, AugmentConfig, DatasetSpec,
-                      ExperimentConfig, OptimConfig)
-from .losses import NEGATIVES_ONLY, STANDARD_INFONCE, LossConfig
-from .nets import ModelSpec
+from .harness import ExperimentConfig
 
 
 class ConfigError(ValueError):
@@ -60,51 +59,28 @@ class Field:
     help: str
 
 
+# the parser of an `option` field without allowed values, by the type of its default
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, str: _parse_str,
+            tuple: _parse_int_list}
+
+
+def _options(cls, prefix=""):
+    """(config key, field) of each `option` field of a config dataclass,
+    nested config blocks included."""
+    for f in fields(cls):
+        if is_dataclass(f.default):
+            yield from _options(type(f.default), f"{prefix}{f.name}.")
+        elif f.metadata:
+            yield prefix + (f.metadata["key"] or f.name), f
+
+
 SCHEMA = {
     "experiment": Field(_parse_str, "experiment", "run name used in output paths"),
     "output_dir": Field(_parse_str, "runs", "root directory for run artifacts"),
     "seeds": Field(_parse_int_list, (0, 1, 2), "comma-separated training seeds"),
-    "holdout": Field(_parse_int, 0, "held-out test domain for the train command"),
-    "split_fraction": Field(_parse_float, 0.8, "train share of each source domain"),
-    "label_ratio": Field(_parse_float, 1.0, "fraction of training labels kept"),
-    "dataset.kind": Field(_choice("rotated_gaussians", "example31"), "rotated_gaussians",
-                          "data generator family"),
-    "dataset.domains": Field(_parse_int, 4, "number of domains"),
-    "dataset.classes": Field(_parse_int, 3, "number of classes"),
-    "dataset.per_domain_class": Field(_parse_int, 40, "samples per domain per class"),
-    "dataset.rotation_step": Field(_parse_float, 0.5, "per-domain rotation in radians"),
-    "dataset.class_separation": Field(_parse_float, 3.0, "class-mean circle radius"),
-    "dataset.noise_std": Field(_parse_float, 0.3, "isotropic noise level"),
-    "dataset.n_per_class": Field(_parse_int, 128, "toy family: samples per class per domain"),
-    "dataset.seed": Field(_parse_int, 0, "generator seed (fixed across training seeds)"),
-    "loss.lambda": Field(_parse_float, 1.0, "contrastive weight"),
-    "loss.beta": Field(_parse_float, 0.05, "generative weight"),
-    "loss.temperature": Field(_parse_float, 0.1, "contrastive temperature"),
-    "loss.cdc": Field(_parse_bool, False, "cross-domain positive sampling"),
-    "loss.pma": Field(_parse_bool, False, "anchor-embedding positives (coin-mixed)"),
-    "loss.gt": Field(_parse_bool, False, "generative transformation loss"),
-    "loss.self_contrast_only": Field(_parse_bool, False, "positives from own views only"),
-    "loss.aggressive_augmentation": Field(_parse_bool, False,
-                                          "use the aggressive jitter intensity"),
-    "loss.denominator_mode": Field(_choice(NEGATIVES_ONLY, STANDARD_INFONCE),
-                                   NEGATIVES_ONLY, "contrastive denominator contents"),
-    "loss.anchor_negatives": Field(_parse_bool, False,
-                                   "other samples' anchor embeddings join the negatives"),
-    "loss.pma_probability": Field(_parse_float, 0.5, "chance a positive becomes the anchor"),
-    "augment.kind": Field(_choice("additive", "scaling"), "additive", "jitter family"),
-    "augment.standard_intensity": Field(_parse_float, 0.1, "standard jitter intensity"),
-    "augment.aggressive_intensity": Field(_parse_float, 0.5, "aggressive jitter intensity"),
-    "model.encoder_hidden": Field(_parse_int_list, (32, 32), "encoder layer widths"),
-    "model.embed_dim": Field(_parse_int, 16, "embedding dimension"),
-    "model.head_hidden": Field(_parse_int, 32, "projection-head hidden width"),
-    "model.batchnorm": Field(_parse_bool, True, "batch standardization in the head"),
-    "optim.lr": Field(_parse_float, 5e-4, "step size"),
-    "optim.steps": Field(_parse_int, 2000, "training steps"),
-    "optim.batch_size": Field(_parse_int, 24, "batch size (divisible by source domains)"),
-    "optim.eval_every": Field(_parse_int, 50, "validation cadence in steps"),
-    "anchor.steps": Field(_parse_int, 1500, "anchor pretraining steps"),
-    "anchor.lr": Field(_parse_float, 1e-3, "anchor pretraining step size"),
-    "anchor.batch_size": Field(_parse_int, 32, "anchor pretraining batch size"),
+    **{key: Field(_choice(*f.metadata["choices"]) if f.metadata["choices"]
+                  else _PARSERS[type(f.default)], f.default, f.metadata["help"])
+       for key, f in _options(ExperimentConfig)},
 }
 
 
@@ -136,62 +112,22 @@ def load_config(path):
     return parse_config_text(text, source=str(path))
 
 
+def _build(cls, values, prefix=""):
+    """A config dataclass with each `option` field read from values."""
+    kwargs = {}
+    for f in fields(cls):
+        if is_dataclass(f.default):
+            kwargs[f.name] = _build(type(f.default), values, f"{prefix}{f.name}.")
+        elif f.metadata:
+            kwargs[f.name] = values[prefix + (f.metadata["key"] or f.name)]
+    return cls(**kwargs)
+
+
 def experiment_config(values, seed, holdout=None):
     """Materialize an ExperimentConfig for one (seed, holdout) run."""
-    dataset = DatasetSpec(
-        kind=values["dataset.kind"],
-        n_domains=values["dataset.domains"],
-        n_classes=values["dataset.classes"],
-        n_per_domain_class=values["dataset.per_domain_class"],
-        rotation_step=values["dataset.rotation_step"],
-        class_separation=values["dataset.class_separation"],
-        noise_std=values["dataset.noise_std"],
-        n_per_class=values["dataset.n_per_class"],
-        seed=values["dataset.seed"],
-    )
-    loss = LossConfig(
-        contrast_weight=values["loss.lambda"],
-        gen_weight=values["loss.beta"],
-        temperature=values["loss.temperature"],
-        cdc_enabled=values["loss.cdc"],
-        pma_enabled=values["loss.pma"],
-        gt_enabled=values["loss.gt"],
-        self_contrast_only=values["loss.self_contrast_only"],
-        aggressive_augmentation=values["loss.aggressive_augmentation"],
-        denominator_mode=values["loss.denominator_mode"],
-        anchor_negatives=values["loss.anchor_negatives"],
-    )
-    cfg = ExperimentConfig(
-        dataset=dataset,
-        loss=loss,
-        model=ModelSpec(
-            encoder_hidden=values["model.encoder_hidden"],
-            embed_dim=values["model.embed_dim"],
-            head_hidden=values["model.head_hidden"],
-            batchnorm=values["model.batchnorm"],
-        ),
-        augment=AugmentConfig(
-            kind=values["augment.kind"],
-            standard_intensity=values["augment.standard_intensity"],
-            aggressive_intensity=values["augment.aggressive_intensity"],
-        ),
-        optim=OptimConfig(
-            lr=values["optim.lr"],
-            steps=values["optim.steps"],
-            batch_size=values["optim.batch_size"],
-            eval_every=values["optim.eval_every"],
-        ),
-        anchor=AnchorConfig(
-            steps=values["anchor.steps"],
-            lr=values["anchor.lr"],
-            batch_size=values["anchor.batch_size"],
-        ),
-        holdout=values["holdout"] if holdout is None else holdout,
-        seed=seed,
-        pma_probability=values["loss.pma_probability"],
-        split_fraction=values["split_fraction"],
-        label_ratio=values["label_ratio"],
-    )
+    if holdout is not None:
+        values = {**values, "holdout": holdout}
+    cfg = replace(_build(ExperimentConfig, values), seed=seed)
     try:
         cfg.validate()
     except ValueError as exc:

@@ -44,39 +44,52 @@ def write_dataset(dataset, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_dataset(path):
+def _read_table(path, magic, what, keys, n_ids):
+    """Read a line table: a `magic` header line of `k=v` fields, then one
+    row per line of n_ids integer ids and `dim` finite coordinates.
+
+    Returns the header fields, the integer header values named by `keys`,
+    an (N, n_ids) id array and an (N, dim) coordinate array.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(DATA_MAGIC):
-        raise FormatError(f"{path}: missing dataset header")
-    header = dict(part.split("=", 1) for part in lines[0][len(DATA_MAGIC):].split() if "=" in part)
+    if not lines or not lines[0].startswith(magic):
+        raise FormatError(f"{path}: missing {what} header")
+    header = dict(part.split("=", 1) for part in lines[0][len(magic):].split() if "=" in part)
     try:
-        n_domains = int(header["domains"])
-        n_classes = int(header["classes"])
-        dim = int(header["dim"])
-        seed = int(header["seed"])
+        ints = {key: int(header[key]) for key in keys}
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: bad dataset header: {exc}") from None
+        raise FormatError(f"{path}: bad {what} header: {exc}") from None
+    if ints["dim"] < 0:
+        raise FormatError(f"{path}: bad {what} header: dim={ints['dim']}")
+    width = n_ids + ints["dim"]
+    body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    ids = np.empty((len(body), n_ids), dtype=np.int64)
+    X = np.empty((len(body), ints["dim"]))
+    for row, (lineno, line) in enumerate(body):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise FormatError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+        try:
+            ids[row] = [int(v) for v in parts[:n_ids]]
+            X[row] = [float(v) for v in parts[n_ids:]]
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{path}:{body[int(np.argmin(finite))][0]}: non-finite coordinate")
+    return header, ints, ids, X
+
+
+def read_dataset(path):
+    header, ints, ids, X = _read_table(path, DATA_MAGIC, "dataset",
+                                       ("domains", "classes", "dim", "seed"), n_ids=2)
     params = dict(
         part.split("=", 1) for part in header.get("params", "").split(";") if "=" in part
     )
-    X, labels, domains = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2 + dim:
-            raise FormatError(f"{path}:{lineno}: expected {2 + dim} fields, got {len(parts)}")
-        try:
-            domains.append(int(parts[0]))
-            labels.append(int(parts[1]))
-            X.append([float(v) for v in parts[2:]])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return Dataset(np.array(X), np.array(labels), np.array(domains),
-                   n_classes=n_classes, n_domains=n_domains,
-                   generator=header.get("generator", "unknown"), params=params,
-                   seed=seed)
+    return Dataset(X, ids[:, 1], ids[:, 0], n_classes=ints["classes"],
+                   n_domains=ints["domains"], generator=header.get("generator", "unknown"),
+                   params=params, seed=ints["seed"])
 
 
 # --- embedding dumps --------------------------------------------------------
@@ -95,35 +108,15 @@ def write_embeddings(records, path, n_classes, n_domains):
 
 
 def read_embeddings(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(DUMP_MAGIC):
-        raise FormatError(f"{path}: missing embedding dump header")
-    header = dict(part.split("=", 1) for part in lines[0][len(DUMP_MAGIC):].split() if "=" in part)
-    try:
-        dim = int(header["dim"])
-        n_classes = int(header["classes"])
-        n_domains = int(header["domains"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: bad dump header: {exc}") from None
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3 + dim:
-            raise FormatError(f"{path}:{lineno}: expected {3 + dim} fields, got {len(parts)}")
-        try:
-            records.append(EmbeddingRecord(
-                sample_id=int(parts[0]), domain_id=int(parts[1]),
-                class_id=int(parts[2]),
-                vector=np.array([float(v) for v in parts[3:]]),
-            ))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-    if not records:
+    _, meta, ids, X = _read_table(path, DUMP_MAGIC, "embedding dump",
+                                  ("dim", "classes", "domains"), n_ids=3)
+    if not len(X):
         raise FormatError(f"{path}: dump has no records")
-    return records, {"dim": dim, "classes": n_classes, "domains": n_domains}
+    records = [
+        EmbeddingRecord(sample_id=int(i), domain_id=int(m), class_id=int(c), vector=x)
+        for (i, m, c), x in zip(ids.tolist(), X)
+    ]
+    return records, meta
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -11,33 +11,37 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from . import formats
 from .connectivity import EmbeddingRecord, connectivity_report
 from .formats import fmt, save_checkpoint
 from .losses import ContrastBatch, LossConfig, resolve_positives, total_loss
 from .nets import (AnchorEncoder, Model, ModelSpec, TrainingDiverged, build_anchor,
                    dataset_hash)
 from .optim import Adam
-from .synthdata import (AugmentationSpec, augment, gen_example31_both,
-                        gen_rotated_gaussians, make_batches)
+from .options import option
+from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment,
+                        gen_example31_both, gen_rotated_gaussians, make_batches)
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    kind: str = "rotated_gaussians"
-    n_domains: int = 4
-    n_classes: int = 3
-    n_per_domain_class: int = 40
-    rotation_step: float = 0.5
-    class_separation: float = 3.0
-    noise_std: float = 0.3
-    n_per_class: int = 128          # example31 family
-    seed: int = 0
+    kind: str = option("rotated_gaussians", "data generator family",
+                       choices=("rotated_gaussians", "example31"))
+    n_domains: int = option(4, "number of domains", key="domains")
+    n_classes: int = option(3, "number of classes", key="classes")
+    n_per_domain_class: int = option(40, "samples per domain per class",
+                                     key="per_domain_class")
+    rotation_step: float = option(0.5, "per-domain rotation in radians")
+    class_separation: float = option(3.0, "class-mean circle radius")
+    noise_std: float = option(0.3, "isotropic noise level")
+    n_per_class: int = option(128, "toy family: samples per class per domain")
+    seed: int = option(0, "generator seed (fixed across training seeds)")
 
     def build(self):
         if self.kind == "rotated_gaussians":
@@ -52,9 +56,9 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    kind: str = "additive"
-    standard_intensity: float = 0.1
-    aggressive_intensity: float = 0.5
+    kind: str = option(ADDITIVE, "jitter family", choices=(ADDITIVE, SCALING))
+    standard_intensity: float = option(0.1, "standard jitter intensity")
+    aggressive_intensity: float = option(0.5, "aggressive jitter intensity")
 
     def train_spec(self, aggressive):
         intensity = self.aggressive_intensity if aggressive else self.standard_intensity
@@ -63,32 +67,31 @@ class AugmentConfig:
 
 @dataclass(frozen=True)
 class OptimConfig:
-    lr: float = 5e-4
-    steps: int = 2000
-    batch_size: int = 24
-    eval_every: int = 50
+    lr: float = option(5e-4, "step size")
+    steps: int = option(2000, "training steps")
+    batch_size: int = option(24, "batch size (divisible by source domains)")
+    eval_every: int = option(50, "validation cadence in steps")
 
 
 @dataclass(frozen=True)
 class AnchorConfig:
-    steps: int = 1500
-    lr: float = 1e-3
-    batch_size: int = 32
+    steps: int = option(1500, "anchor pretraining steps")
+    lr: float = option(1e-3, "anchor pretraining step size")
+    batch_size: int = option(32, "anchor pretraining batch size")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec = DatasetSpec()
-    loss: LossConfig = field(default_factory=LossConfig)
+    loss: LossConfig = LossConfig()
     model: ModelSpec = ModelSpec()
     augment: AugmentConfig = AugmentConfig()
     optim: OptimConfig = OptimConfig()
     anchor: AnchorConfig = AnchorConfig()
-    holdout: int = 0
+    holdout: int = option(0, "held-out test domain for the train command")
     seed: int = 0
-    pma_probability: float = 0.5
-    split_fraction: float = 0.8
-    label_ratio: float = 1.0
+    split_fraction: float = option(0.8, "train share of each source domain")
+    label_ratio: float = option(1.0, "fraction of training labels kept")
 
     def validate(self):
         self.loss.validate()
@@ -96,8 +99,6 @@ class ExperimentConfig:
             raise ValueError(f"split_fraction must lie in (0, 1), got {self.split_fraction}")
         if not 0.0 < self.label_ratio <= 1.0:
             raise ValueError(f"label_ratio must lie in (0, 1], got {self.label_ratio}")
-        if not 0.0 <= self.pma_probability <= 1.0:
-            raise ValueError(f"pma_probability must lie in [0, 1], got {self.pma_probability}")
         if self.optim.steps < 1 or self.optim.batch_size < 2:
             raise ValueError("need at least 1 step and a batch of at least 2")
         return self
@@ -260,7 +261,7 @@ def train(cfg, anchor=None, run_dir=None):
         view1 = augment(xb, train_aug, rng_augment)
         contrast_on = cfg.loss.contrast_enabled
         view2 = augment(xb, train_aug, rng_augment) if contrast_on else None
-        assignment = (resolve_positives(cfg.loss, yb, db, cfg.pma_probability, rng_contrast)
+        assignment = (resolve_positives(cfg.loss, yb, db, rng_contrast)
                       if contrast_on else None)
         z_pre = z_pre_all[orig] if z_pre_all is not None else None
         noise = (rng_noise.standard_normal((len(orig), model.embed_dim))
@@ -423,15 +424,9 @@ def _mark_csv(v):
     return "1" if v else "0"
 
 
-def _grid_job(cfg, anchor_path, run_dir):
-    from .formats import load_checkpoint
-
-    anchor = None
-    if cfg.needs_anchor:
-        if anchor_path is not None:
-            anchor = load_checkpoint(anchor_path)
-        else:
-            anchor = build_run_anchor(cfg, cfg.dataset.build())
+def _grid_job(cfg, anchor, run_dir):
+    """One (row, seed) cell of the grid: the leave-one-domain-out runs of
+    one config.  Module-level, so a process pool can pickle it by name."""
     return leave_one_out(cfg, anchor=anchor, run_dir=run_dir)
 
 
@@ -444,43 +439,36 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
     """
     dataset = cfg.dataset.build()
     out_root = None if out_dir is None else Path(out_dir)
-    anchor_paths = {}
     anchors = {}
     if any(row.pma or row.gt for row in rows):
         for seed in seeds:
             anchor = build_run_anchor(replace(cfg, seed=seed), dataset)
-            anchors[seed] = anchor
             if out_root is not None:
                 anchor_dir = out_root / "anchors"
                 anchor_dir.mkdir(parents=True, exist_ok=True)
                 path = anchor_dir / f"anchor_seed{seed}.txt"
                 save_checkpoint(anchor, path)
-                anchor_paths[seed] = path
+                # every row runs on the anchor as saved, so a grid cell can
+                # be rerun from its checkpoint alone
+                anchor = formats.load_checkpoint(path)
+            anchors[seed] = anchor
 
-    jobs = []
+    jobs = {}
     for row in rows:
         for seed in seeds:
-            run_cfg = row.apply(replace(cfg, seed=seed))
-            jobs.append((row.name, seed, run_cfg))
+            run_dir = None if out_root is None else out_root / row.name / f"seed{seed}"
+            jobs[row.name, seed] = (row.apply(replace(cfg, seed=seed)), anchors.get(seed),
+                                    run_dir)
 
-    results = {row.name: {} for row in rows}
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for name, seed, run_cfg in jobs:
-                run_dir = None if out_root is None else out_root / name / f"seed{seed}"
-                futures.append((name, seed, pool.submit(
-                    _grid_job, run_cfg, anchor_paths.get(seed), run_dir)))
-            for name, seed, future in futures:
-                results[name][seed] = future.result()
+            futures = {key: pool.submit(_grid_job, *job) for key, job in jobs.items()}
+            done = {key: future.result() for key, future in futures.items()}
     else:
-        for name, seed, run_cfg in jobs:
-            anchor = anchors.get(seed) if run_cfg.needs_anchor else None
-            run_dir = None if out_root is None else out_root / name / f"seed{seed}"
-            results[name][seed] = leave_one_out(run_cfg, anchor=anchor, run_dir=run_dir)
-
+        done = {key: _grid_job(*job) for key, job in jobs.items()}
+    results = {row.name: {seed: done[row.name, seed] for seed in seeds} for row in rows}
     grid = GridResult(rows=tuple(rows), seeds=tuple(seeds),
                       n_domains=dataset.n_domains, results=results)
     if out_root is not None:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .options import option
 
 ANCHOR_POSITIVE = -1
 
@@ -31,7 +32,7 @@ class LossConfigError(ValueError):
     """Inconsistent loss configuration or batch contents."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     """Objective weights and ablation toggles.
 
@@ -42,17 +43,18 @@ class LossConfig:
     denominator stays negatives-only (the literal default).
     """
 
-    contrast_weight: float = 1.0
-    gen_weight: float = 0.05
-    temperature: float = 0.1
-    cdc_enabled: bool = False
-    pma_enabled: bool = False
-    gt_enabled: bool = False
-    self_contrast_only: bool = False
-    aggressive_augmentation: bool = False
-    denominator_mode: str = NEGATIVES_ONLY
-    anchor_negatives: bool = False   # other samples' anchor embeddings join
-                                     # the negative pool (off by default)
+    contrast_weight: float = option(1.0, "contrastive weight", key="lambda")
+    gen_weight: float = option(0.05, "generative weight", key="beta")
+    temperature: float = option(0.1, "contrastive temperature")
+    cdc_enabled: bool = option(False, "cross-domain positive sampling", key="cdc")
+    pma_enabled: bool = option(False, "anchor-embedding positives (coin-mixed)", key="pma")
+    gt_enabled: bool = option(False, "generative transformation loss", key="gt")
+    self_contrast_only: bool = option(False, "positives from own views only")
+    aggressive_augmentation: bool = option(False, "use the aggressive jitter intensity")
+    denominator_mode: str = option(NEGATIVES_ONLY, "contrastive denominator contents",
+                                   choices=(NEGATIVES_ONLY, STANDARD_INFONCE))
+    anchor_negatives: bool = option(False, "other samples' anchor embeddings join the negatives")
+    pma_probability: float = option(0.5, "chance a positive becomes the anchor")
 
     def validate(self):
         if self.temperature <= 0:
@@ -65,6 +67,9 @@ class LossConfig:
             raise LossConfigError("self_contrast_only rules out anchor positives")
         if self.denominator_mode not in (NEGATIVES_ONLY, STANDARD_INFONCE):
             raise LossConfigError(f"unknown denominator_mode {self.denominator_mode!r}")
+        if not 0.0 <= self.pma_probability <= 1.0:
+            raise LossConfigError(
+                f"pma_probability must lie in [0, 1], got {self.pma_probability}")
         return self
 
     @property
@@ -248,8 +253,6 @@ class LossBreakdown:
     erm: float
     contrast: float = 0.0
     gen: float = 0.0
-    contrast_raw: float = 0.0
-    gen_raw: float = 0.0
 
 
 def total_loss(batch, logits, cfg, gen=None, noise=None):
@@ -259,12 +262,8 @@ def total_loss(batch, logits, cfg, gen=None, noise=None):
     erm_value = total.item()
     contrast_contrib = 0.0
     gen_contrib = 0.0
-    contrast_raw = 0.0
-    gen_raw = 0.0
     if cfg.contrast_enabled:
-        contrast = infonce_loss(batch, cfg)
-        contrast_raw = contrast.item()
-        weighted = contrast * cfg.contrast_weight
+        weighted = infonce_loss(batch, cfg) * cfg.contrast_weight
         contrast_contrib = weighted.item()
         total = total + weighted
     if cfg.gt_enabled:
@@ -274,17 +273,14 @@ def total_loss(batch, logits, cfg, gen=None, noise=None):
             raise LossConfigError("gt_enabled requires anchor embeddings z_pre")
         if noise is None:
             raise LossConfigError("gt_enabled requires an injected noise draw")
-        generative = gen_loss(gen, batch.z, batch.z_pre, noise)
-        gen_raw = generative.item()
-        weighted = generative * cfg.gen_weight
+        weighted = gen_loss(gen, batch.z, batch.z_pre, noise) * cfg.gen_weight
         gen_contrib = weighted.item()
         total = total + weighted
     return LossBreakdown(total=total, erm=erm_value,
-                         contrast=contrast_contrib, gen=gen_contrib,
-                         contrast_raw=contrast_raw, gen_raw=gen_raw)
+                         contrast=contrast_contrib, gen=gen_contrib)
 
 
-def resolve_positives(cfg, labels, domains, pma_probability, rng):
+def resolve_positives(cfg, labels, domains, rng):
     """Positive assignment for a batch under the configured flags."""
     n = len(labels)
     if cfg.cdc_enabled:
@@ -292,5 +288,5 @@ def resolve_positives(cfg, labels, domains, pma_probability, rng):
     else:
         assignment = self_positives(n)
     if cfg.pma_enabled:
-        assignment = mix_anchor_positives(assignment, pma_probability, rng)
+        assignment = mix_anchor_positives(assignment, cfg.pma_probability, rng)
     return assignment

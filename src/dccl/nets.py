@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .options import option
 
 SOFTPLUS_INV_ONE = math.log(math.e - 1.0)  # softplus(x) == 1
 
@@ -161,16 +162,11 @@ class GenerativeTransformer:
     initialized at the identity.
     """
 
-    def __init__(self, dim, target_dim=None, rng=None):
-        target_dim = dim if target_dim is None else target_dim
+    def __init__(self, dim, rng=None):
         rng = np.random.default_rng(0) if rng is None else rng
         self.std_bias = Tensor(np.full(dim, SOFTPLUS_INV_ONE))
-        if target_dim == dim:
-            self.decoder = Affine.identity(dim, rng)
-        else:
-            self.decoder = Affine(dim, target_dim, rng, scale=math.sqrt(1.0 / dim))
+        self.decoder = Affine.identity(dim, rng)
         self.dim = dim
-        self.target_dim = target_dim
 
     def transform(self, z, noise):
         """Reparameterized latent, decoded reconstruction, closed-form KL.
@@ -199,10 +195,12 @@ class GenerativeTransformer:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    encoder_hidden: tuple = (32, 32)
-    embed_dim: int = 16
-    head_hidden: int = 32      # 0 drops the head: embeddings are the
-    batchnorm: bool = True     # normalized encoder output directly
+    encoder_hidden: tuple = option((32, 32), "encoder layer widths")
+    embed_dim: int = option(16, "embedding dimension")
+    # a head width of 0 drops the head: embeddings are the normalized
+    # encoder output directly
+    head_hidden: int = option(32, "projection-head hidden width")
+    batchnorm: bool = option(True, "batch standardization in the head")
     with_gen: bool = False
 
 

@@ -14,13 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    x: np.ndarray
-    label: int
-    domain: int
-
-
 @dataclass
 class Dataset:
     """Column-oriented sample store: features, class ids, domain ids."""
@@ -52,10 +45,6 @@ class Dataset:
     @property
     def dim(self):
         return self.X.shape[1]
-
-    def samples(self):
-        for i in range(len(self)):
-            yield LabeledSample(self.X[i], int(self.labels[i]), int(self.domains[i]))
 
     def subset(self, indices):
         indices = np.asarray(indices, dtype=np.int64)
@@ -207,43 +196,28 @@ def gen_rotated_gaussians(n_domains, n_classes, n_per_domain_class,
 
 ADDITIVE = "additive"
 SCALING = "scaling"
-COMPOSE = "compose"
 
 
 @dataclass(frozen=True)
 class AugmentationSpec:
     """Coordinate-wise jitter: additive Unif(-a, a) or scaling Unif(1-a, 1+a).
 
-    Intensity 0 is the exact identity.  A "compose" spec applies its
-    children in order and carries no intensity of its own.
+    Intensity 0 is the exact identity.
     """
 
     kind: str = ADDITIVE
     intensity: float = 0.0
-    children: tuple = ()
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (ADDITIVE, SCALING, COMPOSE):
+        if self.kind not in (ADDITIVE, SCALING):
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
         if self.intensity < 0:
             raise ValueError("augmentation intensity must be nonnegative")
-        if self.kind == COMPOSE and not self.children:
-            raise ValueError("compose augmentation needs children")
-        if self.kind != COMPOSE and self.children:
-            raise ValueError("only compose augmentations take children")
 
 
-def augment(X, spec, rng=None):
+def augment(X, spec, rng):
     """Apply a jitter spec; label-preserving by construction (features only)."""
     X = np.asarray(X, dtype=np.float64)
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    if spec.kind == COMPOSE:
-        out = X
-        for child in spec.children:
-            out = augment(out, child, rng)
-        return out
     if spec.intensity == 0.0:
         return X.copy()
     a = spec.intensity

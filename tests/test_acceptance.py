@@ -269,6 +269,7 @@ def test_criterion_4_anchor_connectivity_contrast():
 
 # -- 5. ablation ordering ----------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_ablation_ordering():
     started = time.perf_counter()
     grid = ablation_grid(GRID_CONFIG, seeds=SEEDS)

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from dccl.cli import main
 from dccl.config import SCHEMA, load_config, parse_config_text
-from dccl.formats import read_dataset, read_embeddings
+from dccl.formats import FormatError, read_dataset, read_embeddings
 
 
 MICRO_CONFIG = """
@@ -89,6 +92,15 @@ def test_every_schema_key_has_default_and_doc():
         parse_config_text("")  # defaults alone are a valid config
 
 
+def test_readme_defaults_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
+            if "=" in line and not line.startswith("#")}
+    assert keys == set(SCHEMA)
+    assert parse_config_text(block, source="README") == parse_config_text("")
+
+
 def test_config_mutual_exclusion_rejected(tmp_path, capsys):
     path = write_config(tmp_path, "loss.cdc = true\nloss.self_contrast_only = true\n")
     assert main(["train", "--config", str(path)]) == 1
@@ -143,6 +155,18 @@ def test_train_with_diverging_anchor_is_runtime_failure(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["train", "--config", str(path)]) == 2
     assert "runtime failure: non-finite anchor loss" in capsys.readouterr().err
+
+
+def test_degenerate_input_during_training_is_runtime_failure(tmp_path, capsys, monkeypatch):
+    from dccl import cli
+    from dccl.autodiff import DegenerateInputError
+
+    def degenerate(cfg, run_dir=None):
+        raise DegenerateInputError("cannot normalize vector with norm 0 < 1e-12")
+
+    monkeypatch.setattr(cli, "train", degenerate)
+    assert main(["train", "--config", str(write_config(tmp_path))]) == 2
+    assert "runtime failure: cannot normalize" in capsys.readouterr().err
 
 
 def test_ablate_divergence_in_a_worker_is_runtime_failure(tmp_path, capsys):
@@ -208,6 +232,23 @@ def test_connectivity_malformed_dump_names_line(tmp_path, capsys):
     dump.write_text("# dccl-dump v1 dim=2 classes=1 domains=1\n0,0,0,1.0,2.0\nnot,a,row\n")
     assert main(["connectivity", "--dump", str(dump)]) == 1
     assert ":3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_connectivity_non_finite_dump_names_line(tmp_path, capsys, bad):
+    dump = tmp_path / "bad.txt"
+    dump.write_text("# dccl-dump v1 dim=2 classes=1 domains=1\n"
+                    f"0,0,0,1.0,2.0\n1,0,0,0.5,0.5\n2,0,0,{bad},1.0\n3,0,0,0.0,1.0\n")
+    assert main(["connectivity", "--dump", str(dump)]) == 1
+    assert f"{dump}:4: non-finite coordinate" in capsys.readouterr().err
+
+
+def test_dataset_dump_with_non_finite_coordinate_rejected(tmp_path):
+    data = tmp_path / "data.txt"
+    data.write_text("# dccl-data v1 generator=x domains=1 classes=1 dim=2 seed=0 params=\n"
+                    "0,0,1.0,2.0\n\n0,0,nan,1.0\n")
+    with pytest.raises(FormatError, match=":4: non-finite coordinate"):
+        read_dataset(data)
 
 
 def test_connectivity_empty_dump_rejected(tmp_path, capsys):

@@ -177,7 +177,8 @@ def test_grid_rows_and_worker_equivalence(tmp_path):
                         out_dir=tmp_path / "seq")
     par = ablation_grid(cfg, rows=rows, seeds=(0, 1), workers=2,
                         out_dir=tmp_path / "par")
-    assert seq.table_csv() == par.table_csv()
+    par_in_memory = ablation_grid(cfg, rows=rows, seeds=(0, 1), workers=2)
+    assert seq.table_csv() == par.table_csv() == par_in_memory.table_csv()
     assert (tmp_path / "seq" / "summary.csv").read_text() == \
         (tmp_path / "par" / "summary.csv").read_text()
     for name in ("erm", "pma", "full"):

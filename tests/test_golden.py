@@ -44,6 +44,20 @@ loss.aggressive_augmentation = true
 loss.pma_probability = 0.3
 """
 
+# the branches the default golden run leaves out: anchor negatives, the
+# standard InfoNCE denominator, scaling jitter and a head without batch norm
+VARIANT = MICRO + """\
+optim.steps = 120
+loss.cdc = true
+loss.pma = true
+loss.gt = true
+loss.aggressive_augmentation = true
+loss.anchor_negatives = true
+loss.denominator_mode = standard-infonce
+augment.kind = scaling
+model.batchnorm = false
+"""
+
 ABLATE = MICRO + "optim.steps = 40\n"
 
 TRAIN_HASHES = {
@@ -55,6 +69,15 @@ TRAIN_HASHES = {
         "816262be753da869542d1b8681a061a08b59ee41352f44fadd88aa99dc07f677",
     "config.txt":
         "5f638de4c0ef2977f0d3f26294655d06570735692c09b0b2ff96849b29690477",
+}
+
+VARIANT_HASHES = {
+    "losses.csv":
+        "45aeb8936a94b7a31bcaafddc0f8510ad9e63c726319c577bcdd81a503dc8b41",
+    "result.csv":
+        "8e7cea7d7568507d63a84228b5ff1fd2bbc89eac1a4927603893827b01869ae5",
+    "checkpoint.txt":
+        "ddf6fbe88f97e16131e3ce2497ad6bbadc2c01a7960283febef7336e86ff8778",
 }
 
 ABLATE_HASHES = {
@@ -89,6 +112,13 @@ def test_train_and_dump_hashes(workdir, capsys):
     assert main(["dump-embeddings", "--checkpoint", str(run_dir / "checkpoint.txt"),
                  "--data", "data.txt", "--out", "emb.txt"]) == 0
     assert sha256(workdir / "emb.txt") == DUMP_HASH
+
+
+def test_variant_train_hashes(workdir, capsys):
+    (workdir / "variant.cfg").write_text(VARIANT)
+    assert main(["train", "--config", "variant.cfg"]) == 0
+    run_dir = workdir / "runs" / "golden" / "train" / "seed0"
+    assert {name: sha256(run_dir / name) for name in VARIANT_HASHES} == VARIANT_HASHES
 
 
 def test_ablate_hashes(workdir, capsys):

@@ -6,6 +6,15 @@ and one reverse sweep propagates adjoints back to all watched leaves.
 Values are numpy float64 arrays of rank <= 2, which is all the MLPs and
 losses in this package need; every backward rule is small enough to be
 checked against central finite differences.
+
+The training step records fused ops: `affine`, `batchnorm_train`,
+`softmax_cross_entropy`, `contrastive_term` and `generative_term`.  Each
+replays, forward and backward, the numpy operations of the chain of
+elementary primitives it stands for, in the same order.  Where that chain
+sent several gradient contributions to one input, the input appears once
+per contribution in the op's parent tuple, in the order the reverse sweep
+would have met them, so `Tape.gradients` sums them with the same
+association.  A fused op therefore yields the same bits as its chain.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ class Tensor:
 
     def __init__(self, data, node_id=None):
         arr = np.asarray(data, dtype=np.float64)
-        if any(dim <= 0 for dim in arr.shape):
+        if 0 in arr.shape:
             raise ShapeError(f"tensor dimensions must be strictly positive, got {arr.shape}")
         if arr.ndim > 2:
             raise ShapeError(f"rank-{arr.ndim} tensors are not supported (shape {arr.shape})")
@@ -152,11 +161,9 @@ class Tape:
     def _record(self, out_data, parents, backward_rule):
         out = Tensor(out_data)
         out.node_id = next(_node_ids)
-        self._known.add(out.node_id)
-        parent_ids = tuple(
-            p.node_id if (p.node_id is not None and p.node_id in self._known) else None
-            for p in parents
-        )
+        known = self._known
+        known.add(out.node_id)
+        parent_ids = tuple(p.node_id if p.node_id in known else None for p in parents)
         self._ops.append((out.node_id, parent_ids, backward_rule))
         return out
 
@@ -186,10 +193,11 @@ class Tape:
 
 def _emit(out_data, parents, backward_rule):
     tape = active_tape()
-    if tape is not None and any(
-        p.node_id is not None and p.node_id in tape._known for p in parents
-    ):
-        return tape._record(out_data, parents, backward_rule)
+    if tape is not None:
+        known = tape._known
+        for p in parents:
+            if p.node_id in known:
+                return tape._record(out_data, parents, backward_rule)
     return Tensor(out_data)
 
 
@@ -206,13 +214,56 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def _check_shapes(sa, sb, opname):
+    for da, db in zip(reversed(sa), reversed(sb)):
+        if da != db and da != 1 and db != 1:
+            raise ShapeError(f"{opname}: shapes {sa} and {sb} are not broadcast-compatible")
+
+
 def _check_broadcast(a, b, opname):
-    try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ShapeError(
-            f"{opname}: shapes {a.data.shape} and {b.data.shape} are not broadcast-compatible"
-        ) from None
+    _check_shapes(a.data.shape, b.data.shape, opname)
+
+
+def _check_matmul(sa, sb):
+    if len(sa) != 2 or len(sb) != 2:
+        raise ShapeError(f"matmul expects rank-2 operands, got {sa} and {sb}")
+    if sa[1] != sb[0]:
+        raise ShapeError(f"matmul inner dimensions differ: {sa} vs {sb}")
+
+
+def _check_log(da):
+    if (da <= NORM_FLOOR).any():
+        raise DegenerateInputError(
+            f"log of value <= {NORM_FLOOR:g} is rejected as degenerate (min {da.min():g})"
+        )
+
+
+def _check_power(da, p):
+    if p != int(p) and (da < 0.0).any():
+        raise DegenerateInputError(f"fractional power {p} of a negative value")
+    if p < 0 and (np.abs(da) <= NORM_FLOOR).any():
+        raise DegenerateInputError(f"negative power {p} of a near-zero value")
+
+
+def _check_rank2(a, opname):
+    if a.ndim != 2:
+        raise ShapeError(f"{opname} expects a rank-2 tensor, got shape {a.data.shape}")
+
+
+def _check_cols(cols, shape, opname):
+    """One column index per row of a (n, m) operand, as an intp array."""
+    cols = np.asarray(cols, dtype=np.intp)
+    n, m = shape
+    if cols.shape != (n,):
+        raise ShapeError(f"{opname} needs {n} column indices, got shape {cols.shape}")
+    if (cols < 0).any() or (cols >= m).any():
+        raise IndexError(f"{opname} column index out of range [0, {m})")
+    return cols
+
+
+def _check_rows(idx, n, opname):
+    if (idx < 0).any() or (idx >= n).any():
+        raise IndexError(f"{opname} row index out of range [0, {n})")
 
 
 def add(a, b):
@@ -246,20 +297,14 @@ def neg(a):
 
 def matmul(a, b):
     a, b = _coerce(a), _coerce(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions differ: {a.data.shape} vs {b.data.shape}"
-        )
+    _check_matmul(a.data.shape, b.data.shape)
     da, db = a.data, b.data
     return _emit(da @ db, (a, b), lambda g: (g @ db.T, da.T @ g))
 
 
 def transpose(a):
     a = _coerce(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a rank-2 tensor, got shape {a.data.shape}")
+    _check_rank2(a, "transpose")
     return _emit(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
@@ -271,10 +316,7 @@ def exp(a):
 
 def log(a):
     a = _coerce(a)
-    if np.any(a.data <= NORM_FLOOR):
-        raise DegenerateInputError(
-            f"log of value <= {NORM_FLOOR:g} is rejected as degenerate (min {a.data.min():g})"
-        )
+    _check_log(a.data)
     da = a.data
     return _emit(np.log(da), (a,), lambda g: (g / da,))
 
@@ -303,10 +345,7 @@ def relu(a):
 def power(a, exponent):
     a = _coerce(a)
     p = float(exponent)
-    if p != int(p) and np.any(a.data < 0.0):
-        raise DegenerateInputError(f"fractional power {p} of a negative value")
-    if p < 0 and np.any(np.abs(a.data) <= NORM_FLOOR):
-        raise DegenerateInputError(f"negative power {p} of a near-zero value")
+    _check_power(a.data, p)
     da = a.data
     return _emit(da ** p, (a,), lambda g: (g * p * da ** (p - 1.0),))
 
@@ -361,7 +400,7 @@ def l2_normalize(a):
         raise ShapeError(f"l2_normalize expects rank 1 or 2, got shape {da.shape}")
     norms = np.sqrt(np.sum(da * da, axis=1))
     bad = norms < NORM_FLOOR
-    if np.any(bad):
+    if bad.any():
         row = int(np.argmax(bad))
         raise DegenerateInputError(
             f"cannot normalize row {row} with norm {norms[row]:g} < {NORM_FLOOR:g}"
@@ -383,8 +422,7 @@ def logsumexp(a, mask=None):
     rejected (it would be an empty pool).
     """
     a = _coerce(a)
-    if a.ndim != 2:
-        raise ShapeError(f"logsumexp expects a rank-2 tensor, got shape {a.data.shape}")
+    _check_rank2(a, "logsumexp")
     da = a.data
     if mask is None:
         mask = np.ones(da.shape, dtype=bool)
@@ -396,15 +434,20 @@ def logsumexp(a, mask=None):
     if np.any(counts == 0):
         row = int(np.argmax(counts == 0))
         raise DegenerateInputError(f"logsumexp row {row} has an empty pool")
+    xm, out = _lse_rows(da, mask)
+    return _emit(out, (a,), lambda g: (_lse_grad(g, xm, out),))
+
+
+def _lse_rows(da, mask):
+    """Forward of `logsumexp`: the masked input and the row-wise result."""
     xm = np.where(mask, da, -np.inf)
     peak = xm.max(axis=1)
-    out = peak + np.log(np.sum(np.exp(xm - peak[:, None]), axis=1))
+    return xm, peak + np.log(np.sum(np.exp(xm - peak[:, None]), axis=1))
 
-    def rule(g):
-        weights = np.exp(xm - out[:, None])
-        return (g[:, None] * weights,)
 
-    return _emit(out, (a,), rule)
+def _lse_grad(g, xm, out):
+    weights = np.exp(xm - out[:, None])
+    return g[:, None] * weights
 
 
 def logaddexp(a, b):
@@ -425,15 +468,9 @@ def logaddexp(a, b):
 def gather_pairs(a, cols):
     """Pick one entry per row: out[i] = a[i, cols[i]]."""
     a = _coerce(a)
-    if a.ndim != 2:
-        raise ShapeError(f"gather_pairs expects a rank-2 tensor, got shape {a.data.shape}")
-    cols = np.asarray(cols, dtype=np.intp)
-    n, m = a.data.shape
-    if cols.shape != (n,):
-        raise ShapeError(f"gather_pairs needs {n} column indices, got shape {cols.shape}")
-    if np.any(cols < 0) or np.any(cols >= m):
-        raise IndexError(f"gather_pairs column index out of range [0, {m})")
-    rows = np.arange(n)
+    _check_rank2(a, "gather_pairs")
+    cols = _check_cols(cols, a.data.shape, "gather_pairs")
+    rows = np.arange(len(cols))
     da_shape = a.data.shape
 
     def rule(g):
@@ -447,12 +484,9 @@ def gather_pairs(a, cols):
 def index_rows(a, idx):
     """Select rows by index, with gradient scatter-added back."""
     a = _coerce(a)
-    if a.ndim != 2:
-        raise ShapeError(f"index_rows expects a rank-2 tensor, got shape {a.data.shape}")
+    _check_rank2(a, "index_rows")
     idx = np.asarray(idx, dtype=np.intp)
-    n = a.data.shape[0]
-    if np.any(idx < 0) or np.any(idx >= n):
-        raise IndexError(f"index_rows row index out of range [0, {n})")
+    _check_rows(idx, a.data.shape[0], "index_rows")
     da_shape = a.data.shape
 
     def rule(g):
@@ -461,3 +495,233 @@ def index_rows(a, idx):
         return (z,)
 
     return _emit(a.data[idx], (a,), rule)
+
+
+# -- fused ops ------------------------------------------------------------------
+#
+# Each op below replays a chain of the primitives above, step for step.
+# The comments name the primitive each numpy line stands for; the backward
+# rule walks the chain in reverse and hands back one gradient per entry of
+# the parent tuple.  A broadcast gradient that only meets elementwise
+# arithmetic stays a (1, m) or (n, 1) view; one that is summed is built
+# with `np.broadcast_to`, as in `reduce_sum`/`reduce_mean`, because a
+# reduction's bits depend on the strides it walks.
+
+
+def affine(x, W, b):
+    """x @ W + b: `matmul` then a broadcast `add`."""
+    x, W, b = _coerce(x), _coerce(W), _coerce(b)
+    xd, Wd = x.data, W.data
+    _check_matmul(xd.shape, Wd.shape)
+    h = xd @ Wd
+    sb = b.data.shape
+    _check_shapes(h.shape, sb, "add")
+
+    def rule(g):
+        gh = _unbroadcast(g, h.shape)
+        return (_unbroadcast(g, sb), gh @ Wd.T, xd.T @ gh)
+
+    return _emit(h + b.data, (b, x, W), rule)
+
+
+def batchnorm_train(x, gamma, beta, eps):
+    """Batch standardization of the rows of x, scaled by gamma, shifted by beta.
+
+    Returns the output tensor and the batch mean and variance (plain
+    arrays), which the caller folds into its running statistics.
+    """
+    x, gamma, beta = _coerce(x), _coerce(gamma), _coerce(beta)
+    _check_rank2(x, "batchnorm_train")
+    xd, gd, sbeta = x.data, gamma.data, beta.data.shape
+    scale = 1.0 / xd.shape[0]
+    mu = xd.mean(axis=0)                      # reduce_mean(x, 0)
+    c = xd - mu                               # sub
+    var = (c * c).mean(axis=0)                # mul, reduce_mean(., 0)
+    ve = var + eps                            # add
+    p = -0.5
+    _check_power(ve, p)
+    inv = ve ** p                             # power
+    t1 = c * inv                              # mul
+    _check_shapes(t1.shape, gd.shape, "mul")
+    t2 = t1 * gd                              # mul
+    _check_shapes(t2.shape, sbeta, "add")
+    out = t2 + beta.data                      # add
+
+    def rule(g):
+        g_beta = _unbroadcast(g, sbeta)
+        g_t2 = _unbroadcast(g, t2.shape)
+        g_gamma = _unbroadcast(g_t2 * t1, gd.shape)
+        g_t1 = _unbroadcast(g_t2 * gd, t1.shape)
+        g_c = _unbroadcast(g_t1 * inv, c.shape)
+        g_inv = _unbroadcast(g_t1 * c, inv.shape)
+        g_var = g_inv * p * ve ** (p - 1.0)
+        g_sq = (g_var * scale)[None, :]
+        g_c = g_c + g_sq * c
+        g_c = g_c + g_sq * c
+        g_mu = _unbroadcast(g_c, mu.shape).__neg__()
+        return (g_beta, g_gamma, g_c,
+                np.broadcast_to((g_mu * scale)[None, :], xd.shape))
+
+    return _emit(out, (beta, gamma, x, x), rule), mu, var
+
+
+def softmax_cross_entropy(logits, labels):
+    """Mean over rows of logsumexp(logits[i]) - logits[i, labels[i]]."""
+    logits = _coerce(logits)
+    _check_rank2(logits, "softmax_cross_entropy")
+    da = logits.data
+    cols = _check_cols(labels, da.shape, "softmax_cross_entropy")
+    rows = np.arange(len(cols))
+    xm, lse = _lse_rows(da, np.ones(da.shape, dtype=bool))     # logsumexp
+    diff = lse - da[rows, cols]                                  # gather_pairs, sub
+    scale = 1.0 / diff.size
+
+    def rule(g):
+        g_diff = np.broadcast_to(g * scale, diff.shape)
+        picked = np.zeros(da.shape)
+        picked[rows, cols] = g_diff.__neg__()
+        return (picked, _lse_grad(g_diff, xm, lse))
+
+    return _emit(diff.mean(), (logits, logits), rule)
+
+
+def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=False,
+                     standard=False):
+    """Mean over rows of log(denominator_i) - z_i . z+_i / temperature.
+
+    Row i's positive is z_alt[positive[i]], or the constant z_pre[i] where
+    positive[i] is negative.  The denominator sums exp(z_i . z_alt_j / t)
+    over j != i; with `anchor_negatives` also exp(z_i . z_pre_j / t) over
+    j != i, and with `standard` the positive term itself.  z_pre (n, d) is
+    needed only when a row takes an anchor positive or anchor negatives
+    are on.
+    """
+    z, z_alt = _coerce(z), _coerce(z_alt)
+    _check_rank2(z, "contrastive_term")
+    zd, ad_ = z.data, z_alt.data
+    n, d = zd.shape
+    if ad_.shape != (n, d):
+        raise ShapeError(f"z_alt shape {ad_.shape} does not match z shape {zd.shape}")
+    if n < 2:
+        raise DegenerateInputError("contrastive_term needs 2 rows for a negative pool")
+    inv_t = 1.0 / temperature
+    positive = np.asarray(positive, dtype=np.intp)
+    anchor_rows = positive < 0
+    with_anchor = bool(anchor_rows.any())
+    idx = np.where(anchor_rows, 0, positive)
+    _check_rows(idx, n, "contrastive_term")
+    if with_anchor or anchor_negatives:
+        z_pre = np.asarray(z_pre, dtype=np.float64)
+        if z_pre.shape != (n, d):
+            raise ShapeError(f"z_pre shape {z_pre.shape} does not match z shape {zd.shape}")
+
+    P = P0 = ad_[idx]                                   # index_rows
+    if with_anchor:
+        keep = (~anchor_rows).astype(np.float64)[:, None]
+        P1 = P0 * keep                                  # mul
+        P = P1 + np.where(anchor_rows[:, None], z_pre, 0.0)   # add
+    pos = (zd * P).sum(axis=1) * inv_t                  # mul, reduce_sum(., 1), mul
+    zaT = ad_.T.copy()                                  # transpose
+    neg_mask = ~np.eye(n, dtype=bool)
+    xm, lse = _lse_rows((zd @ zaT) * inv_t, neg_mask)   # matmul, mul, logsumexp
+    denom = lse
+    if anchor_negatives:
+        zpT = z_pre.T.copy()
+        xm_a, lse_a = _lse_rows((zd @ zpT) * inv_t, neg_mask)   # matmul, mul, logsumexp
+        denom_a = denom = np.logaddexp(lse, lse_a)      # logaddexp
+    if standard:
+        denom_prev = denom
+        denom = np.logaddexp(denom_prev, pos)           # logaddexp
+    diff = denom - pos                                  # sub
+    scale = 1.0 / n
+
+    def rule(g):
+        g_diff = np.broadcast_to(g * scale, diff.shape)     # reduce_mean
+        g_den = g_diff                                      # sub
+        g_pos = _unbroadcast(g_diff, pos.shape).__neg__()
+        if standard:
+            g_pos = g_pos + g_den * np.exp(pos - denom)
+            g_den = g_den * np.exp(denom_prev - denom)
+        out = []
+        if anchor_negatives:
+            g_lse_a = g_den * np.exp(lse_a - denom_a)
+            g_den = g_den * np.exp(lse - denom_a)
+            out.append((_lse_grad(g_lse_a, xm_a, lse_a) * inv_t) @ zpT.T)
+        g_sims = _lse_grad(g_den, xm, lse) * inv_t
+        out.append(g_sims @ zaT.T)
+        out.append((zd.T @ g_sims).T)
+        g_q = (g_pos * inv_t)[:, None]
+        out.append(g_q * P)
+        g_p = g_q * zd
+        if with_anchor:
+            g_p = g_p * keep
+        scattered = np.zeros((n, d))
+        np.add.at(scattered, idx, g_p)
+        out.append(scattered)
+        return out
+
+    parents = ((z,) if anchor_negatives else ()) + (z, z_alt, z, z_alt)
+    return _emit(diff.mean(), parents, rule)
+
+
+def generative_term(z, z_pre, noise, std_bias, W, b):
+    """Mean over rows of ||z_pre - psi(z_lat)||^2 + KL[N(z, sigma^2) || N(0, 1)].
+
+    sigma = softplus(std_bias), z_lat = z + sigma * noise and the decoder
+    psi(v) = v @ W + b; the KL is 0.5 * sum(sigma^2 + z^2 - 1 - ln sigma^2).
+    """
+    z, std_bias, W, b = _coerce(z), _coerce(std_bias), _coerce(W), _coerce(b)
+    zd, bd, Wd = z.data, std_bias.data, W.data
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != zd.shape:
+        raise ShapeError(f"noise shape {noise.shape} does not match z shape {zd.shape}")
+    sig = np.logaddexp(0.0, bd)                 # softplus
+    _check_shapes(sig.shape, noise.shape, "mul")
+    sn = sig * noise                            # mul
+    _check_shapes(zd.shape, sn.shape, "add")
+    zl = zd + sn                                # add
+    _check_matmul(zl.shape, Wd.shape)
+    r0 = zl @ Wd                                # matmul
+    sb = b.data.shape
+    _check_shapes(r0.shape, sb, "add")
+    recon = r0 + b.data                         # add
+    s2 = sig * sig                              # mul
+    zz = zd * zd                                # mul
+    _check_shapes(s2.shape, zz.shape, "add")
+    a8 = s2 + zz                                # add
+    a9 = a8 - 1.0                               # sub
+    _check_log(s2)
+    l10 = np.log(s2)                            # log
+    a11 = a9 - l10                              # sub
+    kl = a11.sum(axis=1) * 0.5                  # reduce_sum(., 1), mul
+    z_pre = Tensor(z_pre).data
+    _check_shapes(z_pre.shape, recon.shape, "sub")
+    err = z_pre - recon                         # sub
+    rec = (err * err).sum(axis=1)               # mul, reduce_sum(., 1)
+    _check_shapes(rec.shape, kl.shape, "add")
+    tot = rec + kl                              # add
+    scale = 1.0 / tot.size
+
+    def rule(g):
+        g_tot = np.broadcast_to(g * scale, tot.shape)
+        g_e2 = _unbroadcast(g_tot, rec.shape)[:, None]
+        g_err = g_e2 * err
+        g_err = g_err + g_e2 * err
+        g_recon = _unbroadcast(g_err, recon.shape).__neg__()
+        g_a12 = _unbroadcast(g_tot, kl.shape) * 0.5
+        g_a11 = np.broadcast_to(g_a12[:, None], a11.shape)
+        g_a8 = _unbroadcast(g_a11, a9.shape)
+        g_s2 = _unbroadcast(g_a11, l10.shape).__neg__() / s2
+        g_s2 = g_s2 + _unbroadcast(g_a8, s2.shape)
+        g_zz = _unbroadcast(g_a8, zz.shape)
+        g_sig = _unbroadcast(g_s2 * sig, sig.shape)
+        g_sig = g_sig + _unbroadcast(g_s2 * sig, sig.shape)
+        g_r0 = _unbroadcast(g_recon, r0.shape)
+        g_zl = g_r0 @ Wd.T
+        g_sn = _unbroadcast(g_zl, sn.shape)
+        g_sig = g_sig + _unbroadcast(g_sn * noise, sig.shape)
+        return (_unbroadcast(g_zz * zd, zd.shape), _unbroadcast(g_zz * zd, zd.shape),
+                _unbroadcast(g_recon, sb), zl.T @ g_r0, _unbroadcast(g_zl, zd.shape),
+                g_sig * _sigmoid(bd))
+
+    return _emit(tot.mean(), (z, z, b, W, z, std_bias), rule)

@@ -9,8 +9,9 @@ class is better connected relative to its own spread.
 
 For k points of width d both quantities take O(k^2 d) time and compute
 one row of distances at a time.  tau needs O(k d) memory; mu and sigma
-keep the k(k-1)/2 distances in one vector (8 bytes per pair), because
-reducing that whole vector is what fixes their last bits.
+keep the k(k-1)/2 distances in one vector (8 bytes per pair, and no
+second copy), because reducing that whole vector is what fixes their
+last bits.
 """
 
 from __future__ import annotations
@@ -76,7 +77,10 @@ def pairwise_stats(points):
 
     The distances fill one condensed vector in `np.triu_indices` row-major
     order, row by row; the mean and std then reduce that vector whole, so
-    their summation order, and with it every bit, is fixed.
+    their summation order, and with it every bit, is fixed.  The std takes
+    numpy's own `_var` steps (keepdims sum, divide, subtract, square, sum,
+    divide, sqrt), but overwrites the vector in place instead of
+    allocating a second one for the deviations.
     """
     points = np.asarray(points, dtype=np.float64)
     k = len(points)
@@ -89,7 +93,13 @@ def pairwise_stats(points):
         stop = start + k - 1 - i
         _distances(points[i], points[i + 1:], buf, dists[start:stop])
         start = stop
-    return float(dists.mean()), float(dists.std()), len(dists)
+    count = len(dists)
+    mean = np.add.reduce(dists, axis=None, keepdims=True)
+    np.true_divide(mean, count, out=mean)
+    np.subtract(dists, mean, out=dists)
+    np.square(dists, out=dists)
+    var = np.add.reduce(dists, axis=None) / count
+    return float(mean[0]), float(np.sqrt(var)), count
 
 
 def connecting_threshold(points):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -52,6 +51,11 @@ class DatasetSpec:
         if self.kind == "example31":
             return gen_example31_both(self.n_per_class, seed=self.seed)
         raise ValueError(f"unknown dataset kind {self.kind!r}")
+
+    @property
+    def domain_count(self):
+        """Domains that `build` makes; example31 always has two."""
+        return 2 if self.kind == "example31" else self.n_domains
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,9 @@ class ExperimentConfig:
             raise ValueError(f"label_ratio must lie in (0, 1], got {self.label_ratio}")
         if self.optim.steps < 1 or self.optim.batch_size < 2:
             raise ValueError("need at least 1 step and a batch of at least 2")
+        n_domains = self.dataset.domain_count
+        if not 0 <= self.holdout < n_domains:
+            raise ValueError(f"holdout domain {self.holdout} outside [0, {n_domains})")
         return self
 
     @property
@@ -205,8 +212,6 @@ def train(cfg, anchor=None, run_dir=None):
     started = time.perf_counter()
     cfg.validate()
     dataset = cfg.dataset.build()
-    if not 0 <= cfg.holdout < dataset.n_domains:
-        raise ValueError(f"holdout domain {cfg.holdout} outside [0, {dataset.n_domains})")
 
     seq = np.random.SeedSequence(cfg.seed)
     (init_s, split_s, label_s, batch_s,
@@ -246,7 +251,7 @@ def train(cfg, anchor=None, run_dir=None):
     connectivity_init = _mean_connectivity(model, dataset)
 
     curve = []
-    domain_counts = Counter()
+    domain_counts = np.zeros(dataset.n_domains, dtype=np.int64)
     best_acc, best_step, best_state = -1.0, 0, None
     for step in range(1, cfg.optim.steps + 1):
         pos = next(batches)
@@ -254,9 +259,9 @@ def train(cfg, anchor=None, run_dir=None):
         xb = dataset.X[orig]
         yb = dataset.labels[orig]
         db = dataset.domains[orig]
-        if np.any(db == cfg.holdout):
+        if (db == cfg.holdout).any():
             raise RuntimeError(f"held-out domain {cfg.holdout} leaked into a training batch")
-        domain_counts.update(int(d) for d in db)
+        domain_counts += np.bincount(db, minlength=dataset.n_domains)
 
         view1 = augment(xb, train_aug, rng_augment)
         contrast_on = cfg.loss.contrast_enabled
@@ -299,7 +304,7 @@ def train(cfg, anchor=None, run_dir=None):
         best_val_accuracy=best_acc, selected_step=best_step, loss_curve=curve,
         connectivity_init=connectivity_init,
         connectivity_selected=connectivity_selected,
-        domain_batch_counts=dict(sorted(domain_counts.items())),
+        domain_batch_counts={m: int(c) for m, c in enumerate(domain_counts) if c},
         n_train=len(train_idx), n_val=len(val_idx),
         wall_clock=time.perf_counter() - started,
     )

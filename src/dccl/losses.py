@@ -105,7 +105,7 @@ class ContrastBatch:
 def _require_unit_rows(data, name):
     norms = np.sqrt(np.sum(data * data, axis=1))
     off = np.abs(norms - 1.0)
-    if np.any(off > _UNIT_NORM_TOL):
+    if (off > _UNIT_NORM_TOL).any():
         row = int(np.argmax(off))
         raise LossConfigError(f"{name} row {row} is not unit-norm (norm {norms[row]:.6g})")
 
@@ -125,9 +125,7 @@ def erm_loss(logits, labels):
             f"label out of range: saw {int(labels.min())}..{int(labels.max())} "
             f"for {n_classes} classes"
         )
-    lse = ad.logsumexp(logits)
-    picked = ad.gather_pairs(logits, labels)
-    return (lse - picked).mean()
+    return ad.softmax_cross_entropy(logits, labels)
 
 
 def sample_positives_cdc(labels, domains, rng):
@@ -143,14 +141,19 @@ def sample_positives_cdc(labels, domains, rng):
     if labels.shape != domains.shape:
         raise ValueError("labels and domains must have the same length")
     n = len(labels)
-    assignment = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        eligible = np.nonzero(labels == labels[i])[0]
-        eligible = eligible[eligible != i]
-        if len(eligible) == 0:
-            assignment[i] = i
-        else:
-            assignment[i] = eligible[rng.integers(len(eligible))]
+    # members of one class sit side by side in `order`, in index order
+    order = np.argsort(labels, kind="stable")
+    first = np.searchsorted(labels[order], labels, side="left")
+    others = np.searchsorted(labels[order], labels, side="right") - first - 1
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - first[order]
+    assignment = np.arange(n, dtype=np.int64)
+    drawn = others > 0
+    # one draw per non-singleton, in index order: the values and the
+    # generator state of one rng.integers(k) call per sample
+    pick = rng.integers(others[drawn])
+    pick += pick >= rank[drawn]  # skip the sample itself
+    assignment[drawn] = order[first[drawn] + pick]
     return assignment
 
 
@@ -195,38 +198,23 @@ def infonce_loss(batch, cfg):
     assignment = np.asarray(batch.positive_assignment, dtype=np.int64)
     anchor_rows = assignment == ANCHOR_POSITIVE
     indexed = ~anchor_rows
-    if np.any(indexed):
+    if indexed.any():
         idx = assignment[indexed]
         if idx.min() < 0 or idx.max() >= n:
             raise LossConfigError("positive assignment index out of range")
-        if np.any(batch.labels[idx] != batch.labels[indexed]):
+        if (batch.labels[idx] != batch.labels[indexed]).any():
             bad = int(np.nonzero(batch.labels[idx] != batch.labels[indexed])[0][0])
             raise LossConfigError(f"cross-class positive for batch row {bad}")
-    if np.any(anchor_rows) or cfg.anchor_negatives:
+    if anchor_rows.any() or cfg.anchor_negatives:
         if batch.z_pre is None:
             raise LossConfigError("anchor embeddings required but z_pre is absent")
         z_pre = np.asarray(batch.z_pre, dtype=np.float64)
         if z_pre.shape != (n, d):
             raise ad.ShapeError(f"z_pre shape {z_pre.shape} does not match z shape {z.shape}")
         _require_unit_rows(z_pre, "z_pre")
-
-    inv_t = 1.0 / cfg.temperature
-    safe = np.where(anchor_rows, 0, assignment)
-    positives = ad.index_rows(z_alt, safe)
-    if np.any(anchor_rows):
-        keep = Tensor((~anchor_rows).astype(np.float64)[:, None])
-        anchor_part = np.where(anchor_rows[:, None], batch.z_pre, 0.0)
-        positives = positives * keep + Tensor(anchor_part)
-    pos_logits = (z * positives).sum(axis=1) * inv_t
-    sims = ad.matmul(z, ad.transpose(z_alt)) * inv_t
-    neg_mask = ~np.eye(n, dtype=bool)
-    denom = ad.logsumexp(sims, mask=neg_mask)
-    if cfg.anchor_negatives:
-        anchor_sims = ad.matmul(z, ad.transpose(Tensor(batch.z_pre))) * inv_t
-        denom = ad.logaddexp(denom, ad.logsumexp(anchor_sims, mask=neg_mask))
-    if cfg.denominator_mode == STANDARD_INFONCE:
-        denom = ad.logaddexp(denom, pos_logits)
-    return (denom - pos_logits).mean()
+    return ad.contrastive_term(z, z_alt, assignment, batch.z_pre, cfg.temperature,
+                               anchor_negatives=cfg.anchor_negatives,
+                               standard=cfg.denominator_mode == STANDARD_INFONCE)
 
 
 def gen_loss(gen, z, z_pre, noise):
@@ -235,10 +223,7 @@ def gen_loss(gen, z, z_pre, noise):
     Mean over the batch of ||z_pre - psi(z_lat)||^2 + KL[q(z_lat | z) ||
     unit Gaussian], with z_lat = z + sigma * noise from the transformer.
     """
-    _, recon, kl = gen.transform(z, noise)
-    err = Tensor(np.asarray(z_pre, dtype=np.float64)) - recon
-    reconstruction = (err * err).sum(axis=1)
-    return (reconstruction + kl).mean()
+    return ad.generative_term(z, z_pre, noise, gen.std_bias, gen.decoder.W, gen.decoder.b)
 
 
 @dataclass

@@ -54,7 +54,7 @@ class Affine:
         return layer
 
     def __call__(self, x):
-        return ad.matmul(x, self.W) + self.b
+        return ad.affine(x, self.W, self.b)
 
     def params(self, prefix):
         return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
@@ -74,14 +74,11 @@ class BatchNorm:
 
     def __call__(self, x, training):
         if training:
-            mu = x.mean(axis=0)
-            centered = x - mu
-            var = (centered * centered).mean(axis=0)
-            inv = ad.power(var + self.eps, -0.5)
+            out, mu, var = ad.batchnorm_train(x, self.gamma, self.beta, self.eps)
             m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mu.data
-            self.running_var = (1.0 - m) * self.running_var + m * var.data
-            return centered * inv * self.gamma + self.beta
+            self.running_mean = (1.0 - m) * self.running_mean + m * mu
+            self.running_var = (1.0 - m) * self.running_var + m * var
+            return out
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
         return (x - Tensor(self.running_mean)) * Tensor(inv) * self.gamma + self.beta
 
@@ -159,7 +156,8 @@ class GenerativeTransformer:
     to equal the embedding dimension); the per-dimension standard
     deviation is softplus of a bias-only parameter, initialized so the
     posterior starts at the unit-Gaussian prior; the decoder is affine,
-    initialized at the identity.
+    initialized at the identity.  `losses.gen_loss` runs the whole chain
+    (reparameterize, decode, KL, reconstruction) as one tape op.
     """
 
     def __init__(self, dim, rng=None):
@@ -167,25 +165,6 @@ class GenerativeTransformer:
         self.std_bias = Tensor(np.full(dim, SOFTPLUS_INV_ONE))
         self.decoder = Affine.identity(dim, rng)
         self.dim = dim
-
-    def transform(self, z, noise):
-        """Reparameterized latent, decoded reconstruction, closed-form KL.
-
-        z_lat = z + sigma * noise; kl_per_sample is the diagonal-Gaussian
-        divergence 0.5 * sum(sigma^2 + z^2 - 1 - ln sigma^2) from the
-        unit-Gaussian prior.
-        """
-        if not isinstance(z, Tensor):
-            z = Tensor(z)
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape != z.shape:
-            raise ad.ShapeError(f"noise shape {noise.shape} does not match z shape {z.shape}")
-        sigma = ad.softplus(self.std_bias)
-        z_lat = z + sigma * Tensor(noise)
-        recon = self.decoder(z_lat)
-        s2 = sigma * sigma
-        kl = (s2 + z * z - 1.0 - ad.log(s2)).sum(axis=1) * 0.5
-        return z_lat, recon, kl
 
     def params(self, prefix="gen"):
         out = {f"{prefix}.std_bias": self.std_bias}

@@ -6,34 +6,67 @@ import numpy as np
 
 
 class Adam:
+    """Adam over flat moment buffers.
+
+    The first step lays the parameters out end to end: each owns one
+    slice of the flat first-moment `m`, second-moment `v` and gradient
+    buffers, and every later step updates all of them in one elementwise
+    pass.  The arithmetic is the per-parameter update, element for
+    element, so it gives the same bits.
+    """
+
     def __init__(self, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.m = self.v = None
+        self._names = None
+
+    def _lay_out(self, params):
+        self._names = tuple(params)
+        self._slices = []
+        start = 0
+        for p in params.values():
+            self._slices.append(slice(start, start + p.data.size))
+            start += p.data.size
+        self.m = np.zeros(start)
+        self.v = np.zeros(start)
+        self._grad = np.empty(start)
+        self._flat = np.empty(start)
+        self._flags = None
 
     def step(self, params, grads):
         """Update tensors in `params` (name -> Tensor) from `grads`
-        (node_id -> array); parameters without a gradient are skipped."""
+        (node_id -> array).  A parameter without a gradient keeps its
+        value and its moments."""
+        if self._names is None:
+            self._lay_out(params)
+        elif tuple(params) != self._names:
+            raise ValueError("Adam.step needs the same parameter names on every step")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for name, p in params.items():
-            g = grads.get(p.node_id)
-            if g is None:
-                continue
-            g = np.asarray(g, dtype=np.float64).reshape(p.data.shape)
-            m = self.m.get(name)
-            v = self.v.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            self.m[name] = m
-            self.v[name] = v
-            p.data = p.data - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        g, flat = self._grad, self._flat
+        flags = []
+        for p, sl in zip(params.values(), self._slices):
+            grad = grads.get(p.node_id)
+            flags.append(grad is not None)
+            if grad is not None:
+                g[sl] = np.reshape(grad, -1)
+            flat[sl] = p.data.reshape(-1)
+        if flags != self._flags:
+            self._flags = flags
+            self._live = np.zeros(len(g), dtype=bool)
+            for sl, live in zip(self._slices, flags):
+                self._live[sl] = live
+        m = b1 * self.m + (1.0 - b1) * g
+        v = b2 * self.v + (1.0 - b2) * (g * g)
+        np.copyto(self.m, m, where=self._live)
+        np.copyto(self.v, v, where=self._live)
+        updated = flat - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        for p, sl, live in zip(params.values(), self._slices, flags):
+            if live:
+                p.data = updated[sl].reshape(p.data.shape)

@@ -249,18 +249,16 @@ def make_batches(dataset, batch_size, seed=0):
         )
     per_domain = batch_size // n_dom
     rng = np.random.default_rng(seed)
-    pools = {int(m): dataset.domain_indices(m) for m in present}
-    queues = {m: [] for m in pools}
-
-    def refill(m):
-        order = rng.permutation(len(pools[m]))
-        queues[m] = list(pools[m][order])
-
+    pools = [dataset.domain_indices(m).astype(np.int64) for m in present]
+    # a domain's queue is a shuffled copy of its pool, consumed from `heads`
+    queues = [pool[:0] for pool in pools]
+    heads = [0] * n_dom
     while True:
-        batch = []
-        for m in sorted(pools):
-            if len(queues[m]) < per_domain:
-                refill(m)
-            batch.extend(queues[m][:per_domain])
-            queues[m] = queues[m][per_domain:]
-        yield np.asarray(batch, dtype=np.int64)
+        parts = []
+        for k, pool in enumerate(pools):
+            if len(queues[k]) - heads[k] < per_domain:
+                queues[k] = pool[rng.permutation(len(pool))]
+                heads[k] = 0
+            parts.append(queues[k][heads[k]:heads[k] + per_domain])
+            heads[k] += per_domain
+        yield np.concatenate(parts)

@@ -150,6 +150,19 @@ def test_train_rerun_is_byte_identical(tmp_path, capsys):
     assert (tmp_path / "runs" / "micro" / "train" / "seed0" / "config.txt").exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    (["train", "--holdout", "9"], ""),
+    (["train"], "holdout = 3\n"),
+    (["loo"], "holdout = -1\n"),
+    (["train"], "dataset.kind = example31\nholdout = 2\n"),
+])
+def test_bad_holdout_fails_before_any_run_directory(tmp_path, capsys, command, extra):
+    path = write_config(tmp_path, extra)
+    assert main(command[:1] + ["--config", str(path)] + command[1:]) == 1
+    assert "holdout domain" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_with_diverging_anchor_is_runtime_failure(tmp_path, capsys):
     path = write_config(tmp_path, "loss.pma = true\nanchor.lr = 1e200\n")
     with np.errstate(all="ignore"):

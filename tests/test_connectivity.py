@@ -133,6 +133,21 @@ def test_kernels_hold_no_dense_distance_array():
         tracemalloc.stop()
 
 
+def test_pairwise_stats_keeps_one_condensed_vector():
+    # the std must not allocate a second k(k-1)/2 vector for the deviations
+    k, d = 2000, 16
+    pts = np.random.default_rng(1).standard_normal((k, d))
+    condensed = k * (k - 1) // 2 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cn.pairwise_stats(pts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * condensed, f"peaked at {peak / condensed:.2f} condensed vectors"
+
+
 def test_score_invariant_under_isometry_and_scale(rng):
     pts = rng.standard_normal((12, 3))
     base = cn.connectivity_report(records_from(pts, [0] * 12)).rows[0].score

@@ -1,4 +1,4 @@
-"""Golden SHA-256 hashes of the artifacts of three small CLI runs.
+"""Golden SHA-256 hashes of the artifacts of four small CLI runs.
 
 A change that keeps these hashes keeps every output byte: the training
 curve, the selected checkpoint, the config snapshot (which also pins all

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dccl import autodiff as ad
-from dccl import nets
+from dccl import losses, nets
 from dccl.autodiff import Tape, Tensor
 from dccl.formats import load_checkpoint, save_checkpoint
 from dccl.synthdata import gen_rotated_gaussians
@@ -64,27 +64,32 @@ def test_batchnorm_running_stats_update_only_in_training():
     assert not np.array_equal(model.head.bn.running_mean, before)
 
 
+def kl_only(gen, z):
+    """gen_loss with zero noise and z_pre = z: the identity decoder
+    reconstructs z exactly, so the loss is the mean KL alone."""
+    return losses.gen_loss(gen, Tensor(z), z, np.zeros(np.shape(z))).item()
+
+
 def test_transform_kl_hand_values():
     gen = nets.GenerativeTransformer(2)
     # posterior mean 0, sigma 1, no noise: standard normal vs the prior
-    _, _, kl = gen.transform(Tensor(np.zeros((1, 2))), np.zeros((1, 2)))
-    assert kl.data[0] == pytest.approx(0.0, abs=1e-12)
+    assert kl_only(gen, np.zeros((1, 2))) == pytest.approx(0.0, abs=1e-12)
     # z = (1, 0): kl = 0.5 * (1 + 1 - 1 - 0 + 1 + 0 - 1 - 0) = 0.5
-    _, _, kl = gen.transform(Tensor(np.array([[1.0, 0.0]])), np.zeros((1, 2)))
-    assert kl.data[0] == pytest.approx(0.5, abs=1e-12)
+    assert kl_only(gen, np.array([[1.0, 0.0]])) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_transform_identity_decoder_reconstructs():
     gen = nets.GenerativeTransformer(3)
     z = np.array([[0.2, -0.4, 0.9]])
-    _, recon, _ = gen.transform(Tensor(z), np.zeros((1, 3)))
-    assert np.allclose(recon.data, z, atol=1e-15)
+    # sigma 1: the KL is 0.5 * |z|^2, so a loss of exactly that leaves no
+    # room for a reconstruction error
+    assert kl_only(gen, z) == pytest.approx(0.5 * np.sum(z * z), abs=1e-15)
 
 
 def test_transform_rejects_noise_shape_mismatch():
     gen = nets.GenerativeTransformer(3)
     with pytest.raises(ad.ShapeError):
-        gen.transform(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
+        losses.gen_loss(gen, Tensor(np.zeros((2, 3))), np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 def test_kl_nonnegative_and_zero_only_at_prior(rng):
@@ -92,11 +97,10 @@ def test_kl_nonnegative_and_zero_only_at_prior(rng):
     for _ in range(50):
         gen.std_bias = Tensor(rng.uniform(-1.0, 2.0, 4))
         z = rng.standard_normal((3, 4))
-        _, _, kl = gen.transform(Tensor(z), np.zeros((3, 4)))
-        assert np.all(kl.data >= -1e-12)
+        for row in z:
+            assert kl_only(gen, row[None, :]) >= -1e-12
     gen.std_bias = Tensor(np.full(4, nets.SOFTPLUS_INV_ONE))
-    _, _, kl = gen.transform(Tensor(np.zeros((1, 4))), np.zeros((1, 4)))
-    assert np.allclose(kl.data, 0.0, atol=1e-12)
+    assert kl_only(gen, np.zeros((1, 4))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transform_gradient_matches_fd():
@@ -107,16 +111,12 @@ def test_transform_gradient_matches_fd():
     target = rng.standard_normal((4, 3))
 
     def loss_value():
-        _, recon, kl = gen.transform(Tensor(z_data), np.zeros((4, 3)))
-        err = Tensor(target) - recon
-        return ((err * err).sum(axis=1) + kl).mean().item()
+        return losses.gen_loss(gen, Tensor(z_data), target, np.zeros((4, 3))).item()
 
     with Tape() as tape:
         z = tape.watch(Tensor(z_data))
         tape.watch(gen.std_bias)
-        _, recon, kl = gen.transform(z, np.zeros((4, 3)))
-        err = Tensor(target) - recon
-        loss = ((err * err).sum(axis=1) + kl).mean()
+        loss = losses.gen_loss(gen, z, target, np.zeros((4, 3)))
     grads = tape.gradients(loss)
 
     fd_z = numerical_gradient(loss_value, z_data)

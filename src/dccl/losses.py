@@ -141,19 +141,17 @@ def sample_positives_cdc(labels, domains, rng):
     if labels.shape != domains.shape:
         raise ValueError("labels and domains must have the same length")
     n = len(labels)
-    # members of one class sit side by side in `order`, in index order
-    order = np.argsort(labels, kind="stable")
-    first = np.searchsorted(labels[order], labels, side="left")
-    others = np.searchsorted(labels[order], labels, side="right") - first - 1
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n) - first[order]
-    assignment = np.arange(n, dtype=np.int64)
+    same = labels[:, None] == labels
+    np.fill_diagonal(same, False)
+    others = same.sum(axis=1)
     drawn = others > 0
+    counts = others[drawn]
     # one draw per non-singleton, in index order: the values and the
     # generator state of one rng.integers(k) call per sample
-    pick = rng.integers(others[drawn])
-    pick += pick >= rank[drawn]  # skip the sample itself
-    assignment[drawn] = order[first[drawn] + pick]
+    pick = rng.integers(counts)
+    eligible = np.nonzero(same[drawn])[1]  # each drawn row's candidates, row by row
+    assignment = np.arange(n, dtype=np.int64)
+    assignment[drawn] = eligible[np.cumsum(counts) - counts + pick]
     return assignment
 
 

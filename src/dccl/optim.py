@@ -26,16 +26,13 @@ class Adam:
 
     def _lay_out(self, params):
         self._names = tuple(params)
-        self._slices = []
-        start = 0
-        for p in params.values():
-            self._slices.append(slice(start, start + p.data.size))
-            start += p.data.size
-        self.m = np.zeros(start)
-        self.v = np.zeros(start)
-        self._grad = np.empty(start)
-        self._flat = np.empty(start)
-        self._flags = None
+        self._sizes = [p.data.size for p in params.values()]
+        ends = np.cumsum([0] + self._sizes)
+        self._slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        self.m = np.zeros(ends[-1])
+        self.v = np.zeros(ends[-1])
+        self._grad = np.zeros(ends[-1])  # a slice with no gradient yet stays finite
+        self._flat = np.empty(ends[-1])
 
     def step(self, params, grads):
         """Update tensors in `params` (name -> Tensor) from `grads`
@@ -57,16 +54,12 @@ class Adam:
             if grad is not None:
                 g[sl] = np.reshape(grad, -1)
             flat[sl] = p.data.reshape(-1)
-        if flags != self._flags:
-            self._flags = flags
-            self._live = np.zeros(len(g), dtype=bool)
-            for sl, live in zip(self._slices, flags):
-                self._live[sl] = live
+        live = np.repeat(flags, self._sizes)
         m = b1 * self.m + (1.0 - b1) * g
         v = b2 * self.v + (1.0 - b2) * (g * g)
-        np.copyto(self.m, m, where=self._live)
-        np.copyto(self.v, v, where=self._live)
+        np.copyto(self.m, m, where=live)
+        np.copyto(self.v, v, where=live)
         updated = flat - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-        for p, sl, live in zip(params.values(), self._slices, flags):
-            if live:
+        for p, sl, has_grad in zip(params.values(), self._slices, flags):
+            if has_grad:
                 p.data = updated[sl].reshape(p.data.shape)

@@ -8,6 +8,7 @@ a config reproduces every emitted number bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -24,7 +25,7 @@ from .nets import (AnchorEncoder, Model, ModelSpec, TrainingDiverged, build_anch
                    dataset_hash)
 from .optim import Adam
 from .options import option
-from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment,
+from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment, check_batch_size,
                         gen_example31_both, gen_rotated_gaussians, make_batches)
 
 
@@ -108,6 +109,8 @@ class ExperimentConfig:
         n_domains = self.dataset.domain_count
         if not 0 <= self.holdout < n_domains:
             raise ValueError(f"holdout domain {self.holdout} outside [0, {n_domains})")
+        if n_domains > 1:
+            check_batch_size(self.optim.batch_size, n_domains - 1)
         return self
 
     @property
@@ -201,6 +204,24 @@ def _mean_connectivity(model, dataset):
     return report.mean_score
 
 
+def _seed_streams(seed):
+    """Seeds of a run's init, split, label, batch, augment, contrast and
+    noise streams."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(7)]
+
+
+@functools.lru_cache(maxsize=None)
+def _initial_connectivity(dataset_spec, model_spec, seed):
+    """Pooled connectivity of a seed's untrained model, memoized for the
+    life of the process.  It depends on neither the holdout nor the loss
+    terms, and `Model` builds the generator last, so callers key it with
+    `with_gen=False`.  Batch norm uses its initial statistics."""
+    dataset = dataset_spec.build()
+    model = Model(dataset.dim, dataset.n_classes, model_spec,
+                  np.random.default_rng(_seed_streams(seed)[0]))
+    return _mean_connectivity(model, dataset)
+
+
 def train(cfg, anchor=None, run_dir=None):
     """One leave-one-domain-out training run.
 
@@ -213,9 +234,8 @@ def train(cfg, anchor=None, run_dir=None):
     cfg.validate()
     dataset = cfg.dataset.build()
 
-    seq = np.random.SeedSequence(cfg.seed)
     (init_s, split_s, label_s, batch_s,
-     augment_s, contrast_s, noise_s) = (int(s) for s in seq.generate_state(7))
+     augment_s, contrast_s, noise_s) = _seed_streams(cfg.seed)
     rng_split = np.random.default_rng(split_s)
     rng_augment = np.random.default_rng(augment_s)
     rng_contrast = np.random.default_rng(contrast_s)
@@ -248,7 +268,8 @@ def train(cfg, anchor=None, run_dir=None):
     batches = make_batches(train_ds, cfg.optim.batch_size, seed=batch_s)
     train_aug = cfg.augment.train_spec(cfg.loss.aggressive_augmentation)
 
-    connectivity_init = _mean_connectivity(model, dataset)
+    connectivity_init = _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False),
+                                              cfg.seed)
 
     curve = []
     domain_counts = np.zeros(dataset.n_domains, dtype=np.int64)
@@ -339,15 +360,20 @@ class LooResult:
         return {r.holdout: r.test_accuracy for r in self.runs}
 
 
+def _loo_domain_count(cfg):
+    n_domains = cfg.dataset.domain_count
+    if n_domains < 2:
+        raise ValueError("leave-one-domain-out needs at least 2 domains")
+    return n_domains
+
+
 def leave_one_out(cfg, anchor=None, run_dir=None):
     """One run per held-out domain; the average accuracy is the headline."""
-    dataset = cfg.dataset.build()
-    if dataset.n_domains < 2:
-        raise ValueError("leave-one-domain-out needs at least 2 domains")
+    n_domains = _loo_domain_count(cfg)
     if cfg.needs_anchor and anchor is None:
-        anchor = build_run_anchor(cfg, dataset)
+        anchor = build_run_anchor(cfg, cfg.dataset.build())
     runs = []
-    for m in range(dataset.n_domains):
+    for m in range(n_domains):
         sub_dir = None if run_dir is None else Path(run_dir) / f"holdout{m}"
         runs.append(train(replace(cfg, holdout=m), anchor=anchor, run_dir=sub_dir))
     return LooResult(runs=runs)
@@ -430,22 +456,25 @@ def _mark_csv(v):
 
 
 def _grid_job(cfg, anchor, run_dir):
-    """One (row, seed) cell of the grid: the leave-one-domain-out runs of
-    one config.  Module-level, so a process pool can pickle it by name."""
-    return leave_one_out(cfg, anchor=anchor, run_dir=run_dir)
+    """One (row, seed, holdout) run of the grid.  Module-level, so a
+    process pool can pickle it by name."""
+    return train(cfg, anchor=anchor, run_dir=run_dir)
 
 
 def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=None):
     """Leave-one-domain-out average for every ablation row and seed.
 
     Runs are mutually independent; `workers` > 1 executes them in
-    separate processes.  Anchors are built once per seed, checkpointed
-    under out_dir when given, and shared by every row of that seed.
+    separate processes, one run per job.  Anchors are built once per seed,
+    checkpointed under out_dir when given, and shared by every row of that
+    seed; each seed's initial connectivity is scored once, before the pool
+    starts, so forked workers inherit it.
     """
-    dataset = cfg.dataset.build()
+    n_domains = _loo_domain_count(cfg)
     out_root = None if out_dir is None else Path(out_dir)
     anchors = {}
-    if any(row.pma or row.gt for row in rows):
+    if any(row.apply(cfg).needs_anchor for row in rows):
+        dataset = cfg.dataset.build()
         for seed in seeds:
             anchor = build_run_anchor(replace(cfg, seed=seed), dataset)
             if out_root is not None:
@@ -457,13 +486,17 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
                 # be rerun from its checkpoint alone
                 anchor = formats.load_checkpoint(path)
             anchors[seed] = anchor
+    for seed in seeds:
+        _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False), seed)
 
     jobs = {}
     for row in rows:
         for seed in seeds:
-            run_dir = None if out_root is None else out_root / row.name / f"seed{seed}"
-            jobs[row.name, seed] = (row.apply(replace(cfg, seed=seed)), anchors.get(seed),
-                                    run_dir)
+            for m in range(n_domains):
+                run_dir = (None if out_root is None
+                           else out_root / row.name / f"seed{seed}" / f"holdout{m}")
+                jobs[row.name, seed, m] = (row.apply(replace(cfg, seed=seed, holdout=m)),
+                                           anchors.get(seed), run_dir)
 
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -473,9 +506,13 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
             done = {key: future.result() for key, future in futures.items()}
     else:
         done = {key: _grid_job(*job) for key, job in jobs.items()}
-    results = {row.name: {seed: done[row.name, seed] for seed in seeds} for row in rows}
-    grid = GridResult(rows=tuple(rows), seeds=tuple(seeds),
-                      n_domains=dataset.n_domains, results=results)
+    results = {
+        row.name: {seed: LooResult(runs=[done[row.name, seed, m] for m in range(n_domains)])
+                   for seed in seeds}
+        for row in rows
+    }
+    grid = GridResult(rows=tuple(rows), seeds=tuple(seeds), n_domains=n_domains,
+                      results=results)
     if out_root is not None:
         out_root.mkdir(parents=True, exist_ok=True)
         (out_root / "summary.csv").write_text(grid.table_csv())

@@ -228,6 +228,17 @@ def augment(X, spec, rng):
 
 # --- batching ---------------------------------------------------------------
 
+def check_batch_size(batch_size, n_domains):
+    """Raise unless a batch splits evenly over `n_domains` domains."""
+    if batch_size % n_domains != 0:
+        lower = (batch_size // n_domains) * n_domains
+        upper = lower + n_domains
+        options = f"{lower} or {upper}" if lower >= n_domains else f"{upper}"
+        raise ValueError(
+            f"batch size {batch_size} is not divisible by {n_domains} domains; try {options}"
+        )
+
+
 def make_batches(dataset, batch_size, seed=0):
     """Endless stream of index batches balanced across the dataset's domains.
 
@@ -240,13 +251,7 @@ def make_batches(dataset, batch_size, seed=0):
     n_dom = len(present)
     if n_dom == 0:
         raise ValueError("dataset has no samples")
-    if batch_size % n_dom != 0:
-        lower = (batch_size // n_dom) * n_dom
-        upper = lower + n_dom
-        options = f"{lower} or {upper}" if lower >= n_dom else f"{upper}"
-        raise ValueError(
-            f"batch size {batch_size} is not divisible by {n_dom} domains; try {options}"
-        )
+    check_batch_size(batch_size, n_dom)
     per_domain = batch_size // n_dom
     rng = np.random.default_rng(seed)
     pools = [dataset.domain_indices(m).astype(np.int64) for m in present]

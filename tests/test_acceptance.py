@@ -272,7 +272,7 @@ def test_criterion_4_anchor_connectivity_contrast():
 @pytest.mark.slow
 def test_criterion_5_ablation_ordering():
     started = time.perf_counter()
-    grid = ablation_grid(GRID_CONFIG, seeds=SEEDS)
+    grid = ablation_grid(GRID_CONFIG, seeds=SEEDS, workers=2)
     for per_seed in grid.results.values():
         for loo in per_seed.values():
             AUDITED_RUNS.extend(loo.runs)

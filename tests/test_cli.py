@@ -163,6 +163,23 @@ def test_bad_holdout_fails_before_any_run_directory(tmp_path, capsys, command, e
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command", [["train"], ["loo"], ["ablate", "--workers", "2"]])
+def test_indivisible_batch_fails_before_any_run_directory(tmp_path, capsys, monkeypatch,
+                                                          command):
+    from dccl import harness
+
+    def no_anchor(*args, **kwargs):
+        raise AssertionError("anchor built")
+
+    monkeypatch.setattr(harness, "build_anchor", no_anchor)
+    path = write_config(tmp_path, "dataset.domains = 4\noptim.batch_size = 25\n"
+                                  "loss.pma = true\nloss.gt = true\n")
+    assert main(command[:1] + ["--config", str(path)] + command[1:]) == 1
+    assert ("error: batch size 25 is not divisible by 3 domains; try 24 or 27"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_with_diverging_anchor_is_runtime_failure(tmp_path, capsys):
     path = write_config(tmp_path, "loss.pma = true\nanchor.lr = 1e200\n")
     with np.errstate(all="ignore"):

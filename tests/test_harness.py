@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dccl import harness
+from dccl.connectivity import connectivity_report
 from dccl.formats import load_checkpoint
-from dccl.harness import (AnchorConfig, AugmentConfig, DatasetSpec,
+from dccl.harness import (DEFAULT_ROWS, AnchorConfig, AugmentConfig, DatasetSpec,
                           ExperimentConfig, OptimConfig, TrainingDiverged,
                           ablation_grid, build_run_anchor, collect_embeddings,
                           leave_one_out, train)
 from dccl.losses import LossConfig
-from dccl.nets import ModelSpec
+from dccl.nets import Model, ModelSpec
 
 
 def micro_config(**overrides):
@@ -169,8 +172,6 @@ def test_anchor_checksum_constant_across_harness_run():
 
 
 def test_grid_rows_and_worker_equivalence(tmp_path):
-    from dccl.harness import DEFAULT_ROWS
-
     rows = tuple(r for r in DEFAULT_ROWS if r.name in ("erm", "pma", "full"))
     cfg = micro_config()
     seq = ablation_grid(cfg, rows=rows, seeds=(0, 1), workers=1,
@@ -179,16 +180,75 @@ def test_grid_rows_and_worker_equivalence(tmp_path):
                         out_dir=tmp_path / "par")
     par_in_memory = ablation_grid(cfg, rows=rows, seeds=(0, 1), workers=2)
     assert seq.table_csv() == par.table_csv() == par_in_memory.table_csv()
-    assert (tmp_path / "seq" / "summary.csv").read_text() == \
-        (tmp_path / "par" / "summary.csv").read_text()
+    files = sorted(p.relative_to(tmp_path / "seq")
+                   for p in (tmp_path / "seq").rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(tmp_path / "par")
+                           for p in (tmp_path / "par").rglob("*") if p.is_file())
+    # 2 anchors, 2 summaries, and 3 files per run of 3 rows x 2 seeds x 3 holdouts
+    assert len(files) == 2 + 2 + 3 * 18
+    for rel in files:
+        assert (tmp_path / "seq" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes(), rel
     for name in ("erm", "pma", "full"):
         for seed in (0, 1):
+            assert [r.holdout for r in seq.results[name][seed].runs] == [0, 1, 2]
             assert (tmp_path / "seq" / name / f"seed{seed}" / "holdout0" / "result.csv").exists()
 
 
-def test_grid_table_shape():
-    from dccl.harness import DEFAULT_ROWS
+def test_grid_needs_two_domains_before_any_work(tmp_path, monkeypatch):
+    def no_anchor(*args, **kwargs):
+        raise AssertionError("anchor built")
 
+    monkeypatch.setattr(harness, "build_anchor", no_anchor)
+    cfg = micro_config(dataset=DatasetSpec(n_domains=1, n_classes=2, n_per_domain_class=12))
+    with pytest.raises(ValueError, match="leave-one-domain-out needs at least 2 domains"):
+        ablation_grid(cfg, out_dir=tmp_path / "grid")
+    assert not (tmp_path / "grid").exists()
+
+
+def _fresh_initial_connectivity(cfg):
+    """What `train` scored before the memo: a model built with the run's own
+    spec, generator included when GT is on."""
+    dataset = cfg.dataset.build()
+    init_s = int(np.random.SeedSequence(cfg.seed).generate_state(7)[0])
+    model = Model(dataset.dim, dataset.n_classes,
+                  replace(cfg.model, with_gen=cfg.loss.gt_enabled),
+                  np.random.default_rng(init_s))
+    return harness._mean_connectivity(model, dataset)
+
+
+@pytest.mark.parametrize("base", [
+    micro_config(),
+    micro_config(model=ModelSpec(encoder_hidden=(12,), embed_dim=6, head_hidden=12,
+                                 batchnorm=False)),
+    micro_config(model=ModelSpec(encoder_hidden=(12,), head_hidden=0), seed=3),
+    micro_config(dataset=DatasetSpec(kind="example31", n_per_class=20), seed=1),
+], ids=["default", "no_batchnorm", "no_head", "example31"])
+def test_initial_connectivity_memo_matches_a_fresh_model(base):
+    for row in DEFAULT_ROWS:
+        cfg = row.apply(base)
+        memo = harness._initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False),
+                                             cfg.seed)
+        assert memo == _fresh_initial_connectivity(cfg), row.name
+
+
+def test_grid_scores_initial_connectivity_once_per_seed(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return connectivity_report(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "connectivity_report", counted)
+    harness._initial_connectivity.cache_clear()
+    rows = tuple(r for r in DEFAULT_ROWS if r.name in ("erm", "cdc", "gt"))
+    grid = ablation_grid(micro_config(), rows=rows, seeds=(0,), workers=1)
+    # one selected-checkpoint report per run, plus the seed's initial report
+    assert len(calls) == len(rows) * 3 + 1
+    inits = {run.connectivity_init for loo in grid.results.values() for run in loo[0].runs}
+    assert inits == {_fresh_initial_connectivity(micro_config())}
+
+
+def test_grid_table_shape():
     names = [r.name for r in DEFAULT_ROWS]
     assert names == ["erm", "self_contrast", "cdc", "pma", "gt", "pma_gt",
                      "cdc_pma", "cdc_gt", "full_no_aggressive", "full"]

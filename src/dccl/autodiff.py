@@ -1,18 +1,21 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-The engine is a flat gradient tape: every primitive applied to a watched
-tensor appends (output id, input ids, backward rule) to the active tape,
-and one reverse sweep propagates adjoints back to all watched leaves.
-Values are numpy float64 arrays of rank <= 2, which is all the MLPs and
-losses in this package need; every backward rule is small enough to be
-checked against central finite differences.
+The engine is a flat gradient tape: every op applied to a watched tensor
+appends (output id, input ids, backward rule) to the active tape, and one
+reverse sweep propagates adjoints back to all watched leaves.  Values are
+numpy float64 arrays of rank <= 2, which is all the MLPs and losses in
+this package need; every backward rule is checked against central finite
+differences.
 
-The training step records fused ops: `affine`, `batchnorm_train`,
-`softmax_cross_entropy`, `contrastive_term` and `generative_term`.  Each
-replays, forward and backward, the numpy operations of the chain of
-elementary primitives it stands for, in the same order.  Where that chain
-sent several gradient contributions to one input, the input appears once
-per contribution in the op's parent tuple, in the order the reverse sweep
+The package records nine ops: `add` and `mul` (through `Tensor.__add__`
+and `__mul__`), `relu`, `l2_normalize`, and the fused `affine`,
+`batchnorm_train`, `softmax_cross_entropy`, `contrastive_term` and
+`generative_term`.  Each fused op replays, forward and backward, the numpy
+operations of a chain of elementary primitives, in the same order; those
+primitives and the chains built from them live with the tests, in
+`tests/elementary.py` and `tests/conftest.py`.  Where a chain sent several
+gradient contributions to one input, the input appears once per
+contribution in the op's parent tuple, in the order the reverse sweep
 would have met them, so `Tape.gradients` sums them with the same
 association.  A fused op therefore yields the same bits as its chain.
 """
@@ -82,49 +85,14 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, node_id={self.node_id})"
 
     def __add__(self, other):
         return add(self, _coerce(other))
 
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
     def __mul__(self, other):
         return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, _coerce(1.0 / float(other)))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
-
-    def __pow__(self, exponent):
-        return power(self, float(exponent))
-
-    def sum(self, axis=None):
-        return reduce_sum(self, axis=axis)
-
-    def mean(self, axis=None):
-        return reduce_mean(self, axis=axis)
 
 
 def _coerce(value):
@@ -220,10 +188,6 @@ def _check_shapes(sa, sb, opname):
             raise ShapeError(f"{opname}: shapes {sa} and {sb} are not broadcast-compatible")
 
 
-def _check_broadcast(a, b, opname):
-    _check_shapes(a.data.shape, b.data.shape, opname)
-
-
 def _check_matmul(sa, sb):
     if len(sa) != 2 or len(sb) != 2:
         raise ShapeError(f"matmul expects rank-2 operands, got {sa} and {sb}")
@@ -268,57 +232,18 @@ def _check_rows(idx, n, opname):
 
 def add(a, b):
     a, b = _coerce(a), _coerce(b)
-    _check_broadcast(a, b, "add")
     sa, sb = a.data.shape, b.data.shape
+    _check_shapes(sa, sb, "add")
     return _emit(a.data + b.data, (a, b),
                  lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
-def sub(a, b):
-    a, b = _coerce(a), _coerce(b)
-    _check_broadcast(a, b, "sub")
-    sa, sb = a.data.shape, b.data.shape
-    return _emit(a.data - b.data, (a, b),
-                 lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb).__neg__()))
-
-
 def mul(a, b):
     a, b = _coerce(a), _coerce(b)
-    _check_broadcast(a, b, "mul")
     da, db = a.data, b.data
+    _check_shapes(da.shape, db.shape, "mul")
     return _emit(da * db, (a, b),
                  lambda g: (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)))
-
-
-def neg(a):
-    a = _coerce(a)
-    return _emit(-a.data, (a,), lambda g: (-g,))
-
-
-def matmul(a, b):
-    a, b = _coerce(a), _coerce(b)
-    _check_matmul(a.data.shape, b.data.shape)
-    da, db = a.data, b.data
-    return _emit(da @ db, (a, b), lambda g: (g @ db.T, da.T @ g))
-
-
-def transpose(a):
-    a = _coerce(a)
-    _check_rank2(a, "transpose")
-    return _emit(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
-def exp(a):
-    a = _coerce(a)
-    out = np.exp(a.data)
-    return _emit(out, (a,), lambda g: (g * out,))
-
-
-def log(a):
-    a = _coerce(a)
-    _check_log(a.data)
-    da = a.data
-    return _emit(np.log(da), (a,), lambda g: (g / da,))
 
 
 def _sigmoid(x):
@@ -330,74 +255,21 @@ def _sigmoid(x):
     return out
 
 
-def softplus(a):
-    a = _coerce(a)
-    da = a.data
-    return _emit(np.logaddexp(0.0, da), (a,), lambda g: (g * _sigmoid(da),))
-
-
 def relu(a):
     a = _coerce(a)
     da = a.data
     return _emit(np.maximum(da, 0.0), (a,), lambda g: (g * (da > 0.0),))
 
 
-def power(a, exponent):
-    a = _coerce(a)
-    p = float(exponent)
-    _check_power(a.data, p)
-    da = a.data
-    return _emit(da ** p, (a,), lambda g: (g * p * da ** (p - 1.0),))
-
-
-def reduce_sum(a, axis=None):
-    a = _coerce(a)
-    da_shape = a.data.shape
-    out = a.data.sum(axis=axis)
-
-    def rule(g):
-        if axis is None:
-            return (np.broadcast_to(g, da_shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis), da_shape),)
-
-    return _emit(out, (a,), rule)
-
-
-def reduce_mean(a, axis=None):
-    a = _coerce(a)
-    da_shape = a.data.shape
-    count = a.data.size if axis is None else da_shape[axis]
-    scale = 1.0 / count
-    out = a.data.mean(axis=axis)
-
-    def rule(g):
-        if axis is None:
-            return (np.broadcast_to(g * scale, da_shape),)
-        return (np.broadcast_to(np.expand_dims(g * scale, axis), da_shape),)
-
-    return _emit(out, (a,), rule)
-
-
 def l2_normalize(a):
-    """Scale each row (or a single vector) to unit Euclidean norm.
+    """Scale each row of a rank-2 tensor to unit Euclidean norm.
 
     Norms at or below NORM_FLOOR are rejected rather than smoothed, so
     the unit-norm invariant of the output is exact.
     """
     a = _coerce(a)
+    _check_rank2(a, "l2_normalize")
     da = a.data
-    if a.ndim == 1:
-        norm = float(np.sqrt(np.sum(da * da)))
-        if norm < NORM_FLOOR:
-            raise DegenerateInputError(f"cannot normalize vector with norm {norm:g} < {NORM_FLOOR:g}")
-        out = da / norm
-
-        def rule(g, out=out, norm=norm):
-            return ((g - out * float(np.dot(g, out))) / norm,)
-
-        return _emit(out, (a,), rule)
-    if a.ndim != 2:
-        raise ShapeError(f"l2_normalize expects rank 1 or 2, got shape {da.shape}")
     norms = np.sqrt(np.sum(da * da, axis=1))
     bad = norms < NORM_FLOOR
     if bad.any():
@@ -414,32 +286,9 @@ def l2_normalize(a):
     return _emit(out, (a,), rule)
 
 
-def logsumexp(a, mask=None):
-    """Row-wise log-sum-exp of a rank-2 tensor, max-stabilized.
-
-    `mask` is a constant boolean array of the same shape; False entries
-    are excluded from the sum.  A row with no included entries is
-    rejected (it would be an empty pool).
-    """
-    a = _coerce(a)
-    _check_rank2(a, "logsumexp")
-    da = a.data
-    if mask is None:
-        mask = np.ones(da.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != da.shape:
-            raise ShapeError(f"mask shape {mask.shape} does not match tensor shape {da.shape}")
-    counts = mask.sum(axis=1)
-    if np.any(counts == 0):
-        row = int(np.argmax(counts == 0))
-        raise DegenerateInputError(f"logsumexp row {row} has an empty pool")
-    xm, out = _lse_rows(da, mask)
-    return _emit(out, (a,), lambda g: (_lse_grad(g, xm, out),))
-
-
 def _lse_rows(da, mask):
-    """Forward of `logsumexp`: the masked input and the row-wise result."""
+    """Masked row-wise log-sum-exp, max-stabilized: the masked input and
+    the result."""
     xm = np.where(mask, da, -np.inf)
     peak = xm.max(axis=1)
     return xm, peak + np.log(np.sum(np.exp(xm - peak[:, None]), axis=1))
@@ -450,57 +299,12 @@ def _lse_grad(g, xm, out):
     return g[:, None] * weights
 
 
-def logaddexp(a, b):
-    a, b = _coerce(a), _coerce(b)
-    _check_broadcast(a, b, "logaddexp")
-    da, db = a.data, b.data
-    out = np.logaddexp(da, db)
-    return _emit(
-        out,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * np.exp(da - out), da.shape),
-            _unbroadcast(g * np.exp(db - out), db.shape),
-        ),
-    )
-
-
-def gather_pairs(a, cols):
-    """Pick one entry per row: out[i] = a[i, cols[i]]."""
-    a = _coerce(a)
-    _check_rank2(a, "gather_pairs")
-    cols = _check_cols(cols, a.data.shape, "gather_pairs")
-    rows = np.arange(len(cols))
-    da_shape = a.data.shape
-
-    def rule(g):
-        z = np.zeros(da_shape)
-        z[rows, cols] = g
-        return (z,)
-
-    return _emit(a.data[rows, cols], (a,), rule)
-
-
-def index_rows(a, idx):
-    """Select rows by index, with gradient scatter-added back."""
-    a = _coerce(a)
-    _check_rank2(a, "index_rows")
-    idx = np.asarray(idx, dtype=np.intp)
-    _check_rows(idx, a.data.shape[0], "index_rows")
-    da_shape = a.data.shape
-
-    def rule(g):
-        z = np.zeros(da_shape)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _emit(a.data[idx], (a,), rule)
-
-
 # -- fused ops ------------------------------------------------------------------
 #
-# Each op below replays a chain of the primitives above, step for step.
-# The comments name the primitive each numpy line stands for; the backward
+# Each op below replays a chain of the elementary primitives of
+# `tests/elementary.py`, step for step; `tests/conftest.py` builds each chain
+# as a composite oracle.  The comments name the primitive each numpy line
+# stands for; the backward
 # rule walks the chain in reverse and hands back one gradient per entry of
 # the parent tuple.  A broadcast gradient that only meets elementwise
 # arithmetic stays a (1, m) or (n, 1) view; one that is summed is built

@@ -106,6 +106,14 @@ class ExperimentConfig:
             raise ValueError(f"label_ratio must lie in (0, 1], got {self.label_ratio}")
         if self.optim.steps < 1 or self.optim.batch_size < 2:
             raise ValueError("need at least 1 step and a batch of at least 2")
+        for key, value in (("optim.eval_every", self.optim.eval_every),
+                           ("anchor.steps", self.anchor.steps),
+                           ("anchor.batch_size", self.anchor.batch_size)):
+            if value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
+        for key, value in (("optim.lr", self.optim.lr), ("anchor.lr", self.anchor.lr)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} must be finite and positive, got {value}")
         n_domains = self.dataset.domain_count
         if not 0 <= self.holdout < n_domains:
             raise ValueError(f"holdout domain {self.holdout} outside [0, {n_domains})")
@@ -343,9 +351,10 @@ def _write_run_dir(run_dir, model, result):
         for r in result.loss_curve
     ]
     (run_dir / "losses.csv").write_text("\n".join(loss_lines) + "\n")
+    save_checkpoint(model, run_dir / "checkpoint.txt")
+    # written last: a run directory with a result.csv holds a finished run
     result_lines = ["key,value"] + [f"{k},{v}" for k, v in result.result_rows()]
     (run_dir / "result.csv").write_text("\n".join(result_lines) + "\n")
-    save_checkpoint(model, run_dir / "checkpoint.txt")
 
 
 @dataclass

@@ -62,7 +62,12 @@ class Affine:
 
 class BatchNorm:
     """Per-feature standardization; batch statistics while training,
-    running statistics (single fixed momentum) in evaluation mode."""
+    running statistics (single fixed momentum) in evaluation mode.
+
+    Evaluation mode is plain numpy and records nothing on a tape: the
+    package only embeds in that mode outside `ad.Tape` (anchor, validation
+    and test accuracy, connectivity), so no gradient flows through it.
+    """
 
     def __init__(self, dim, momentum=0.1, eps=1e-5):
         self.gamma = Tensor(np.ones(dim))
@@ -80,7 +85,7 @@ class BatchNorm:
             self.running_var = (1.0 - m) * self.running_var + m * var
             return out
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
-        return (x - Tensor(self.running_mean)) * Tensor(inv) * self.gamma + self.beta
+        return Tensor((x.data - self.running_mean) * inv * self.gamma.data + self.beta.data)
 
     def params(self, prefix):
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}

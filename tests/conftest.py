@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dccl import autodiff as ad
 from dccl.autodiff import Tensor
+
+import elementary as el
 
 
 def numerical_gradient(f, x, h=1e-5):
@@ -90,25 +91,26 @@ def brute_force_threshold(points):
 # -- composite oracles of the fused tape ops ------------------------------------
 #
 # Each function below has the signature of the fused op of the same name in
-# `dccl.autodiff` and builds it from the elementary primitives, one tape op
-# per step.  The fused op must give the same bits, value and gradients.
+# `dccl.autodiff` and builds it from the elementary primitives of
+# `elementary.py`, one tape op per step.  The fused op must give the same
+# bits, value and gradients.
 
 def affine(x, W, b):
-    return ad.matmul(x, W) + b
+    return el.matmul(x, W) + b
 
 
 def batchnorm_train(x, gamma, beta, eps):
-    mu = x.mean(axis=0)
-    centered = x - mu
-    var = (centered * centered).mean(axis=0)
-    inv = ad.power(var + eps, -0.5)
+    mu = el.reduce_mean(x, axis=0)
+    centered = el.sub(x, mu)
+    var = el.reduce_mean(centered * centered, axis=0)
+    inv = el.power(var + eps, -0.5)
     return centered * inv * gamma + beta, mu.data, var.data
 
 
 def softmax_cross_entropy(logits, labels):
-    lse = ad.logsumexp(logits)
-    picked = ad.gather_pairs(logits, labels)
-    return (lse - picked).mean()
+    lse = el.logsumexp(logits)
+    picked = el.gather_pairs(logits, labels)
+    return el.reduce_mean(el.sub(lse, picked))
 
 
 def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=False,
@@ -117,38 +119,38 @@ def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=Fa
     inv_t = 1.0 / temperature
     anchor_rows = np.asarray(positive) < 0
     safe = np.where(anchor_rows, 0, positive)
-    positives = ad.index_rows(z_alt, safe)
+    positives = el.index_rows(z_alt, safe)
     if np.any(anchor_rows):
         keep = Tensor((~anchor_rows).astype(np.float64)[:, None])
         anchor_part = np.where(anchor_rows[:, None], z_pre, 0.0)
         positives = positives * keep + Tensor(anchor_part)
-    pos_logits = (z * positives).sum(axis=1) * inv_t
-    sims = ad.matmul(z, ad.transpose(z_alt)) * inv_t
+    pos_logits = el.reduce_sum(z * positives, axis=1) * inv_t
+    sims = el.matmul(z, el.transpose(z_alt)) * inv_t
     neg_mask = ~np.eye(n, dtype=bool)
-    denom = ad.logsumexp(sims, mask=neg_mask)
+    denom = el.logsumexp(sims, mask=neg_mask)
     if anchor_negatives:
-        anchor_sims = ad.matmul(z, ad.transpose(Tensor(z_pre))) * inv_t
-        denom = ad.logaddexp(denom, ad.logsumexp(anchor_sims, mask=neg_mask))
+        anchor_sims = el.matmul(z, el.transpose(Tensor(z_pre))) * inv_t
+        denom = el.logaddexp(denom, el.logsumexp(anchor_sims, mask=neg_mask))
     if standard:
-        denom = ad.logaddexp(denom, pos_logits)
-    return (denom - pos_logits).mean()
+        denom = el.logaddexp(denom, pos_logits)
+    return el.reduce_mean(el.sub(denom, pos_logits))
 
 
 def gt_transform(z, noise, std_bias, W, b):
     """Reparameterized latent, decoded reconstruction and per-row KL."""
-    sigma = ad.softplus(std_bias)
+    sigma = el.softplus(std_bias)
     z_lat = z + sigma * Tensor(noise)
     recon = affine(z_lat, W, b)
     s2 = sigma * sigma
-    kl = (s2 + z * z - 1.0 - ad.log(s2)).sum(axis=1) * 0.5
+    kl = el.reduce_sum(el.sub(el.sub(s2 + z * z, 1.0), el.log(s2)), axis=1) * 0.5
     return z_lat, recon, kl
 
 
 def generative_term(z, z_pre, noise, std_bias, W, b):
     _, recon, kl = gt_transform(z, noise, std_bias, W, b)
-    err = Tensor(np.asarray(z_pre, dtype=np.float64)) - recon
-    reconstruction = (err * err).sum(axis=1)
-    return (reconstruction + kl).mean()
+    err = el.sub(Tensor(np.asarray(z_pre, dtype=np.float64)), recon)
+    reconstruction = el.reduce_sum(err * err, axis=1)
+    return el.reduce_mean(reconstruction + kl)
 
 
 COMPOSITES = {fn.__name__: fn for fn in (affine, batchnorm_train, softmax_cross_entropy,

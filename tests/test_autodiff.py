@@ -6,6 +6,7 @@ import pytest
 from dccl import autodiff as ad
 from dccl.autodiff import Tape, Tensor
 
+import elementary as el
 from conftest import max_rel_err, numerical_gradient
 
 
@@ -29,31 +30,31 @@ def check_against_fd(build, x, tol=1e-4):
 
 
 def test_matmul_value():
-    out = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
+    out = el.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
     assert np.array_equal(out.data, [[3.0], [7.0]])
 
 
 def test_l2_normalize_value():
-    out = ad.l2_normalize(Tensor([3.0, 4.0]))
-    assert np.allclose(out.data, [0.6, 0.8], atol=1e-15)
+    out = ad.l2_normalize(Tensor([[3.0, 4.0]]))
+    assert np.allclose(out.data, [[0.6, 0.8]], atol=1e-15)
 
 
 def test_softplus_value():
-    assert ad.softplus(Tensor(0.0)).item() == pytest.approx(math.log(2.0), abs=1e-12)
+    assert el.softplus(Tensor(0.0)).item() == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_sum_of_square_gradient():
-    g = grad_of(lambda t: (t * t).sum(), np.array([1.0, 2.0, 3.0]))
+    g = grad_of(lambda t: el.reduce_sum(t * t), np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(g, [2.0, 4.0, 6.0])
 
 
 def test_normalize_dot_gradient_matches_fd():
     rng = np.random.default_rng(7)
-    x = rng.standard_normal(8)
-    v = rng.standard_normal(8)
+    x = rng.standard_normal((1, 8))
+    v = rng.standard_normal((1, 8))
 
     def build(t):
-        return (ad.l2_normalize(t) * Tensor(v)).sum()
+        return el.reduce_sum(ad.l2_normalize(t) * Tensor(v))
 
     analytic = grad_of(build, x)
     numeric = numerical_gradient(lambda: build(Tensor(x)).item(), x)
@@ -61,28 +62,29 @@ def test_normalize_dot_gradient_matches_fd():
 
 
 PRIMITIVES = {
-    "add": lambda t, c: (t + Tensor(c)).sum(),
-    "add_broadcast": lambda t, c: (t + Tensor(c[0])).sum(),
-    "sub": lambda t, c: (Tensor(c) - t).sum(),
-    "mul": lambda t, c: (t * Tensor(c)).sum(),
-    "mul_self": lambda t, c: (t * t).sum(),
-    "neg": lambda t, c: (-t).sum(),
-    "matmul": lambda t, c: ad.matmul(t, Tensor(c.T)).sum(),
-    "transpose": lambda t, c: (ad.transpose(t) * Tensor(c.T)).sum(),
-    "exp": lambda t, c: ad.exp(t).sum(),
-    "log": lambda t, c: ad.log(t * t + 1.0).sum(),
-    "softplus": lambda t, c: ad.softplus(t).sum(),
-    "relu": lambda t, c: ad.relu(t).sum(),
-    "power": lambda t, c: ad.power(t * t + 0.5, -0.5).sum(),
-    "sum_axis": lambda t, c: (t.sum(axis=0) * Tensor(c[0])).sum(),
-    "mean": lambda t, c: t.mean(),
-    "mean_axis": lambda t, c: (t.mean(axis=1) * Tensor(c[:, 0])).sum(),
-    "l2_normalize": lambda t, c: (ad.l2_normalize(t) * Tensor(c)).sum(),
-    "logsumexp": lambda t, c: ad.logsumexp(t).sum(),
-    "logsumexp_masked": lambda t, c: ad.logsumexp(t, mask=c > 0).sum(),
-    "logaddexp": lambda t, c: ad.logaddexp(t, Tensor(c)).sum(),
-    "gather_pairs": lambda t, c: ad.gather_pairs(t, np.array([1, 0, 2])).sum(),
-    "index_rows": lambda t, c: (ad.index_rows(t, np.array([0, 2, 1, 0])) * Tensor(1.0)).sum(),
+    "add": lambda t, c: el.reduce_sum(t + Tensor(c)),
+    "add_broadcast": lambda t, c: el.reduce_sum(t + Tensor(c[0])),
+    "sub": lambda t, c: el.reduce_sum(el.sub(Tensor(c), t)),
+    "mul": lambda t, c: el.reduce_sum(t * Tensor(c)),
+    "mul_self": lambda t, c: el.reduce_sum(t * t),
+    "neg": lambda t, c: el.reduce_sum(el.neg(t)),
+    "matmul": lambda t, c: el.reduce_sum(el.matmul(t, Tensor(c.T))),
+    "transpose": lambda t, c: el.reduce_sum(el.transpose(t) * Tensor(c.T)),
+    "exp": lambda t, c: el.reduce_sum(el.exp(t)),
+    "log": lambda t, c: el.reduce_sum(el.log(t * t + 1.0)),
+    "softplus": lambda t, c: el.reduce_sum(el.softplus(t)),
+    "relu": lambda t, c: el.reduce_sum(ad.relu(t)),
+    "power": lambda t, c: el.reduce_sum(el.power(t * t + 0.5, -0.5)),
+    "sum_axis": lambda t, c: el.reduce_sum(el.reduce_sum(t, axis=0) * Tensor(c[0])),
+    "mean": lambda t, c: el.reduce_mean(t),
+    "mean_axis": lambda t, c: el.reduce_sum(el.reduce_mean(t, axis=1) * Tensor(c[:, 0])),
+    "l2_normalize": lambda t, c: el.reduce_sum(ad.l2_normalize(t) * Tensor(c)),
+    "logsumexp": lambda t, c: el.reduce_sum(el.logsumexp(t)),
+    "logsumexp_masked": lambda t, c: el.reduce_sum(el.logsumexp(t, mask=c > 0)),
+    "logaddexp": lambda t, c: el.reduce_sum(el.logaddexp(t, Tensor(c))),
+    "gather_pairs": lambda t, c: el.reduce_sum(el.gather_pairs(t, np.array([1, 0, 2]))),
+    "index_rows": lambda t, c: el.reduce_sum(el.index_rows(t, np.array([0, 2, 1, 0]))
+                                             * Tensor(1.0)),
 }
 
 
@@ -108,9 +110,9 @@ def test_composition_matches_fd():
         w = rng.standard_normal((3, 3))
 
         def build(t):
-            h = ad.relu(ad.matmul(t, Tensor(w)) + 0.3)
+            h = ad.relu(el.matmul(t, Tensor(w)) + 0.3)
             z = ad.l2_normalize(h + 0.05)
-            return ad.logsumexp(z * 3.0).mean()
+            return el.reduce_mean(el.logsumexp(z * 3.0))
 
         check_against_fd(build, x)
 
@@ -120,7 +122,7 @@ def test_backward_deterministic():
     x = rng.standard_normal((5, 4))
     with Tape() as tape:
         t = tape.watch(Tensor(x))
-        out = ad.logsumexp(ad.l2_normalize(t * t + 0.1)).mean()
+        out = el.reduce_mean(el.logsumexp(ad.l2_normalize(t * t + 0.1)))
     first = tape.gradients(out)[t.node_id]
     second = tape.gradients(out)[t.node_id]
     assert np.array_equal(first, second)
@@ -130,7 +132,7 @@ def test_detached_tensor_has_no_entry():
     with Tape() as tape:
         t = tape.watch(Tensor([1.0, 2.0]))
         const = Tensor([3.0, 4.0])
-        out = (t * const).sum()
+        out = el.reduce_sum(t * const)
     grads = tape.gradients(out)
     assert const.node_id not in grads
     assert t.node_id in grads
@@ -153,7 +155,7 @@ def test_foreign_root_rejected():
 
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ad.ShapeError) as err:
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        el.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     assert "(2, 3)" in str(err.value)
 
 
@@ -164,14 +166,16 @@ def test_add_shape_mismatch_rejected():
 
 def test_normalize_degenerate_rejected():
     with pytest.raises(ad.DegenerateInputError):
-        ad.l2_normalize(Tensor([0.0, 0.0]))
+        ad.l2_normalize(Tensor([[0.0, 0.0]]))
     with pytest.raises(ad.DegenerateInputError):
         ad.l2_normalize(Tensor([[1.0, 0.0], [1e-13, 0.0]]))
+    with pytest.raises(ad.ShapeError):
+        ad.l2_normalize(Tensor([3.0, 4.0]))
 
 
 def test_log_degenerate_rejected():
     with pytest.raises(ad.DegenerateInputError):
-        ad.log(Tensor([1.0, 0.0]))
+        el.log(Tensor([1.0, 0.0]))
 
 
 def test_gradient_accumulates_over_reuse():
@@ -184,4 +188,26 @@ def test_gradient_accumulates_over_reuse():
 
 def test_empty_pool_rejected():
     with pytest.raises(ad.DegenerateInputError):
-        ad.logsumexp(Tensor(np.ones((2, 2))), mask=np.zeros((2, 2), dtype=bool))
+        el.logsumexp(Tensor(np.ones((2, 2))), mask=np.zeros((2, 2), dtype=bool))
+
+
+def test_no_dead_tape_surface():
+    """Every public op that records on the tape is called by the package:
+    as `ad.<name>` from another module, or through a `Tensor` operator."""
+    import ast
+    from pathlib import Path
+
+    emitters = {name for name, fn in vars(ad).items()
+                if callable(fn) and not name.startswith("_")
+                and getattr(fn, "__module__", None) == ad.__name__
+                and "_emit" in getattr(getattr(fn, "__code__", None), "co_names", ())}
+    called = {name for op in ("__add__", "__mul__") for name in vars(Tensor)[op].__code__.co_names}
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        if path.name != "autodiff.py":
+            called |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                       and node.value.id == "ad"}
+    assert sorted(emitters - called) == []
+    operators = {name for name, fn in vars(Tensor).items()
+                 if name.startswith("__") and callable(fn) and name not in ("__init__", "__repr__")}
+    assert operators == {"__add__", "__mul__"}

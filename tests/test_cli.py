@@ -180,6 +180,25 @@ def test_indivisible_batch_fails_before_any_run_directory(tmp_path, capsys, monk
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("optim.eval_every", "0"), ("optim.eval_every", "-5"), ("optim.lr", "-1"),
+    ("optim.lr", "0"), ("optim.lr", "inf"), ("optim.lr", "nan"), ("anchor.steps", "-3"),
+    ("anchor.lr", "-1"), ("anchor.batch_size", "0"), ("anchor.batch_size", "-4"),
+])
+def test_bad_optimizer_or_anchor_setting_fails_before_any_run_directory(
+        tmp_path, capsys, monkeypatch, key, value):
+    from dccl import harness
+
+    def no_anchor(*args, **kwargs):
+        raise AssertionError("anchor built")
+
+    monkeypatch.setattr(harness, "build_anchor", no_anchor)
+    path = write_config(tmp_path, f"loss.pma = true\n{key} = {value}\n")
+    assert main(["train", "--config", str(path)]) == 1
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_with_diverging_anchor_is_runtime_failure(tmp_path, capsys):
     path = write_config(tmp_path, "loss.pma = true\nanchor.lr = 1e200\n")
     with np.errstate(all="ignore"):

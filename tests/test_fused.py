@@ -21,6 +21,7 @@ from dccl.nets import Model, ModelSpec
 from dccl.optim import Adam
 from dccl.synthdata import gen_rotated_gaussians, make_batches
 
+import elementary as el
 from conftest import COMPOSITES, max_rel_err, numerical_gradient
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -45,12 +46,12 @@ def run(op, leaves, call, weights, later_use=True):
             if name in call.watched:
                 tape.watch(t)
         out, extra = call(op, tensors)
-        root = (out * Tensor(weights)).sum() if out.shape else out
+        root = el.reduce_sum(out * Tensor(weights)) if out.shape else out
         if later_use:
             for name in call.watched:
                 t = tensors[name]
-                root = root + (t * Tensor(np.cos(np.arange(t.data.size) + 0.5)
-                                          .reshape(t.shape))).sum()
+                root = root + el.reduce_sum(t * Tensor(np.cos(np.arange(t.data.size) + 0.5)
+                                                       .reshape(t.shape)))
     grads = tape.gradients(root)
     return out.data, extra, [grads.get(tensors[name].node_id) for name in call.watched]
 

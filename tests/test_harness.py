@@ -162,6 +162,18 @@ def test_run_dir_artifacts(tmp_path):
     assert len(lines) == 1 + 60
 
 
+def test_result_csv_is_written_last(tmp_path, monkeypatch):
+    def crash(model, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "save_checkpoint", crash)
+    with pytest.raises(OSError):
+        train(micro_config(optim=OptimConfig(lr=1e-3, steps=20, batch_size=8, eval_every=10)),
+              run_dir=tmp_path / "run")
+    assert (tmp_path / "run" / "losses.csv").exists()
+    assert not (tmp_path / "run" / "result.csv").exists()
+
+
 def test_anchor_checksum_constant_across_harness_run():
     cfg = micro_config(loss=LossConfig(pma_enabled=True, gt_enabled=True))
     ds = cfg.dataset.build()

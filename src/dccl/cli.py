@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import options
 from .autodiff import DegenerateInputError
 from .config import ConfigError, config_snapshot, experiment_config, load_config
 from .connectivity import connectivity_report
-from .formats import (FormatError, fmt, load_checkpoint, read_dataset,
-                      read_embeddings, write_dataset, write_embeddings)
+from .formats import (FormatError, fmt, load_checkpoint, read_dataset, read_embeddings,
+                      write_dataset, write_embeddings, write_text)
 from .harness import (DEFAULT_ROWS, DatasetSpec, TrainingDiverged, ablation_grid,
                       collect_embeddings, leave_one_out, train)
 from .synthdata import gen_example31, toy_map_accuracy
@@ -47,16 +48,9 @@ def build_parser():
     p.set_defaults(func=cmd_toy)
 
     p = sub.add_parser("gen-data", help="write a dataset dump")
-    p.add_argument("--kind", choices=("rotated_gaussians", "example31"),
-                   default="rotated_gaussians")
-    p.add_argument("--domains", type=int, default=4)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--per-domain-class", type=int, default=40)
-    p.add_argument("--rotation-step", type=float, default=0.5)
-    p.add_argument("--class-separation", type=float, default=3.0)
-    p.add_argument("--noise-std", type=float, default=0.3)
-    p.add_argument("--n-per-class", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
+    for key, f in options.option_fields(DatasetSpec):
+        p.add_argument("--" + key.replace("_", "-"), type=options.parser(f),
+                       choices=f.metadata["choices"], default=f.default, help=f.metadata["help"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
@@ -112,11 +106,8 @@ def cmd_toy(args):
 
 
 def cmd_gen_data(args):
-    ds = DatasetSpec(kind=args.kind, n_domains=args.domains, n_classes=args.classes,
-                     n_per_domain_class=args.per_domain_class,
-                     rotation_step=args.rotation_step, class_separation=args.class_separation,
-                     noise_std=args.noise_std, n_per_class=args.n_per_class,
-                     seed=args.seed).build()
+    ds = DatasetSpec(**{f.name: getattr(args, key)
+                        for key, f in options.option_fields(DatasetSpec)}).build()
     write_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples ({ds.n_domains} domains, {ds.n_classes} classes) "
           f"to {args.out}")
@@ -133,7 +124,7 @@ def cmd_train(args):
     cfg = experiment_config(values, seed=seed, holdout=args.holdout)
     run_dir = _experiment_dir(values) / "train" / f"seed{seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.txt").write_text(config_snapshot(values))
+    write_text(run_dir / "config.txt", config_snapshot(values))
     result = train(cfg, run_dir=run_dir)
     print("key,value")
     for key, value in result.result_rows():
@@ -150,7 +141,7 @@ def cmd_loo(args):
         cfg = experiment_config(values, seed=seed)
         run_dir = exp_dir / "loo" / f"seed{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "config.txt").write_text(config_snapshot(values))
+        write_text(run_dir / "config.txt", config_snapshot(values))
         accs[seed] = leave_one_out(cfg, run_dir=run_dir)
     seeds = list(values["seeds"])
     cells = []
@@ -170,7 +161,7 @@ def cmd_loo(args):
     table = "\n".join([",".join(header)]
                       + [",".join([label] + [fmt(v) for v in row]) for label, row in cells]) + "\n"
     print(table, end="")
-    (exp_dir / "loo" / "summary.csv").write_text(table)
+    write_text(exp_dir / "loo" / "summary.csv", table)
     return 0
 
 
@@ -179,7 +170,7 @@ def cmd_ablate(args):
     cfg = experiment_config(values, seed=values["seeds"][0])
     exp_dir = _experiment_dir(values)
     exp_dir.mkdir(parents=True, exist_ok=True)
-    (exp_dir / "config.txt").write_text(config_snapshot(values))
+    write_text(exp_dir / "config.txt", config_snapshot(values))
     grid = ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=values["seeds"],
                          workers=args.workers, out_dir=exp_dir)
     print(grid.table_text(), end="")
@@ -191,33 +182,20 @@ def cmd_connectivity(args):
     records, _meta = read_embeddings(args.dump)
     report = connectivity_report(records, mode=args.mode)
     opt = lambda v: fmt(v) if v is not None else "undefined"
-    lines = [f"mode: {report.mode}"]
+    lines, csv = [f"mode: {report.mode}"], ["class,domain,count,tau,mu,sigma,score"]
     for row in report.rows:
         domain = "all" if row.domain_id is None else str(row.domain_id)
-        if row.defined:
-            lines.append(
-                f"class {row.class_id} domain {domain}: n={row.count} "
-                f"tau={fmt(row.tau)} mu={fmt(row.mu)} sigma={fmt(row.sigma)} "
-                f"score={fmt(row.score)}"
-            )
-        else:
-            lines.append(f"class {row.class_id} domain {domain}: n={row.count} undefined")
-    lines.append(f"mean score: {opt(report.mean_score)}")
-    lines.append(f"max score: {opt(report.max_score)}")
-    lines.append("")
-    lines.append("class,domain,count,tau,mu,sigma,score")
-    for row in report.rows:
-        domain = "all" if row.domain_id is None else str(row.domain_id)
-        lines.append(",".join([
-            str(row.class_id), domain, str(row.count),
-            opt(row.tau), opt(row.mu), opt(row.sigma), opt(row.score),
-        ]))
-    lines.append(f"mean,,,,,,{opt(report.mean_score)}")
-    lines.append(f"max,,,,,,{opt(report.max_score)}")
+        head = f"class {row.class_id} domain {domain}: n={row.count}"
+        lines.append(f"{head} tau={fmt(row.tau)} mu={fmt(row.mu)} sigma={fmt(row.sigma)} "
+                     f"score={fmt(row.score)}" if row.defined else f"{head} undefined")
+        csv.append(",".join([str(row.class_id), domain, str(row.count),
+                             *map(opt, (row.tau, row.mu, row.sigma, row.score))]))
+    lines += [f"mean score: {opt(report.mean_score)}", f"max score: {opt(report.max_score)}",
+              "", *csv, f"mean,,,,,,{opt(report.mean_score)}", f"max,,,,,,{opt(report.max_score)}"]
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        Path(args.out).write_text(text)
+        write_text(args.out, text)
     return 0
 
 

@@ -2,9 +2,10 @@
 
 The format is deliberately minimal: one assignment per line, `#` lines
 are comments, keys are validated against `SCHEMA` (unknown keys are
-rejected, every key has a default and help text).  Apart from the three
-command-level keys, `SCHEMA` is derived from the `option` fields of
-`ExperimentConfig` and its blocks, so each default is written once.
+rejected, every key has a default and help text).  `SCHEMA` is derived
+from the three command-level options and the `option` fields of
+`ExperimentConfig` and its blocks, so each default is written once;
+`dccl.options` reads and renders each value.
 """
 
 from __future__ import annotations
@@ -12,44 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .harness import ExperimentConfig
+from .options import option, option_fields, parser, render
 
 
 class ConfigError(ValueError):
     """Unknown key, bad value, or unreadable config file."""
-
-
-def _parse_bool(raw):
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_int(raw):
-    return int(raw.strip())
-
-
-def _parse_float(raw):
-    return float(raw.strip())
-
-
-def _parse_str(raw):
-    return raw.strip()
-
-
-def _parse_int_list(raw):
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _choice(*options):
-    def parse(raw):
-        value = raw.strip()
-        if value not in options:
-            raise ValueError(f"expected one of {options}, got {value!r}")
-        return value
-    return parse
 
 
 @dataclass(frozen=True)
@@ -59,29 +27,15 @@ class Field:
     help: str
 
 
-# the parser of an `option` field without allowed values, by the type of its default
-_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, str: _parse_str,
-            tuple: _parse_int_list}
-
-
-def _options(cls, prefix=""):
-    """(config key, field) of each `option` field of a config dataclass,
-    nested config blocks included."""
-    for f in fields(cls):
-        if is_dataclass(f.default):
-            yield from _options(type(f.default), f"{prefix}{f.name}.")
-        elif f.metadata:
-            yield prefix + (f.metadata["key"] or f.name), f
-
-
-SCHEMA = {
-    "experiment": Field(_parse_str, "experiment", "run name used in output paths"),
-    "output_dir": Field(_parse_str, "runs", "root directory for run artifacts"),
-    "seeds": Field(_parse_int_list, (0, 1, 2), "comma-separated training seeds"),
-    **{key: Field(_choice(*f.metadata["choices"]) if f.metadata["choices"]
-                  else _PARSERS[type(f.default)], f.default, f.metadata["help"])
-       for key, f in _options(ExperimentConfig)},
+# the command-level keys: where runs go and which seeds they take
+_COMMAND_OPTIONS = {
+    "experiment": option("experiment", "run name used in output paths"),
+    "output_dir": option("runs", "root directory for run artifacts"),
+    "seeds": option((0, 1, 2), "comma-separated training seeds"),
 }
+
+SCHEMA = {key: Field(parser(f), f.default, f.metadata["help"])
+          for key, f in [*_COMMAND_OPTIONS.items(), *option_fields(ExperimentConfig)]}
 
 
 def parse_config_text(text, source="<config>"):
@@ -99,7 +53,7 @@ def parse_config_text(text, source="<config>"):
         try:
             values[key] = SCHEMA[key].parse(raw_value)
         except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from None
+            raise ConfigError(f"{key} {exc} ({source}:{lineno})") from None
     return values
 
 
@@ -137,12 +91,4 @@ def experiment_config(values, seed, holdout=None):
 
 def config_snapshot(values):
     """Canonical text rendering of an effective config (defaults included)."""
-    lines = []
-    for key in sorted(SCHEMA):
-        value = values[key]
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = str(value).lower()
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {render(values[key])}\n" for key in sorted(SCHEMA))

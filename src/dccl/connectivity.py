@@ -160,19 +160,11 @@ def connectivity_report(records, mode="pooled"):
     dims = {r.vector.shape for r in records}
     if len(dims) != 1:
         raise ValueError(f"embedding dump mixes dimensions: {sorted(dims)}")
-    rows = []
-    if mode == "pooled":
-        for class_id in sorted({r.class_id for r in records}):
-            pts = np.array([r.vector for r in records if r.class_id == class_id])
-            rows.append(_score_group(class_id, None, pts))
-    else:
-        keys = sorted({(r.class_id, r.domain_id) for r in records})
-        for class_id, domain_id in keys:
-            pts = np.array([
-                r.vector for r in records
-                if r.class_id == class_id and r.domain_id == domain_id
-            ])
-            rows.append(_score_group(class_id, domain_id, pts))
+    groups = {}
+    for r in records:
+        key = (r.class_id, r.domain_id if mode == "per-domain" else None)
+        groups.setdefault(key, []).append(r.vector)
+    rows = [_score_group(c, m, np.array(groups[c, m])) for c, m in sorted(groups)]
     defined = [r.score for r in rows if r.defined]
     mean_score = float(np.mean(defined)) if defined else None
     max_score = float(np.max(defined)) if defined else None

@@ -1,15 +1,21 @@
 """Line-oriented file formats: dataset dumps, embedding dumps, checkpoints.
 
 Every float is printed with 17 significant digits, which round-trips
-IEEE float64 exactly, so dump -> load -> dump is byte-identical.
+IEEE float64 exactly, so dump -> load -> dump is byte-identical.  Every
+artifact the package writes goes through `write_text`.
 """
 
 from __future__ import annotations
+
+import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
 from .connectivity import EmbeddingRecord
 from .nets import AnchorEncoder, Model, ModelSpec
+from .options import parser, render
 from .synthdata import Dataset
 
 DATA_MAGIC = "# dccl-data v1"
@@ -25,23 +31,40 @@ def fmt(x):
     return f"{float(x):.17g}"
 
 
+def write_text(path, text):
+    """Write `text` to `path` through a temp file in the same directory and
+    a rename, so a failed write leaves the old file (or none), never a
+    truncated one."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _params_str(params):
     return ";".join(f"{k}={params[k]}" for k in sorted(params))
+
+
+def _key_values(parts):
+    return dict(part.split("=", 1) for part in parts if "=" in part)
+
+
+def _write_table(path, header, ids, X):
+    """The rows `_read_table` reads: integer ids, then coordinates."""
+    rows = (",".join([*map(str, i), *map(fmt, x)]) for i, x in zip(ids, X))
+    write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 # --- dataset dumps ----------------------------------------------------------
 
 def write_dataset(dataset, path):
-    lines = [
-        f"{DATA_MAGIC} generator={dataset.generator} domains={dataset.n_domains} "
-        f"classes={dataset.n_classes} dim={dataset.dim} seed={dataset.seed} "
-        f"params={_params_str(dataset.params)}"
-    ]
-    for i in range(len(dataset)):
-        coords = ",".join(fmt(v) for v in dataset.X[i])
-        lines.append(f"{int(dataset.domains[i])},{int(dataset.labels[i])},{coords}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, f"{DATA_MAGIC} generator={dataset.generator} domains={dataset.n_domains} "
+                       f"classes={dataset.n_classes} dim={dataset.dim} seed={dataset.seed} "
+                       f"params={_params_str(dataset.params)}",
+                 zip(dataset.domains.tolist(), dataset.labels.tolist()), dataset.X)
 
 
 def _read_table(path, magic, what, keys, n_ids):
@@ -55,7 +78,7 @@ def _read_table(path, magic, what, keys, n_ids):
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(magic):
         raise FormatError(f"{path}: missing {what} header")
-    header = dict(part.split("=", 1) for part in lines[0][len(magic):].split() if "=" in part)
+    header = _key_values(lines[0][len(magic):].split())
     try:
         ints = {key: int(header[key]) for key in keys}
     except (KeyError, ValueError) as exc:
@@ -84,12 +107,9 @@ def _read_table(path, magic, what, keys, n_ids):
 def read_dataset(path):
     header, ints, ids, X = _read_table(path, DATA_MAGIC, "dataset",
                                        ("domains", "classes", "dim", "seed"), n_ids=2)
-    params = dict(
-        part.split("=", 1) for part in header.get("params", "").split(";") if "=" in part
-    )
     return Dataset(X, ids[:, 1], ids[:, 0], n_classes=ints["classes"],
                    n_domains=ints["domains"], generator=header.get("generator", "unknown"),
-                   params=params, seed=ints["seed"])
+                   params=_key_values(header.get("params", "").split(";")), seed=ints["seed"])
 
 
 # --- embedding dumps --------------------------------------------------------
@@ -98,13 +118,10 @@ def write_embeddings(records, path, n_classes, n_domains):
     records = list(records)
     if not records:
         raise FormatError("refusing to write an empty embedding dump")
-    dim = len(records[0].vector)
-    lines = [f"{DUMP_MAGIC} dim={dim} classes={n_classes} domains={n_domains}"]
-    for r in records:
-        coords = ",".join(fmt(v) for v in r.vector)
-        lines.append(f"{r.sample_id},{r.domain_id},{r.class_id},{coords}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, f"{DUMP_MAGIC} dim={len(records[0].vector)} classes={n_classes} "
+                       f"domains={n_domains}",
+                 ((r.sample_id, r.domain_id, r.class_id) for r in records),
+                 (r.vector for r in records))
 
 
 def read_embeddings(path):
@@ -123,8 +140,7 @@ def read_embeddings(path):
 
 def _write_array(lines, key, arr):
     arr = np.asarray(arr, dtype=np.float64)
-    shape = ",".join(str(s) for s in arr.shape) if arr.ndim else ""
-    lines.append(f"array.{key}.shape = {shape}")
+    lines.append(f"array.{key}.shape = {render(arr.shape)}")
     lines.append(f"array.{key}.data = {','.join(fmt(v) for v in arr.reshape(-1))}")
 
 
@@ -148,17 +164,12 @@ def save_checkpoint(obj, path):
         lines.append(f"provenance.{key} = {value}")
     lines.append(f"arch.input_dim = {model.input_dim}")
     lines.append(f"arch.n_classes = {model.n_classes}")
-    lines.append(f"arch.encoder_hidden = {','.join(str(w) for w in spec.encoder_hidden)}")
-    lines.append(f"arch.embed_dim = {spec.embed_dim}")
-    lines.append(f"arch.head_hidden = {spec.head_hidden}")
-    lines.append(f"arch.batchnorm = {str(spec.batchnorm).lower()}")
-    lines.append(f"arch.with_gen = {str(spec.with_gen).lower()}")
+    lines += [f"arch.{f.name} = {render(getattr(spec, f.name))}" for f in fields(ModelSpec)]
     for name, tensor in model.parameters().items():
         _write_array(lines, f"param.{name}", tensor.data)
     for name, arr in model.stats().items():
         _write_array(lines, f"stat.{name}", arr)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path):
@@ -167,25 +178,20 @@ def load_checkpoint(path):
         lines = fh.read().splitlines()
     if not lines or lines[0] != CKPT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
-    fields = {}
+    entries = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         if " = " not in line:
             raise FormatError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split(" = ", 1)
-        fields[key] = value
+        entries[key] = value
     try:
-        kind = fields["kind"]
-        spec = ModelSpec(
-            encoder_hidden=tuple(int(v) for v in fields["arch.encoder_hidden"].split(",")),
-            embed_dim=int(fields["arch.embed_dim"]),
-            head_hidden=int(fields["arch.head_hidden"]),
-            batchnorm=fields["arch.batchnorm"] == "true",
-            with_gen=fields["arch.with_gen"] == "true",
-        )
-        input_dim = int(fields["arch.input_dim"])
-        n_classes = int(fields["arch.n_classes"])
+        kind = entries["kind"]
+        spec = ModelSpec(**{f.name: parser(f)(entries[f"arch.{f.name}"])
+                            for f in fields(ModelSpec)})
+        input_dim = int(entries["arch.input_dim"])
+        n_classes = int(entries["arch.n_classes"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad checkpoint metadata: {exc}") from None
     model = Model(input_dim, n_classes, spec, np.random.default_rng(0))
@@ -193,31 +199,33 @@ def load_checkpoint(path):
     targets = {**model.parameters(), **model.stats()}
     for name in targets:
         skey, dkey = f"array.param.{name}.shape", f"array.param.{name}.data"
-        if skey not in fields:
+        if skey not in entries:
             skey, dkey = f"array.stat.{name}.shape", f"array.stat.{name}.data"
-        if skey not in fields or dkey not in fields:
+        if skey not in entries or dkey not in entries:
             raise FormatError(f"{path}: checkpoint is missing array {name!r}")
-        shape = tuple(int(s) for s in fields[skey].split(",")) if fields[skey] else ()
+        shape = tuple(int(s) for s in entries[skey].split(",")) if entries[skey] else ()
         try:
-            values = np.array([float(v) for v in fields[dkey].split(",")])
+            values = np.array([float(v) for v in entries[dkey].split(",")])
         except ValueError as exc:
             raise FormatError(f"{path}: corrupt data for {name!r}: {exc}") from None
         expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if values.size != expected:
             raise FormatError(f"{path}: array {name!r} size does not match shape {shape}")
         state[name] = values.reshape(shape)
+    if sum(key.startswith("array.") for key in entries) != 2 * len(state):
+        raise FormatError(f"{path}: checkpoint holds arrays its architecture has no slot for")
     model.set_state(state)
     if kind == "anchor":
         return AnchorEncoder(
             model,
-            seed=int(fields.get("provenance.seed", "0")),
-            data_hash=fields.get("provenance.data_hash", ""),
-            val_accuracy=float(fields.get("provenance.val_accuracy", "nan")),
+            seed=int(entries.get("provenance.seed", "0")),
+            data_hash=entries.get("provenance.data_hash", ""),
+            val_accuracy=float(entries.get("provenance.val_accuracy", "nan")),
         )
     if kind == "model":
         model.provenance = {
             key[len("provenance."):]: value
-            for key, value in fields.items() if key.startswith("provenance.")
+            for key, value in entries.items() if key.startswith("provenance.")
         }
         return model
     raise FormatError(f"{path}: unknown checkpoint kind {kind!r}")

@@ -26,6 +26,7 @@ from .nets import (AnchorEncoder, Model, ModelSpec, TrainingDiverged, build_anch
 from .optim import Adam
 from .options import option
 from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment, check_batch_size,
+                        check_example31, check_intensity, check_rotated_gaussians,
                         gen_example31_both, gen_rotated_gaussians, make_batches)
 
 
@@ -52,6 +53,14 @@ class DatasetSpec:
         if self.kind == "example31":
             return gen_example31_both(self.n_per_class, seed=self.seed)
         raise ValueError(f"unknown dataset kind {self.kind!r}")
+
+    def validate(self):
+        """Raise unless `build` takes this spec; the message names the config key."""
+        if self.kind == "example31":
+            check_example31(self.n_per_class, "dataset.")
+        else:
+            check_rotated_gaussians(self.n_domains, self.n_classes, self.n_per_domain_class,
+                                    self.class_separation, self.noise_std, "dataset.")
 
     @property
     def domain_count(self):
@@ -100,6 +109,9 @@ class ExperimentConfig:
 
     def validate(self):
         self.loss.validate()
+        self.dataset.validate()
+        for key in ("standard_intensity", "aggressive_intensity"):
+            check_intensity(getattr(self.augment, key), f"augment.{key}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError(f"split_fraction must lie in (0, 1), got {self.split_fraction}")
         if not 0.0 < self.label_ratio <= 1.0:
@@ -188,22 +200,17 @@ def build_run_anchor(cfg, dataset):
                         lr=cfg.anchor.lr, batch_size=cfg.anchor.batch_size)
 
 
-def collect_embeddings(encoder, dataset, include_test_domain=True, test_domain=None):
+def collect_embeddings(encoder, dataset):
     """Evaluation-mode embeddings of a dataset, one record per sample,
     augmentation disabled."""
-    keep = np.arange(len(dataset))
-    if not include_test_domain:
-        if test_domain is None:
-            raise ValueError("include_test_domain=False needs test_domain")
-        keep = keep[dataset.domains[keep] != test_domain]
     if isinstance(encoder, AnchorEncoder):
-        vectors = encoder.embed(dataset.X[keep])
+        vectors = encoder.embed(dataset.X)
     else:
-        vectors = encoder.embed(dataset.X[keep], training=False).data
+        vectors = encoder.embed(dataset.X, training=False).data
     return [
-        EmbeddingRecord(sample_id=int(i), class_id=int(dataset.labels[i]),
-                        domain_id=int(dataset.domains[i]), vector=vectors[j])
-        for j, i in enumerate(keep)
+        EmbeddingRecord(sample_id=i, class_id=int(dataset.labels[i]),
+                        domain_id=int(dataset.domains[i]), vector=vectors[i])
+        for i in range(len(dataset))
     ]
 
 
@@ -350,11 +357,11 @@ def _write_run_dir(run_dir, model, result):
         f"{r.step},{fmt(r.erm)},{fmt(r.contrast)},{fmt(r.gen)},{fmt(r.total)}"
         for r in result.loss_curve
     ]
-    (run_dir / "losses.csv").write_text("\n".join(loss_lines) + "\n")
+    formats.write_text(run_dir / "losses.csv", "\n".join(loss_lines) + "\n")
     save_checkpoint(model, run_dir / "checkpoint.txt")
     # written last: a run directory with a result.csv holds a finished run
     result_lines = ["key,value"] + [f"{k},{v}" for k, v in result.result_rows()]
-    (run_dir / "result.csv").write_text("\n".join(result_lines) + "\n")
+    formats.write_text(run_dir / "result.csv", "\n".join(result_lines) + "\n")
 
 
 @dataclass
@@ -524,6 +531,6 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
                       results=results)
     if out_root is not None:
         out_root.mkdir(parents=True, exist_ok=True)
-        (out_root / "summary.csv").write_text(grid.table_csv())
-        (out_root / "summary.txt").write_text(grid.table_text())
+        formats.write_text(out_root / "summary.csv", grid.table_csv())
+        formats.write_text(out_root / "summary.txt", grid.table_text())
     return grid

@@ -122,6 +122,27 @@ def test_gen_data_roundtrip(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
+def test_gen_data_defaults_are_the_dataset_spec_defaults(tmp_path, capsys):
+    from dccl.formats import write_dataset
+    from dccl.harness import DatasetSpec
+
+    out, expected = tmp_path / "cli.txt", tmp_path / "direct.txt"
+    assert main(["gen-data", "--out", str(out)]) == 0
+    write_dataset(DatasetSpec().build(), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_gen_data_flags_are_the_dataset_keys():
+    from dccl.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    actions = [a for a in commands["gen-data"]._actions if a.dest not in ("help", "out")]
+    keys = [key for key in SCHEMA if key.startswith("dataset.")]
+    assert [a.option_strings for a in actions] == [
+        ["--" + key[len("dataset."):].replace("_", "-")] for key in keys]
+    assert [a.default for a in actions] == [SCHEMA[key].default for key in keys]
+
+
 def test_train_matches_direct_harness_call(tmp_path, capsys):
     from dccl.config import experiment_config
     from dccl.harness import train as train_direct
@@ -184,6 +205,7 @@ def test_indivisible_batch_fails_before_any_run_directory(tmp_path, capsys, monk
     ("optim.eval_every", "0"), ("optim.eval_every", "-5"), ("optim.lr", "-1"),
     ("optim.lr", "0"), ("optim.lr", "inf"), ("optim.lr", "nan"), ("anchor.steps", "-3"),
     ("anchor.lr", "-1"), ("anchor.batch_size", "0"), ("anchor.batch_size", "-4"),
+    ("augment.standard_intensity", "-1"), ("dataset.per_domain_class", "0"),
 ])
 def test_bad_optimizer_or_anchor_setting_fails_before_any_run_directory(
         tmp_path, capsys, monkeypatch, key, value):
@@ -197,6 +219,31 @@ def test_bad_optimizer_or_anchor_setting_fails_before_any_run_directory(
     assert main(["train", "--config", str(path)]) == 1
     assert f"error: {key} must be" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key, value", [("loss.temperature", "nan"),
+                                        ("dataset.class_separation", "inf")])
+def test_non_finite_config_value_fails_before_any_run_directory(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, f"{key} = {value}\n")
+    assert main(["train", "--config", str(path)]) == 1
+    assert f"error: {key} must be a finite number, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["loo"], ["ablate"]])
+def test_empty_seed_list_rejected(tmp_path, capsys, command):
+    path = write_config(tmp_path, "seeds =\n")
+    assert main(command + ["--config", str(path)]) == 1
+    assert "error: seeds must be comma-separated integers, got ''" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_gen_data_flag_writes_nothing(tmp_path, capsys, value):
+    out = tmp_path / "data.txt"
+    assert main(["gen-data", "--noise-std", value, "--out", str(out)]) == 1
+    assert "argument --noise-std: must be a finite number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_with_diverging_anchor_is_runtime_failure(tmp_path, capsys):
@@ -335,6 +382,24 @@ def test_corrupted_checkpoint_rejected(tmp_path, capsys):
     assert main(["gen-data", "--per-domain-class", "3", "--out", str(data)]) == 0
     assert main(["dump-embeddings", "--checkpoint", str(ckpt),
                  "--data", str(data), "--out", str(tmp_path / "x.txt")]) == 1
+
+
+@pytest.mark.parametrize("new", ["arch.batchnorm = ture", "arch.batchnorm = false"])
+def test_checkpoint_with_a_wrong_architecture_rejected(tmp_path, capsys, new):
+    from dccl.formats import save_checkpoint
+    from dccl.nets import Model, ModelSpec
+
+    ckpt = tmp_path / "ckpt.txt"
+    spec = ModelSpec(encoder_hidden=(4,), embed_dim=3, head_hidden=4, batchnorm=True)
+    save_checkpoint(Model(2, 3, spec, np.random.default_rng(0)), ckpt)
+    ckpt.write_text(ckpt.read_text().replace("arch.batchnorm = true", new))
+    data, out = tmp_path / "d.txt", tmp_path / "emb.txt"
+    assert main(["gen-data", "--per-domain-class", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["dump-embeddings", "--checkpoint", str(ckpt),
+                 "--data", str(data), "--out", str(out)]) == 1
+    assert f"error: {ckpt}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ablate_creates_run_directories(tmp_path, capsys):

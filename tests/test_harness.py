@@ -136,16 +136,13 @@ def test_in_domain_separability_example():
     assert result.best_val_accuracy >= 0.99
 
 
-def test_collect_embeddings_bijection_and_exclusion():
+def test_collect_embeddings_bijection():
     cfg = micro_config()
     ds = cfg.dataset.build()
     anchor = build_run_anchor(cfg, ds)
     records = collect_embeddings(anchor, ds)
     assert len(records) == len(ds)
     assert [r.sample_id for r in records] == list(range(len(ds)))
-    trimmed = collect_embeddings(anchor, ds, include_test_domain=False, test_domain=0)
-    assert len(trimmed) == len(ds) - len(ds.domain_indices(0))
-    assert all(r.domain_id != 0 for r in trimmed)
 
 
 def test_run_dir_artifacts(tmp_path):

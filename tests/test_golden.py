@@ -2,9 +2,9 @@
 
 A change that keeps these hashes keeps every output byte: the training
 curve, the selected checkpoint, the config snapshot (which also pins all
-config key names and defaults), the ablation summary, the grid anchor
-and an embedding dump.  A change that moves them on purpose must say why
-and replace the hashes.
+config key names and defaults), the ablation summary, the grid anchor,
+and embedding dumps of the trained model and of the grid anchor.  A
+change that moves them on purpose must say why and replace the hashes.
 
 The runs are small enough to check in a few seconds, so refactors can
 use `python -m pytest -m "not slow"` as their inner loop.
@@ -89,6 +89,8 @@ ABLATE_HASHES = {
 
 DUMP_HASH = "03a6fc399f3896f401b6f7a3083d3aa7ded5a56cbcd0604c6f48156cc59ecf80"
 
+ANCHOR_DUMP_HASH = "67fe1b51f777e4657e1a3d7e105d3d9d9c879672956f90f5c3b21d259a836a38"
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -126,3 +128,10 @@ def test_ablate_hashes(workdir, capsys):
     assert main(["ablate", "--config", "ablate.cfg", "--workers", "2"]) == 0
     grid_dir = workdir / "runs" / "golden"
     assert {name: sha256(grid_dir / name) for name in ABLATE_HASHES} == ABLATE_HASHES
+
+    assert main(["gen-data", "--domains", "3", "--classes", "2",
+                 "--per-domain-class", "8", "--out", "data.txt"]) == 0
+    anchor = grid_dir / "anchors" / "anchor_seed0.txt"
+    assert main(["dump-embeddings", "--checkpoint", str(anchor),
+                 "--data", "data.txt", "--out", "anchor_emb.txt"]) == 0
+    assert sha256(workdir / "anchor_emb.txt") == ANCHOR_DUMP_HASH

@@ -1,20 +1,12 @@
 """Domain-connecting contrastive learning on synthetic multi-domain data.
 
 The package bundles a small reverse-mode autodiff engine, the MLP model
-zoo (encoder, projection head, frozen anchor, generative transformer),
-the contrastive loss family with cross-domain positives and anchor
-mixing, synthetic multi-domain generators, the intra-class connectivity
-metric, and a leave-one-domain-out experiment harness with an ablation
-grid, all wired into one CLI.
+zoo (encoder, projection head, generative transformer; the frozen anchor
+is a model of kind "anchor"), the contrastive loss family with
+cross-domain positives and anchor mixing, synthetic multi-domain
+generators, the intra-class connectivity metric, and a
+leave-one-domain-out experiment harness with an ablation grid, all wired
+into one CLI.
 """
-
-from .autodiff import Tape, Tensor
-from .connectivity import connecting_threshold, connectivity_report, pairwise_stats
-from .harness import ExperimentConfig, RunResult, ablation_grid, leave_one_out, train
-from .losses import (ContrastBatch, LossConfig, erm_loss, gen_loss, infonce_loss,
-                     mix_anchor_positives, sample_positives_cdc, total_loss)
-from .nets import AnchorEncoder, GenerativeTransformer, Model, ModelSpec, build_anchor
-from .synthdata import (AugmentationSpec, Dataset, augment, gen_example31,
-                        gen_rotated_gaussians, make_batches, toy_optimal_map)
 
 __version__ = "0.1.0"

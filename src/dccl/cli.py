@@ -19,11 +19,12 @@ from . import options
 from .autodiff import DegenerateInputError
 from .config import ConfigError, config_snapshot, experiment_config, load_config
 from .connectivity import connectivity_report
-from .formats import (FormatError, fmt, load_checkpoint, read_dataset, read_embeddings,
+from .formats import (FormatError, load_checkpoint, read_dataset, read_embeddings,
                       write_dataset, write_embeddings, write_text)
 from .harness import (DEFAULT_ROWS, DatasetSpec, TrainingDiverged, ablation_grid,
                       collect_embeddings, leave_one_out, train)
-from .synthdata import gen_example31, toy_map_accuracy
+from .options import fmt
+from .synthdata import gen_example31_both, toy_map_accuracy
 
 
 class _UsageError(Exception):
@@ -93,15 +94,12 @@ def build_parser():
 def cmd_toy(args):
     if args.n < 1:
         raise ConfigError("--n must be at least 1")
-    seeds = np.random.SeedSequence(args.seed).generate_state(2)
-    d1 = gen_example31(args.n, 1, seed=int(seeds[0]))
-    d2 = gen_example31(args.n, 2, seed=int(seeds[1]))
-    acc1 = toy_map_accuracy(args.variant, d1)
-    acc2 = toy_map_accuracy(args.variant, d2)
+    ds = gen_example31_both(args.n, seed=args.seed)
     print(f"toy closed-form map: {args.variant}")
     print(f"n per class per domain: {args.n}")
-    print(f"d1 accuracy: {100.0 * acc1:.2f}%")
-    print(f"d2 accuracy: {100.0 * acc2:.2f}%")
+    for m in range(ds.n_domains):
+        acc = toy_map_accuracy(args.variant, ds.subset(ds.domain_indices(m)))
+        print(f"d{m + 1} accuracy: {100.0 * acc:.2f}%")
     return 0
 
 
@@ -200,15 +198,14 @@ def cmd_connectivity(args):
 
 
 def cmd_dump_embeddings(args):
-    obj = load_checkpoint(args.checkpoint)
+    model = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.data)
-    model = obj.model if hasattr(obj, "model") else obj
     if model.input_dim != dataset.dim:
         raise ConfigError(
             f"checkpoint input width {model.input_dim} does not match "
             f"dataset width {dataset.dim}"
         )
-    records = collect_embeddings(obj, dataset)
+    records = collect_embeddings(model, dataset)
     write_embeddings(records, args.out, n_classes=dataset.n_classes,
                      n_domains=dataset.n_domains)
     print(f"wrote {len(records)} embeddings to {args.out}")

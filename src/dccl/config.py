@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .harness import ExperimentConfig
-from .options import option, option_fields, parser, render
+from .options import key_values, option, option_fields, parser, render
 
 
 class ConfigError(ValueError):
@@ -40,14 +40,7 @@ SCHEMA = {key: Field(parser(f), f.default, f.metadata["help"])
 
 def parse_config_text(text, source="<config>"):
     values = {key: field.default for key, field in SCHEMA.items()}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, raw_value = line.partition("=")
-        key = key.strip()
+    for lineno, key, raw_value in key_values(text, source, ConfigError):
         if key not in SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
         try:

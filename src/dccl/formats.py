@@ -14,21 +14,18 @@ from pathlib import Path
 import numpy as np
 
 from .connectivity import EmbeddingRecord
-from .nets import AnchorEncoder, Model, ModelSpec
-from .options import parser, render
+from .nets import Model, ModelSpec
+from .options import fmt, key_values, parser, render
 from .synthdata import Dataset
 
 DATA_MAGIC = "# dccl-data v1"
 DUMP_MAGIC = "# dccl-dump v1"
 CKPT_MAGIC = "# dccl-checkpoint v1"
+KINDS = ("model", "anchor")
 
 
 class FormatError(ValueError):
     """Malformed dump, dataset or checkpoint file."""
-
-
-def fmt(x):
-    return f"{float(x):.17g}"
 
 
 def write_text(path, text):
@@ -144,24 +141,11 @@ def _write_array(lines, key, arr):
     lines.append(f"array.{key}.data = {','.join(fmt(v) for v in arr.reshape(-1))}")
 
 
-def save_checkpoint(obj, path):
-    """Serialize a Model or a frozen AnchorEncoder, bit-exactly."""
-    if isinstance(obj, AnchorEncoder):
-        kind, model = "anchor", obj.model
-        provenance = {
-            "seed": obj.seed,
-            "data_hash": obj.data_hash,
-            "val_accuracy": fmt(obj.val_accuracy),
-        }
-    elif isinstance(obj, Model):
-        kind, model = "model", obj
-        provenance = dict(obj.provenance)
-    else:
-        raise TypeError(f"cannot checkpoint {type(obj).__name__}")
+def save_checkpoint(model, path):
+    """Serialize a Model of either kind, bit-exactly."""
     spec = model.spec
-    lines = [CKPT_MAGIC, f"kind = {kind}"]
-    for key, value in provenance.items():
-        lines.append(f"provenance.{key} = {value}")
+    lines = [CKPT_MAGIC, f"kind = {model.kind}"]
+    lines += [f"provenance.{key} = {value}" for key, value in model.provenance.items()]
     lines.append(f"arch.input_dim = {model.input_dim}")
     lines.append(f"arch.n_classes = {model.n_classes}")
     lines += [f"arch.{f.name} = {render(getattr(spec, f.name))}" for f in fields(ModelSpec)]
@@ -173,23 +157,19 @@ def save_checkpoint(obj, path):
 
 
 def load_checkpoint(path):
-    """Rebuild the checkpointed object; returns a Model or AnchorEncoder."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CKPT_MAGIC:
+    """Rebuild the checkpointed Model, its kind and provenance included."""
+    text = Path(path).read_text()
+    if text.splitlines()[:1] != [CKPT_MAGIC]:
         raise FormatError(f"{path}: not a checkpoint file")
-    entries = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if " = " not in line:
-            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split(" = ", 1)
-        entries[key] = value
+    # the magic line reads as a comment
+    entries = {key: value for _, key, value in key_values(text, path, FormatError)}
+    kind = entries.get("kind")
+    if kind not in KINDS:
+        raise FormatError(f"{path}: checkpoint kind must be one of {KINDS}, got {kind!r}")
     try:
-        kind = entries["kind"]
         spec = ModelSpec(**{f.name: parser(f)(entries[f"arch.{f.name}"])
                             for f in fields(ModelSpec)})
+        spec.validate()
         input_dim = int(entries["arch.input_dim"])
         n_classes = int(entries["arch.n_classes"])
     except (KeyError, ValueError) as exc:
@@ -215,17 +195,7 @@ def load_checkpoint(path):
     if sum(key.startswith("array.") for key in entries) != 2 * len(state):
         raise FormatError(f"{path}: checkpoint holds arrays its architecture has no slot for")
     model.set_state(state)
-    if kind == "anchor":
-        return AnchorEncoder(
-            model,
-            seed=int(entries.get("provenance.seed", "0")),
-            data_hash=entries.get("provenance.data_hash", ""),
-            val_accuracy=float(entries.get("provenance.val_accuracy", "nan")),
-        )
-    if kind == "model":
-        model.provenance = {
-            key[len("provenance."):]: value
-            for key, value in entries.items() if key.startswith("provenance.")
-        }
-        return model
-    raise FormatError(f"{path}: unknown checkpoint kind {kind!r}")
+    model.kind = kind
+    model.provenance = {key[len("provenance."):]: value
+                        for key, value in entries.items() if key.startswith("provenance.")}
+    return model

@@ -19,12 +19,12 @@ import numpy as np
 from . import autodiff as ad
 from . import formats
 from .connectivity import EmbeddingRecord, connectivity_report
-from .formats import fmt, save_checkpoint
+from .formats import save_checkpoint
 from .losses import ContrastBatch, LossConfig, resolve_positives, total_loss
-from .nets import (AnchorEncoder, Model, ModelSpec, TrainingDiverged, build_anchor,
+from .nets import (AnchorConfig, Model, ModelSpec, TrainingDiverged, build_anchor,
                    dataset_hash)
 from .optim import Adam
-from .options import option
+from .options import fmt, option
 from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment, check_batch_size,
                         check_example31, check_intensity, check_rotated_gaussians,
                         gen_example31_both, gen_rotated_gaussians, make_batches)
@@ -88,13 +88,6 @@ class OptimConfig:
 
 
 @dataclass(frozen=True)
-class AnchorConfig:
-    steps: int = option(1500, "anchor pretraining steps")
-    lr: float = option(1e-3, "anchor pretraining step size")
-    batch_size: int = option(32, "anchor pretraining batch size")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec = DatasetSpec()
     loss: LossConfig = LossConfig()
@@ -110,6 +103,7 @@ class ExperimentConfig:
     def validate(self):
         self.loss.validate()
         self.dataset.validate()
+        self.model.validate()
         for key in ("standard_intensity", "aggressive_intensity"):
             check_intensity(getattr(self.augment, key), f"augment.{key}")
         if not 0.0 < self.split_fraction < 1.0:
@@ -195,18 +189,13 @@ def split_sources(dataset, holdout, split_fraction, rng):
 
 
 def build_run_anchor(cfg, dataset):
-    spec = replace(cfg.model, with_gen=False)
-    return build_anchor(dataset, steps=cfg.anchor.steps, seed=cfg.seed, spec=spec,
-                        lr=cfg.anchor.lr, batch_size=cfg.anchor.batch_size)
+    return build_anchor(dataset, cfg.anchor, replace(cfg.model, with_gen=False), cfg.seed)
 
 
-def collect_embeddings(encoder, dataset):
+def collect_embeddings(model, dataset):
     """Evaluation-mode embeddings of a dataset, one record per sample,
     augmentation disabled."""
-    if isinstance(encoder, AnchorEncoder):
-        vectors = encoder.embed(dataset.X)
-    else:
-        vectors = encoder.embed(dataset.X, training=False).data
+    vectors = model.embed(dataset.X).data
     return [
         EmbeddingRecord(sample_id=i, class_id=int(dataset.labels[i]),
                         domain_id=int(dataset.domains[i]), vector=vectors[i])
@@ -270,7 +259,7 @@ def train(cfg, anchor=None, run_dir=None):
             raise ValueError(
                 f"anchor input width {anchor.input_dim} does not match data width {dataset.dim}"
             )
-        z_pre_all = anchor.embed(dataset.X)
+        z_pre_all = anchor.embed(dataset.X).data
     else:
         z_pre_all = None
 
@@ -345,7 +334,7 @@ def train(cfg, anchor=None, run_dir=None):
         wall_clock=time.perf_counter() - started,
     )
     if run_dir is not None:
-        model.provenance = {"seed": cfg.seed, "data_hash": dataset_hash(dataset)}
+        model.provenance = {"seed": str(cfg.seed), "data_hash": dataset_hash(dataset)}
         _write_run_dir(Path(run_dir), model, result)
     return result
 

@@ -1,11 +1,11 @@
-"""Model zoo: MLP encoder, projection head, classifier, the frozen anchor
-encoder, and the variational generative transformer.
+"""Model zoo: MLP encoder, projection head, classifier, and the
+variational generative transformer.
 
 One architecture serves everywhere: encoder -> projection head ->
 unit-norm embedding z, with a linear classifier reading z.  The anchor
-is the same architecture trained on pooled all-domain data and frozen;
-its embeddings stand in for a large pre-trained model's representation
-space.
+is a `Model` of kind "anchor", trained on pooled all-domain data and
+never trained again; its embeddings stand in for a large pre-trained
+model's representation space.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .options import option
+from .options import fmt, option, render
 
 SOFTPLUS_INV_ONE = math.log(math.e - 1.0)  # softplus(x) == 1
 
@@ -187,11 +187,34 @@ class ModelSpec:
     batchnorm: bool = option(True, "batch standardization in the head")
     with_gen: bool = False
 
+    def validate(self):
+        """Raise unless `Model` takes this spec; the message names the config key."""
+        if min(self.encoder_hidden) < 1:
+            raise ValueError("model.encoder_hidden must be widths of at least 1, "
+                             f"got {render(self.encoder_hidden)}")
+        if self.head_hidden < 0:
+            raise ValueError("model.head_hidden must be at least 0 (0 drops the head), "
+                             f"got {self.head_hidden}")
+        if self.head_hidden > 0 and self.embed_dim < 1:
+            raise ValueError("model.embed_dim must be at least 1 while the head is on, "
+                             f"got {self.embed_dim}")
+
+
+@dataclass(frozen=True)
+class AnchorConfig:
+    steps: int = option(1500, "anchor pretraining steps")
+    lr: float = option(1e-3, "anchor pretraining step size")
+    batch_size: int = option(32, "anchor pretraining batch size")
+
 
 class Model:
-    """Encoder + projection head + linear classifier (+ optional generator)."""
+    """Encoder + projection head + linear classifier (+ optional generator).
+
+    `kind` is "model" for a trained run and "anchor" for a frozen anchor;
+    `provenance` is free-form text, key -> value, that checkpoints keep."""
 
     def __init__(self, input_dim, n_classes, spec, rng):
+        self.kind = "model"
         self.input_dim = input_dim
         self.n_classes = n_classes
         self.spec = spec
@@ -290,42 +313,15 @@ def dataset_hash(dataset):
     return digest.hexdigest()
 
 
-class AnchorEncoder:
-    """A trained model frozen after construction; embeds without ever
-    touching the gradient tape (its parameters are never watched)."""
-
-    def __init__(self, model, seed, data_hash, val_accuracy):
-        self.model = model
-        self.seed = seed
-        self.data_hash = data_hash
-        self.val_accuracy = val_accuracy
-
-    @property
-    def embed_dim(self):
-        return self.model.embed_dim
-
-    @property
-    def input_dim(self):
-        return self.model.input_dim
-
-    def embed(self, x):
-        """Unit-norm embeddings as a plain array, detached by construction."""
-        return self.model.embed(np.asarray(x, dtype=np.float64), training=False).data
-
-    def checksum(self):
-        return self.model.checksum()
-
-
-def build_anchor(dataset, steps=1500, seed=0, spec=None, lr=1e-3,
-                 batch_size=32, val_fraction=0.2):
+def build_anchor(dataset, anchor_cfg, spec, seed):
     """Train a model with plain cross-entropy on pooled all-domain data and
-    freeze it.
+    return it as a Model of kind "anchor", never to be trained again.
 
     The pooled data must cover every domain the experiment will ever
     touch, held-out ones included; cross-domain intra-class connectivity
     in the frozen embedding space is then present by construction.
     Provenance records the seed, a dataset hash, and the accuracy on a
-    pooled validation split.
+    pooled validation split of a fifth of the data.
     """
     from .losses import erm_loss
     from .optim import Adam
@@ -333,25 +329,24 @@ def build_anchor(dataset, steps=1500, seed=0, spec=None, lr=1e-3,
 
     if len(dataset) == 0:
         raise ValueError("cannot build an anchor from an empty dataset")
-    spec = spec or ModelSpec()
     seq = np.random.SeedSequence(seed)
     init_s, split_s, batch_s = (int(s) for s in seq.generate_state(3))
 
     rng_split = np.random.default_rng(split_s)
     order = rng_split.permutation(len(dataset))
-    n_val = max(1, int(round(val_fraction * len(dataset))))
+    n_val = max(1, int(round(0.2 * len(dataset))))
     val_idx, train_idx = order[:n_val], order[n_val:]
     train = dataset.subset(train_idx)
 
     model = Model(dataset.dim, dataset.n_classes, spec, np.random.default_rng(init_s))
     params = model.parameters()
-    adam = Adam(lr=lr)
+    adam = Adam(lr=anchor_cfg.lr)
     # All pooled domains sit in every batch, so round the requested size
     # up to the nearest multiple of the domain count.
     n_dom = len(np.unique(train.domains))
-    per_domain = max(1, int(round(batch_size / n_dom)))
+    per_domain = max(1, int(round(anchor_cfg.batch_size / n_dom)))
     batches = make_batches(train, per_domain * n_dom, seed=batch_s)
-    for step in range(1, steps + 1):
+    for step in range(1, anchor_cfg.steps + 1):
         idx = next(batches)
         with ad.Tape() as tape:
             model.watch(tape)
@@ -361,5 +356,7 @@ def build_anchor(dataset, steps=1500, seed=0, spec=None, lr=1e-3,
             raise TrainingDiverged(step, loss.item(), what="anchor loss")
         adam.step(params, tape.gradients(loss))
     val_acc = model.accuracy(dataset.X[val_idx], dataset.labels[val_idx])
-    return AnchorEncoder(model, seed=seed, data_hash=dataset_hash(dataset),
-                         val_accuracy=val_acc)
+    model.kind = "anchor"
+    model.provenance = {"seed": str(seed), "data_hash": dataset_hash(dataset),
+                        "val_accuracy": fmt(val_acc)}
+    return model

@@ -3,7 +3,8 @@
 `option` marks a dataclass field as settable from a config file, and
 `option_fields` finds the marked fields; `dccl.config` derives its schema
 from them.  `parser` and `render` are the one text form of a field value,
-shared by config files, the `gen-data` flags and checkpoints.  This
+shared by config files, the `gen-data` flags and checkpoints, and
+`key_values` is the one reader of their `key = value` lines.  This
 module lives apart from `dccl.config` because that module imports the
 ones that declare fields.
 """
@@ -74,8 +75,28 @@ def parser(f):
     return parse
 
 
+def fmt(x):
+    """A float with 17 significant digits, which round-trips IEEE float64
+    exactly; the form of every float in a dump, table or checkpoint."""
+    return f"{float(x):.17g}"
+
+
 def render(value):
     """The text form of a field value, which `parser` reads back."""
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def key_values(text, source, error):
+    """(line number, key, value) of each `key = value` line of text, both
+    sides stripped; blank lines and `#` comments are skipped.  Any other
+    line raises `error` naming source and line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise error(f"{source}:{lineno}: expected 'key = value', got {line!r}")
+        yield lineno, key.strip(), value.strip()

@@ -206,6 +206,8 @@ def test_indivisible_batch_fails_before_any_run_directory(tmp_path, capsys, monk
     ("optim.lr", "0"), ("optim.lr", "inf"), ("optim.lr", "nan"), ("anchor.steps", "-3"),
     ("anchor.lr", "-1"), ("anchor.batch_size", "0"), ("anchor.batch_size", "-4"),
     ("augment.standard_intensity", "-1"), ("dataset.per_domain_class", "0"),
+    ("model.encoder_hidden", "0"), ("model.encoder_hidden", "4,-2"),
+    ("model.head_hidden", "-3"), ("model.embed_dim", "0"),
 ])
 def test_bad_optimizer_or_anchor_setting_fails_before_any_run_directory(
         tmp_path, capsys, monkeypatch, key, value):
@@ -384,7 +386,9 @@ def test_corrupted_checkpoint_rejected(tmp_path, capsys):
                  "--data", str(data), "--out", str(tmp_path / "x.txt")]) == 1
 
 
-@pytest.mark.parametrize("new", ["arch.batchnorm = ture", "arch.batchnorm = false"])
+# the last case overrides the earlier encoder_hidden line with a width of 0
+@pytest.mark.parametrize("new", ["arch.batchnorm = ture", "arch.batchnorm = false",
+                                 "arch.batchnorm = true\narch.encoder_hidden = 0"])
 def test_checkpoint_with_a_wrong_architecture_rejected(tmp_path, capsys, new):
     from dccl.formats import save_checkpoint
     from dccl.nets import Model, ModelSpec
@@ -399,6 +403,26 @@ def test_checkpoint_with_a_wrong_architecture_rejected(tmp_path, capsys, new):
     assert main(["dump-embeddings", "--checkpoint", str(ckpt),
                  "--data", str(data), "--out", str(out)]) == 1
     assert f"error: {ckpt}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new", [("kind = model", "kind = bogus"),
+                                      ("kind = model\n", "")])
+def test_checkpoint_with_a_bad_or_missing_kind_rejected(tmp_path, capsys, old, new):
+    from dccl.formats import load_checkpoint, save_checkpoint
+    from dccl.nets import Model, ModelSpec
+
+    ckpt = tmp_path / "ckpt.txt"
+    save_checkpoint(Model(2, 3, ModelSpec(), np.random.default_rng(0)), ckpt)
+    ckpt.write_text(ckpt.read_text().replace(old, new))
+    with pytest.raises(FormatError, match=f"^{ckpt}: checkpoint kind must be one of"):
+        load_checkpoint(ckpt)
+    data, out = tmp_path / "d.txt", tmp_path / "emb.txt"
+    assert main(["gen-data", "--per-domain-class", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["dump-embeddings", "--checkpoint", str(ckpt),
+                 "--data", str(data), "--out", str(out)]) == 1
+    assert f"error: {ckpt}: checkpoint kind" in capsys.readouterr().err
     assert not out.exists()
 
 

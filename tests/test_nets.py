@@ -133,41 +133,43 @@ def pooled_dataset():
     return gen_rotated_gaussians(3, 2, 30, 0.4, 3.0, 0.3, seed=5)
 
 
+ANCHOR_SPEC = nets.ModelSpec(encoder_hidden=(16,), embed_dim=8, head_hidden=16)
+
+
 @pytest.fixture(scope="module")
 def anchor(pooled_dataset):
-    return nets.build_anchor(pooled_dataset, steps=400, seed=7,
-                             spec=nets.ModelSpec(encoder_hidden=(16,), embed_dim=8,
-                                                 head_hidden=16))
+    return nets.build_anchor(pooled_dataset, nets.AnchorConfig(steps=400), ANCHOR_SPEC, 7)
 
 
 def test_anchor_is_deterministic(pooled_dataset, anchor):
-    again = nets.build_anchor(pooled_dataset, steps=400, seed=7,
-                              spec=nets.ModelSpec(encoder_hidden=(16,), embed_dim=8,
-                                                  head_hidden=16))
+    again = nets.build_anchor(pooled_dataset, nets.AnchorConfig(steps=400), ANCHOR_SPEC, 7)
     assert anchor.checksum() == again.checksum()
+    assert again.provenance == anchor.provenance
     x = pooled_dataset.X[:10]
-    assert np.array_equal(anchor.embed(x), again.embed(x))
+    assert np.array_equal(anchor.embed(x).data, again.embed(x).data)
 
 
 def test_anchor_embed_is_detached_and_repeatable(pooled_dataset, anchor):
     x = pooled_dataset.X[:6]
     with Tape() as tape:
         probe = tape.watch(Tensor(np.ones(3)))
-        first = anchor.embed(x)
-        second = anchor.embed(x)
+        first = anchor.embed(x).data
+        second = anchor.embed(x).data
         out = el.reduce_sum(probe * probe)
     grads = tape.gradients(out)
     assert np.array_equal(first, second)
     # nothing of the anchor's forward leaked onto the tape
-    for tensor in anchor.model.parameters().values():
+    for tensor in anchor.parameters().values():
         assert tensor.node_id not in grads
-    assert anchor.embed(x).shape == (6, 8)
-    norms = np.sqrt(np.sum(anchor.embed(x) ** 2, axis=1))
+    assert first.shape == (6, 8)
+    norms = np.sqrt(np.sum(first ** 2, axis=1))
     assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
 
 def test_anchor_accuracy_on_separable_pool(pooled_dataset, anchor):
-    assert anchor.val_accuracy >= 0.9
+    assert anchor.kind == "anchor"
+    assert list(anchor.provenance) == ["seed", "data_hash", "val_accuracy"]
+    assert float(anchor.provenance["val_accuracy"]) >= 0.9
 
 
 def test_anchor_checksum_survives_unrelated_training(pooled_dataset, anchor):
@@ -188,7 +190,7 @@ def test_anchor_checksum_survives_unrelated_training(pooled_dataset, anchor):
 def test_build_anchor_rejects_empty():
     empty = gen_rotated_gaussians(2, 2, 1, 0.3, 3.0, 0.3).subset([])
     with pytest.raises(ValueError):
-        nets.build_anchor(empty, steps=1, seed=0)
+        nets.build_anchor(empty, nets.AnchorConfig(steps=1), nets.ModelSpec(), 0)
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -210,11 +212,10 @@ def test_anchor_checkpoint_roundtrip(tmp_path, anchor, pooled_dataset):
     path = tmp_path / "anchor.txt"
     save_checkpoint(anchor, path)
     loaded = load_checkpoint(path)
-    assert isinstance(loaded, nets.AnchorEncoder)
-    assert loaded.seed == anchor.seed
-    assert loaded.data_hash == anchor.data_hash
+    assert loaded.kind == "anchor"
+    assert loaded.provenance == anchor.provenance
     x = pooled_dataset.X[:5]
-    assert np.array_equal(loaded.embed(x), anchor.embed(x))
+    assert np.array_equal(loaded.embed(x).data, anchor.embed(x).data)
 
 
 def test_corrupt_checkpoint_rejected(tmp_path):

@@ -3,8 +3,10 @@
 A change that keeps these hashes keeps every output byte: the training
 curve, the selected checkpoint, the config snapshot (which also pins all
 config key names and defaults), the ablation summary, the grid anchor,
-and embedding dumps of the trained model and of the grid anchor.  A
-change that moves them on purpose must say why and replace the hashes.
+and embedding dumps of the trained model and of the grid anchor.  The
+initial-model pins fix the draws and the array order of a freshly built
+`Model`, with and without the head and the generator.  A change that
+moves them on purpose must say why and replace the hashes.
 
 The runs are small enough to check in a few seconds, so refactors can
 use `python -m pytest -m "not slow"` as their inner loop.
@@ -12,9 +14,11 @@ use `python -m pytest -m "not slow"` as their inner loop.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from dccl.cli import main
+from dccl.nets import Model, ModelSpec
 
 MICRO = """\
 experiment = golden
@@ -91,6 +95,31 @@ DUMP_HASH = "03a6fc399f3896f401b6f7a3083d3aa7ded5a56cbcd0604c6f48156cc59ecf80"
 
 ANCHOR_DUMP_HASH = "67fe1b51f777e4657e1a3d7e105d3d9d9c879672956f90f5c3b21d259a836a38"
 
+ENCODER = ["enc.0.W", "enc.0.b", "enc.1.W", "enc.1.b"]
+HEAD = ["head.l1.W", "head.l1.b", "head.l2.W", "head.l2.b"]
+BN = ["head.bn.gamma", "head.bn.beta"]
+GEN = ["gen.std_bias", "gen.dec.W", "gen.dec.b"]
+CLS = ["cls.W", "cls.b"]
+
+# spec -> (checksum, parameter names, running-statistic names) of
+# Model(2, 3, spec, default_rng(11))
+INITIAL_MODELS = [
+    (ModelSpec(encoder_hidden=(6, 5), embed_dim=4, head_hidden=6),
+     "d7957a7e87ec283a60823241ad20fde9982215efd4faa0885f432beab4e5a184",
+     ENCODER + HEAD[:2] + BN + HEAD[2:] + CLS,
+     ["head.bn.running_mean", "head.bn.running_var"]),
+    (ModelSpec(encoder_hidden=(6, 5), embed_dim=4, head_hidden=6, batchnorm=False,
+               with_gen=True),
+     "7c4d00c4943c7bfcb4dfeb57cc7beb074a41e9c83b93e674ebfc332a8573036a",
+     ENCODER + HEAD + CLS + GEN, []),
+    (ModelSpec(encoder_hidden=(5, 3), head_hidden=0),
+     "63e37bceb1123c1680bc404e4426b0974da583e67ec04e6e5499af88bc4e39c7",
+     ENCODER + CLS, []),
+    (ModelSpec(encoder_hidden=(5, 3), head_hidden=0, with_gen=True),
+     "032d171da94bdca36b3287df9fa1fa6ea397f8e4494f311f42d6ace7b68f2061",
+     ENCODER + CLS + GEN, []),
+]
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -135,3 +164,11 @@ def test_ablate_hashes(workdir, capsys):
     assert main(["dump-embeddings", "--checkpoint", str(anchor),
                  "--data", "data.txt", "--out", "anchor_emb.txt"]) == 0
     assert sha256(workdir / "anchor_emb.txt") == ANCHOR_DUMP_HASH
+
+
+@pytest.mark.parametrize("spec, checksum, param_names, stat_names", INITIAL_MODELS)
+def test_initial_model_hashes(spec, checksum, param_names, stat_names):
+    model = Model(2, 3, spec, np.random.default_rng(11))
+    assert model.checksum() == checksum
+    assert list(model.parameters()) == param_names
+    assert list(model.stats()) == stat_names

@@ -36,6 +36,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
+
+
 def build_parser():
     parser = _Parser(prog="dccl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True,
@@ -44,8 +55,9 @@ def build_parser():
     p = sub.add_parser("toy",
                        help="closed-form toy maps: domain transfer accuracies")
     p.add_argument("--variant", required=True, choices=("weak", "aggressive"))
-    p.add_argument("--n", type=int, default=256, help="samples per class per domain")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_at_least(1), default=256,
+                   help="samples per class per domain")
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_toy)
 
     p = sub.add_parser("gen-data", help="write a dataset dump")
@@ -60,7 +72,7 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--holdout", type=int, default=None,
                    help="override the config's held-out domain")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
                    help="override: defaults to the first config seed")
     p.set_defaults(func=cmd_train)
 
@@ -72,7 +84,7 @@ def build_parser():
     p = sub.add_parser("ablate",
                        help="ablation grid over the component toggles")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("connectivity",
@@ -92,8 +104,6 @@ def build_parser():
 
 
 def cmd_toy(args):
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
     ds = gen_example31_both(args.n, seed=args.seed)
     print(f"toy closed-form map: {args.variant}")
     print(f"n per class per domain: {args.n}")
@@ -134,9 +144,10 @@ def cmd_train(args):
 def cmd_loo(args):
     values = load_config(args.config)
     exp_dir = _experiment_dir(values)
+    # every seed's config is checked before the first run writes anything
+    cfgs = [experiment_config(values, seed=seed) for seed in values["seeds"]]
     accs = {}
-    for seed in values["seeds"]:
-        cfg = experiment_config(values, seed=seed)
+    for seed, cfg in zip(values["seeds"], cfgs):
         run_dir = exp_dir / "loo" / f"seed{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         write_text(run_dir / "config.txt", config_snapshot(values))
@@ -165,7 +176,7 @@ def cmd_loo(args):
 
 def cmd_ablate(args):
     values = load_config(args.config)
-    cfg = experiment_config(values, seed=values["seeds"][0])
+    cfg, *_ = [experiment_config(values, seed=seed) for seed in values["seeds"]]
     exp_dir = _experiment_dir(values)
     exp_dir.mkdir(parents=True, exist_ok=True)
     write_text(exp_dir / "config.txt", config_snapshot(values))
@@ -200,6 +211,8 @@ def cmd_connectivity(args):
 def cmd_dump_embeddings(args):
     model = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.data)
+    if not len(dataset):
+        raise FormatError(f"{args.data}: dataset has no rows")
     if model.input_dim != dataset.dim:
         raise ConfigError(
             f"checkpoint input width {model.input_dim} does not match "

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import ShapeError
 from .connectivity import EmbeddingRecord
 from .nets import Model, ModelSpec
 from .options import fmt, key_values, parser, render
@@ -104,9 +105,13 @@ def _read_table(path, magic, what, keys, n_ids):
 def read_dataset(path):
     header, ints, ids, X = _read_table(path, DATA_MAGIC, "dataset",
                                        ("domains", "classes", "dim", "seed"), n_ids=2)
-    return Dataset(X, ids[:, 1], ids[:, 0], n_classes=ints["classes"],
-                   n_domains=ints["domains"], generator=header.get("generator", "unknown"),
-                   params=_key_values(header.get("params", "").split(";")), seed=ints["seed"])
+    try:
+        return Dataset(X, ids[:, 1], ids[:, 0], n_classes=ints["classes"],
+                       n_domains=ints["domains"], generator=header.get("generator", "unknown"),
+                       params=_key_values(header.get("params", "").split(";")),
+                       seed=ints["seed"])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # --- embedding dumps --------------------------------------------------------
@@ -176,25 +181,26 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: bad checkpoint metadata: {exc}") from None
     model = Model(input_dim, n_classes, spec, np.random.default_rng(0))
     state = {}
-    targets = {**model.parameters(), **model.stats()}
-    for name in targets:
-        skey, dkey = f"array.param.{name}.shape", f"array.param.{name}.data"
-        if skey not in entries:
-            skey, dkey = f"array.stat.{name}.shape", f"array.stat.{name}.data"
-        if skey not in entries or dkey not in entries:
-            raise FormatError(f"{path}: checkpoint is missing array {name!r}")
-        shape = tuple(int(s) for s in entries[skey].split(",")) if entries[skey] else ()
-        try:
-            values = np.array([float(v) for v in entries[dkey].split(",")])
-        except ValueError as exc:
-            raise FormatError(f"{path}: corrupt data for {name!r}: {exc}") from None
-        expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if values.size != expected:
-            raise FormatError(f"{path}: array {name!r} size does not match shape {shape}")
-        state[name] = values.reshape(shape)
+    for group, table in (("param", model.parameters()), ("stat", model.stats())):
+        for name in table:
+            skey, dkey = f"array.{group}.{name}.shape", f"array.{group}.{name}.data"
+            if skey not in entries or dkey not in entries:
+                raise FormatError(f"{path}: checkpoint is missing array {name!r}")
+            shape = tuple(int(s) for s in entries[skey].split(",")) if entries[skey] else ()
+            try:
+                values = np.array([float(v) for v in entries[dkey].split(",")])
+            except ValueError as exc:
+                raise FormatError(f"{path}: corrupt data for {name!r}: {exc}") from None
+            expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            if values.size != expected:
+                raise FormatError(f"{path}: array {name!r} size does not match shape {shape}")
+            state[name] = values.reshape(shape)
     if sum(key.startswith("array.") for key in entries) != 2 * len(state):
         raise FormatError(f"{path}: checkpoint holds arrays its architecture has no slot for")
-    model.set_state(state)
+    try:
+        model.set_state(state)
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     model.kind = kind
     model.provenance = {key[len("provenance."):]: value
                         for key, value in entries.items() if key.startswith("provenance.")}

@@ -56,6 +56,8 @@ class DatasetSpec:
 
     def validate(self):
         """Raise unless `build` takes this spec; the message names the config key."""
+        if self.seed < 0:
+            raise ValueError(f"dataset.seed must be at least 0, got {self.seed}")
         if self.kind == "example31":
             check_example31(self.n_per_class, "dataset.")
         else:
@@ -101,6 +103,8 @@ class ExperimentConfig:
     label_ratio: float = option(1.0, "fraction of training labels kept")
 
     def validate(self):
+        if self.seed < 0:
+            raise ValueError(f"seeds must be at least 0, got {self.seed}")
         self.loss.validate()
         self.dataset.validate()
         self.model.validate()
@@ -304,7 +308,7 @@ def train(cfg, anchor=None, run_dir=None):
             z2 = model.embed(view2, training=True) if contrast_on else None
             batch = ContrastBatch(z=z1, labels=yb, domains=db, z_alt=z2,
                                   z_pre=z_pre, positive_assignment=assignment)
-            breakdown = total_loss(batch, logits, cfg.loss, gen=model.gen, noise=noise)
+            breakdown = total_loss(batch, logits, cfg.loss, gen=params, noise=noise)
         total_value = breakdown.total.item()
         if not np.isfinite(total_value):
             raise TrainingDiverged(step, total_value)

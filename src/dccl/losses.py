@@ -220,8 +220,11 @@ def gen_loss(gen, z, z_pre, noise):
 
     Mean over the batch of ||z_pre - psi(z_lat)||^2 + KL[q(z_lat | z) ||
     unit Gaussian], with z_lat = z + sigma * noise from the transformer.
+    `gen` maps the `gen.*` names of `nets.generator` to Tensors, as a
+    model's parameter table does.
     """
-    return ad.generative_term(z, z_pre, noise, gen.std_bias, gen.decoder.W, gen.decoder.b)
+    return ad.generative_term(z, z_pre, noise, gen["gen.std_bias"], gen["gen.dec.W"],
+                              gen["gen.dec.b"])
 
 
 @dataclass
@@ -239,7 +242,8 @@ class LossBreakdown:
 
 
 def total_loss(batch, logits, cfg, gen=None, noise=None):
-    """Combined objective: ERM + lambda * contrast + beta * generative."""
+    """Combined objective: ERM + lambda * contrast + beta * generative.
+    `gen` holds the generator's tensors, as for `gen_loss`."""
     cfg.validate()
     total = erm_loss(logits, batch.labels)
     erm_value = total.item()

@@ -1,11 +1,14 @@
-"""Model zoo: MLP encoder, projection head, classifier, and the
-variational generative transformer.
+"""The one network: MLP encoder, projection head, classifier, and the
+variational generative transformer, as one `Model`.
 
 One architecture serves everywhere: encoder -> projection head ->
-unit-norm embedding z, with a linear classifier reading z.  The anchor
-is a `Model` of kind "anchor", trained on pooled all-domain data and
-never trained again; its embeddings stand in for a large pre-trained
-model's representation space.
+unit-norm embedding z, with a linear classifier reading z.  A `Model`
+keeps its weights in one parameter table and its batch-norm running
+statistics in one statistics table, keyed by their checkpoint names;
+the forward pass, the optimizer, checkpoints and checksums all read
+those tables.  The anchor is a `Model` of kind "anchor", trained on
+pooled all-domain data and never trained again; its embeddings stand in
+for a large pre-trained model's representation space.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .autodiff import Tensor
 from .options import fmt, option, render
 
 SOFTPLUS_INV_ONE = math.log(math.e - 1.0)  # softplus(x) == 1
+BN_MOMENTUM = 0.1  # the share of each training batch in the running statistics
+BN_EPS = 1e-5
 
 
 class TrainingDiverged(RuntimeError):
@@ -37,144 +42,20 @@ class TrainingDiverged(RuntimeError):
         return type(self), (self.step, self.value, self.what)
 
 
-class Affine:
-    def __init__(self, in_dim, out_dim, rng, scale=None):
-        if scale is None:
-            scale = math.sqrt(2.0 / in_dim)
-        self.W = Tensor(scale * rng.standard_normal((in_dim, out_dim)))
-        self.b = Tensor(np.zeros(out_dim))
-        self.in_dim = in_dim
-        self.out_dim = out_dim
+def generator(dim):
+    """Initial arrays of the generative transformer, the `gen.*` entries of
+    a `Model` built `with_gen`.
 
-    @classmethod
-    def identity(cls, dim, rng):
-        layer = cls(dim, dim, rng)
-        layer.W = Tensor(np.eye(dim))
-        layer.b = Tensor(np.zeros(dim))
-        return layer
-
-    def __call__(self, x):
-        return ad.affine(x, self.W, self.b)
-
-    def params(self, prefix):
-        return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
-
-
-class BatchNorm:
-    """Per-feature standardization; batch statistics while training,
-    running statistics (single fixed momentum) in evaluation mode.
-
-    Evaluation mode is plain numpy and records nothing on a tape: the
-    package only embeds in that mode outside `ad.Tape` (anchor, validation
-    and test accuracy, connectivity), so no gradient flows through it.
+    The latent map runs from the tuned embedding toward the anchor
+    embedding.  Its mean encoder is the identity on z, so the latent
+    dimension equals the embedding dimension.  The per-dimension standard
+    deviation is softplus of `gen.std_bias`, which starts where the
+    posterior is the unit-Gaussian prior.  The affine decoder
+    `gen.dec.{W,b}` starts at the identity.  `losses.gen_loss` runs the
+    whole chain (reparameterize, decode, KL, reconstruction) as one tape op.
     """
-
-    def __init__(self, dim, momentum=0.1, eps=1e-5):
-        self.gamma = Tensor(np.ones(dim))
-        self.beta = Tensor(np.zeros(dim))
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
-
-    def __call__(self, x, training):
-        if training:
-            out, mu, var = ad.batchnorm_train(x, self.gamma, self.beta, self.eps)
-            m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mu
-            self.running_var = (1.0 - m) * self.running_var + m * var
-            return out
-        inv = 1.0 / np.sqrt(self.running_var + self.eps)
-        return Tensor((x.data - self.running_mean) * inv * self.gamma.data + self.beta.data)
-
-    def params(self, prefix):
-        return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
-
-    def stats(self, prefix):
-        return {f"{prefix}.running_mean": self.running_mean,
-                f"{prefix}.running_var": self.running_var}
-
-
-class Encoder:
-    """Plain MLP with a rectifier between layers (none after the last)."""
-
-    def __init__(self, input_dim, hidden, rng):
-        hidden = tuple(int(h) for h in hidden)
-        if not hidden:
-            raise ValueError("encoder needs at least one layer width")
-        widths = (input_dim,) + hidden
-        self.layers = [Affine(widths[i], widths[i + 1], rng) for i in range(len(hidden))]
-        self.input_dim = input_dim
-        self.out_dim = hidden[-1]
-
-    def __call__(self, x):
-        out = x
-        for i, layer in enumerate(self.layers):
-            out = layer(out)
-            if i < len(self.layers) - 1:
-                out = ad.relu(out)
-        return out
-
-    def params(self, prefix="enc"):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.params(f"{prefix}.{i}"))
-        return out
-
-
-class ProjectionHead:
-    """Two affine layers with a rectifier between them, optional batch
-    standardization after the first, output L2-normalized row-wise."""
-
-    def __init__(self, in_dim, hidden_dim, out_dim, rng, batchnorm=True):
-        self.l1 = Affine(in_dim, hidden_dim, rng)
-        self.bn = BatchNorm(hidden_dim) if batchnorm else None
-        self.l2 = Affine(hidden_dim, out_dim, rng, scale=math.sqrt(1.0 / hidden_dim))
-        # a rectifier-dead row must not land exactly at the origin, where
-        # normalization is undefined
-        self.l2.b = Tensor(0.01 * rng.standard_normal(out_dim))
-        self.out_dim = out_dim
-
-    def __call__(self, x, training):
-        h = self.l1(x)
-        if self.bn is not None:
-            h = self.bn(h, training)
-        h = ad.relu(h)
-        return ad.l2_normalize(self.l2(h))
-
-    def params(self, prefix="head"):
-        out = {}
-        out.update(self.l1.params(f"{prefix}.l1"))
-        if self.bn is not None:
-            out.update(self.bn.params(f"{prefix}.bn"))
-        out.update(self.l2.params(f"{prefix}.l2"))
-        return out
-
-    def stats(self, prefix="head"):
-        return self.bn.stats(f"{prefix}.bn") if self.bn is not None else {}
-
-
-class GenerativeTransformer:
-    """Latent map from the tuned embedding toward the anchor embedding.
-
-    The mean encoder is the identity on z (forcing the latent dimension
-    to equal the embedding dimension); the per-dimension standard
-    deviation is softplus of a bias-only parameter, initialized so the
-    posterior starts at the unit-Gaussian prior; the decoder is affine,
-    initialized at the identity.  `losses.gen_loss` runs the whole chain
-    (reparameterize, decode, KL, reconstruction) as one tape op.
-    """
-
-    def __init__(self, dim, rng=None):
-        rng = np.random.default_rng(0) if rng is None else rng
-        self.std_bias = Tensor(np.full(dim, SOFTPLUS_INV_ONE))
-        self.decoder = Affine.identity(dim, rng)
-        self.dim = dim
-
-    def params(self, prefix="gen"):
-        out = {f"{prefix}.std_bias": self.std_bias}
-        out.update(self.decoder.params(f"{prefix}.dec"))
-        return out
+    return {"gen.std_bias": np.full(dim, SOFTPLUS_INV_ONE),
+            "gen.dec.W": np.eye(dim), "gen.dec.b": np.zeros(dim)}
 
 
 @dataclass(frozen=True)
@@ -189,7 +70,7 @@ class ModelSpec:
 
     def validate(self):
         """Raise unless `Model` takes this spec; the message names the config key."""
-        if min(self.encoder_hidden) < 1:
+        if not self.encoder_hidden or min(self.encoder_hidden) < 1:
             raise ValueError("model.encoder_hidden must be widths of at least 1, "
                              f"got {render(self.encoder_hidden)}")
         if self.head_hidden < 0:
@@ -208,8 +89,14 @@ class AnchorConfig:
 
 
 class Model:
-    """Encoder + projection head + linear classifier (+ optional generator).
+    """Encoder -> projection head -> unit-norm embedding z, a linear
+    classifier reading z, and with `spec.with_gen` the generator.
 
+    The parameters are one name -> Tensor table and the head's batch-norm
+    running statistics one name -> array table.  Both are keyed and
+    ordered as in a checkpoint: `enc.{i}.{W,b}`, `head.l1.{W,b}`,
+    `head.bn.{gamma,beta}`, `head.l2.{W,b}`, `cls.{W,b}`, then the
+    `gen.*` entries of `generator`; `head.bn.{running_mean,running_var}`.
     `kind` is "model" for a trained run and "anchor" for a frozen anchor;
     `provenance` is free-form text, key -> value, that checkpoints keep."""
 
@@ -218,90 +105,118 @@ class Model:
         self.input_dim = input_dim
         self.n_classes = n_classes
         self.spec = spec
-        self.encoder = Encoder(input_dim, spec.encoder_hidden, rng)
-        if spec.head_hidden > 0:
-            self.head = ProjectionHead(self.encoder.out_dim, spec.head_hidden,
-                                       spec.embed_dim, rng, batchnorm=spec.batchnorm)
-            embed_dim = spec.embed_dim
-        else:
-            self.head = None
-            embed_dim = self.encoder.out_dim
-        self._embed_dim = embed_dim
-        self.classifier = Affine(embed_dim, n_classes, rng,
-                                 scale=math.sqrt(1.0 / embed_dim))
-        self.gen = GenerativeTransformer(embed_dim, rng=rng) if spec.with_gen else None
         self.provenance = {}
+        params, stats = {}, {}
 
-    @property
-    def embed_dim(self):
-        return self._embed_dim
+        def affine(name, in_dim, out_dim, scale=None):
+            scale = math.sqrt(2.0 / in_dim) if scale is None else scale
+            params[f"{name}.W"] = scale * rng.standard_normal((in_dim, out_dim))
+            params[f"{name}.b"] = np.zeros(out_dim)
+
+        widths = (input_dim, *spec.encoder_hidden)
+        for i in range(len(spec.encoder_hidden)):
+            affine(f"enc.{i}", widths[i], widths[i + 1])
+        self.embed_dim = widths[-1]
+        if spec.head_hidden > 0:
+            hidden, self.embed_dim = spec.head_hidden, spec.embed_dim
+            affine("head.l1", widths[-1], hidden)
+            if spec.batchnorm:
+                params["head.bn.gamma"], params["head.bn.beta"] = np.ones(hidden), np.zeros(hidden)
+                stats["head.bn.running_mean"] = np.zeros(hidden)
+                stats["head.bn.running_var"] = np.ones(hidden)
+            affine("head.l2", hidden, self.embed_dim, scale=math.sqrt(1.0 / hidden))
+            # a rectifier-dead row must not land exactly at the origin, where
+            # normalization is undefined
+            params["head.l2.b"] = 0.01 * rng.standard_normal(self.embed_dim)
+        affine("cls", self.embed_dim, n_classes, scale=math.sqrt(1.0 / self.embed_dim))
+        if spec.with_gen:
+            params.update(generator(self.embed_dim))
+        self._params = {name: Tensor(arr) for name, arr in params.items()}
+        self._stats = stats
 
     def embed(self, x, training=False):
+        """Unit-norm embeddings of a batch.  In training mode batch norm
+        uses batch statistics and moves the running ones (momentum
+        `BN_MOMENTUM`).  Evaluation mode uses the running statistics in
+        plain numpy and records nothing on a tape: the package only embeds
+        in that mode outside `ad.Tape` (anchor, validation and test
+        accuracy, connectivity), so no gradient flows through it."""
         if not isinstance(x, Tensor):
             x = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         if x.shape[1] != self.input_dim:
             raise ad.ShapeError(
                 f"batch width {x.shape[1]} does not match encoder input width {self.input_dim}"
             )
-        features = self.encoder(x)
-        if self.head is None:
-            return ad.l2_normalize(features)
-        return self.head(features, training)
+        p, n_layers = self._params, len(self.spec.encoder_hidden)
+        for i in range(n_layers):
+            x = ad.affine(x, p[f"enc.{i}.W"], p[f"enc.{i}.b"])
+            if i < n_layers - 1:
+                x = ad.relu(x)
+        if self.spec.head_hidden == 0:
+            return ad.l2_normalize(x)
+        h = ad.affine(x, p["head.l1.W"], p["head.l1.b"])
+        if self.spec.batchnorm:
+            gamma, beta, stats = p["head.bn.gamma"], p["head.bn.beta"], self._stats
+            if training:
+                h, mu, var = ad.batchnorm_train(h, gamma, beta, BN_EPS)
+                m = BN_MOMENTUM
+                stats["head.bn.running_mean"] = (1.0 - m) * stats["head.bn.running_mean"] + m * mu
+                stats["head.bn.running_var"] = (1.0 - m) * stats["head.bn.running_var"] + m * var
+            else:
+                inv = 1.0 / np.sqrt(stats["head.bn.running_var"] + BN_EPS)
+                h = Tensor((h.data - stats["head.bn.running_mean"]) * inv * gamma.data
+                           + beta.data)
+        return ad.l2_normalize(ad.affine(ad.relu(h), p["head.l2.W"], p["head.l2.b"]))
 
     def logits(self, z):
-        return self.classifier(z)
-
-    def forward_logits(self, x, training=False):
-        return self.logits(self.embed(x, training))
-
-    def predict(self, x):
-        logits = self.forward_logits(x, training=False)
-        return np.argmax(logits.data, axis=1)
+        return ad.affine(z, self._params["cls.W"], self._params["cls.b"])
 
     def accuracy(self, x, labels):
-        return float(np.mean(self.predict(x) == np.asarray(labels)))
+        predicted = np.argmax(self.logits(self.embed(x)).data, axis=1)
+        return float(np.mean(predicted == np.asarray(labels)))
 
     def parameters(self):
-        out = {}
-        out.update(self.encoder.params())
-        if self.head is not None:
-            out.update(self.head.params())
-        out.update(self.classifier.params("cls"))
-        if self.gen is not None:
-            out.update(self.gen.params())
-        return out
+        """The live parameter table, name -> Tensor."""
+        return self._params
 
     def stats(self):
-        return self.head.stats() if self.head is not None else {}
+        """The live running-statistics table, name -> array."""
+        return self._stats
 
     def watch(self, tape):
-        for tensor in self.parameters().values():
+        for tensor in self._params.values():
             tape.watch(tensor)
 
     def get_state(self):
-        state = {name: t.data.copy() for name, t in self.parameters().items()}
-        state.update({name: arr.copy() for name, arr in self.stats().items()})
+        state = {name: t.data.copy() for name, t in self._params.items()}
+        state.update({name: arr.copy() for name, arr in self._stats.items()})
         return state
 
     def set_state(self, state):
-        params = self.parameters()
-        stats = self.stats()
+        """Copy arrays into their slots.  An unknown name raises KeyError
+        and an array whose shape differs from its slot's ShapeError."""
         for name, arr in state.items():
-            if name in params:
-                params[name].data = np.array(arr, dtype=np.float64)
-            elif name in stats:
-                stats[name][...] = arr
+            if name in self._params:
+                slot = self._params[name].data
+            elif name in self._stats:
+                slot = self._stats[name]
             else:
                 raise KeyError(f"unknown state entry {name!r}")
+            arr = np.array(arr, dtype=np.float64)
+            if arr.shape != slot.shape:
+                raise ad.ShapeError(f"array {name!r} has shape {arr.shape}, "
+                                    f"its slot {slot.shape}")
+            if name in self._params:
+                self._params[name].data = arr
+            else:
+                self._stats[name] = arr
 
     def checksum(self):
         digest = hashlib.sha256()
-        for name, t in sorted(self.parameters().items()):
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(t.data).tobytes())
-        for name, arr in sorted(self.stats().items()):
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(arr).tobytes())
+        for table in ({name: t.data for name, t in self._params.items()}, self._stats):
+            for name in sorted(table):
+                digest.update(name.encode())
+                digest.update(np.ascontiguousarray(table[name]).tobytes())
         return digest.hexdigest()
 
 
@@ -350,7 +265,7 @@ def build_anchor(dataset, anchor_cfg, spec, seed):
         idx = next(batches)
         with ad.Tape() as tape:
             model.watch(tape)
-            logits = model.forward_logits(train.X[idx], training=True)
+            logits = model.logits(model.embed(train.X[idx], training=True))
             loss = erm_loss(logits, train.labels[idx])
         if not np.isfinite(loss.item()):
             raise TrainingDiverged(step, loss.item(), what="anchor loss")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dccl import nets
 from dccl.autodiff import Tensor
 
 import elementary as el
@@ -25,6 +26,11 @@ def numerical_gradient(f, x, h=1e-5):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def generator_tensors(dim):
+    """The generator's initial tensors, as a model built `with_gen` holds them."""
+    return {name: Tensor(arr) for name, arr in nets.generator(dim).items()}
 
 
 def max_rel_err(analytic, numeric):

@@ -20,7 +20,7 @@ from dccl.harness import (AnchorConfig, AugmentConfig, DatasetSpec,
                           build_run_anchor, collect_embeddings, train)
 from dccl.losses import (ContrastBatch, LossConfig, gen_loss, infonce_loss,
                          mix_anchor_positives, sample_positives_cdc, total_loss)
-from dccl.nets import GenerativeTransformer, Model, ModelSpec
+from dccl.nets import Model, ModelSpec
 from dccl.optim import Adam
 from dccl.synthdata import (ADDITIVE, AugmentationSpec, augment,
                             gen_example31_both, make_batches)
@@ -159,14 +159,15 @@ def test_criterion_2_gradient_oracle():
     gen_errs = []
     for s in range(20):
         rng = np.random.default_rng(300 + s)
-        gen = GenerativeTransformer(3, rng=rng)
-        gen.std_bias = Tensor(rng.uniform(-0.5, 0.5, 3))
-        gen.decoder.W = Tensor(np.eye(3) + 0.1 * rng.standard_normal((3, 3)))
+        rng.standard_normal((3, 3))  # unused: keeps the later draws of this stream
+        gen = {"gen.std_bias": Tensor(rng.uniform(-0.5, 0.5, 3)),
+               "gen.dec.W": Tensor(np.eye(3) + 0.1 * rng.standard_normal((3, 3))),
+               "gen.dec.b": Tensor(np.zeros(3))}
         z_raw = rng.standard_normal((4, 3))
         z_pre = rng.standard_normal((4, 3))
         noise = rng.standard_normal((4, 3))
-        leaves = {"z": Tensor(z_raw), "bias": gen.std_bias,
-                  "dec.W": gen.decoder.W, "dec.b": gen.decoder.b}
+        leaves = {"z": Tensor(z_raw), "bias": gen["gen.std_bias"],
+                  "dec.W": gen["gen.dec.W"], "dec.b": gen["gen.dec.b"]}
         with Tape() as tape:
             for leaf in leaves.values():
                 tape.watch(leaf)
@@ -205,7 +206,7 @@ def test_criterion_2_gradient_oracle():
             logits = model.logits(z1)
             batch = ContrastBatch(z=z1, labels=labels, domains=domains, z_alt=z2,
                                   z_pre=z_pre, positive_assignment=assignment)
-            return total_loss(batch, logits, cfg, gen=model.gen, noise=noise)
+            return total_loss(batch, logits, cfg, gen=model.parameters(), noise=noise)
 
         with Tape() as tape:
             model.watch(tape)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -207,7 +208,8 @@ def test_indivisible_batch_fails_before_any_run_directory(tmp_path, capsys, monk
     ("anchor.lr", "-1"), ("anchor.batch_size", "0"), ("anchor.batch_size", "-4"),
     ("augment.standard_intensity", "-1"), ("dataset.per_domain_class", "0"),
     ("model.encoder_hidden", "0"), ("model.encoder_hidden", "4,-2"),
-    ("model.head_hidden", "-3"), ("model.embed_dim", "0"),
+    ("model.head_hidden", "-3"), ("model.embed_dim", "0"), ("dataset.seed", "-1"),
+    ("seeds", "-2"),
 ])
 def test_bad_optimizer_or_anchor_setting_fails_before_any_run_directory(
         tmp_path, capsys, monkeypatch, key, value):
@@ -220,6 +222,26 @@ def test_bad_optimizer_or_anchor_setting_fails_before_any_run_directory(
     path = write_config(tmp_path, f"loss.pma = true\n{key} = {value}\n")
     assert main(["train", "--config", str(path)]) == 1
     assert f"error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    (["train", "--seed", "-1"], ""), (["loo"], "seeds = 0,-2\n"), (["ablate"], "seeds = 0,-2\n"),
+], ids=["train", "loo", "ablate"])
+def test_negative_seed_fails_before_any_run_directory(tmp_path, capsys, command, extra):
+    path = write_config(tmp_path, extra)
+    assert main(command[:1] + ["--config", str(path)] + command[1:]) == 1
+    err = capsys.readouterr().err
+    assert "argument --seed: must be at least 0, got -1" in err or "error: seeds must be" in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_ablate_with_fewer_than_one_worker_is_usage_error(tmp_path, capsys, workers):
+    path = write_config(tmp_path)
+    assert main(["ablate", "--config", str(path), "--workers", workers]) == 1
+    assert (f"usage error: argument --workers: must be at least 1, got {workers}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "runs").exists()
 
 
@@ -349,6 +371,41 @@ def test_dataset_dump_with_non_finite_coordinate_rejected(tmp_path):
         read_dataset(data)
 
 
+def dump_embeddings_of(tmp_path, rows):
+    """Exit code of `dump-embeddings` on a dataset dump of 2 domains and 1
+    class with the given rows, and the dump's path."""
+    from dccl.formats import save_checkpoint
+    from dccl.nets import Model, ModelSpec
+
+    data, ckpt, out = tmp_path / "data.txt", tmp_path / "ckpt.txt", tmp_path / "emb.txt"
+    data.write_text("# dccl-data v1 generator=x domains=2 classes=1 dim=2 seed=0 params=\n"
+                    + rows)
+    save_checkpoint(Model(2, 1, ModelSpec(), np.random.default_rng(0)), ckpt)
+    code = main(["dump-embeddings", "--checkpoint", str(ckpt),
+                 "--data", str(data), "--out", str(out)])
+    assert not out.exists()
+    return code, data
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,0,1.0,2.0\n0,1,1.0,2.0\n", "class ids must lie in [0, 1)"),
+    ("2,0,1.0,2.0\n", "domain ids must lie in [0, 2)"),
+], ids=["class", "domain"])
+def test_dataset_dump_with_ids_out_of_range_names_file(tmp_path, capsys, rows, message):
+    code, data = dump_embeddings_of(tmp_path, rows)
+    assert code == 1
+    assert f"error: {data}: {message}" in capsys.readouterr().err
+    with pytest.raises(FormatError) as err:
+        read_dataset(data)
+    assert str(err.value) == f"{data}: {message}"
+
+
+def test_dump_embeddings_of_a_dataset_without_rows_names_file(tmp_path, capsys):
+    code, data = dump_embeddings_of(tmp_path, "")
+    assert code == 1
+    assert f"error: {data}: dataset has no rows" in capsys.readouterr().err
+
+
 def test_connectivity_empty_dump_rejected(tmp_path, capsys):
     dump = tmp_path / "empty.txt"
     dump.write_text("# dccl-dump v1 dim=2 classes=1 domains=1\n")
@@ -386,9 +443,13 @@ def test_corrupted_checkpoint_rejected(tmp_path, capsys):
                  "--data", str(data), "--out", str(tmp_path / "x.txt")]) == 1
 
 
-# the last case overrides the earlier encoder_hidden line with a width of 0
+# each case replaces the line of its first key; the third also overrides the
+# earlier encoder_hidden line with a width of 0, and the last two give an
+# array a shape of the right size that its slot does not have
 @pytest.mark.parametrize("new", ["arch.batchnorm = ture", "arch.batchnorm = false",
-                                 "arch.batchnorm = true\narch.encoder_hidden = 0"])
+                                 "arch.batchnorm = true\narch.encoder_hidden = 0",
+                                 "array.param.cls.W.shape = 9,1",
+                                 "array.stat.head.bn.running_mean.shape = 2,2"])
 def test_checkpoint_with_a_wrong_architecture_rejected(tmp_path, capsys, new):
     from dccl.formats import save_checkpoint
     from dccl.nets import Model, ModelSpec
@@ -396,13 +457,19 @@ def test_checkpoint_with_a_wrong_architecture_rejected(tmp_path, capsys, new):
     ckpt = tmp_path / "ckpt.txt"
     spec = ModelSpec(encoder_hidden=(4,), embed_dim=3, head_hidden=4, batchnorm=True)
     save_checkpoint(Model(2, 3, spec, np.random.default_rng(0)), ckpt)
-    ckpt.write_text(ckpt.read_text().replace("arch.batchnorm = true", new))
+    key = new.split(" = ")[0]
+    ckpt.write_text(re.sub(rf"^{re.escape(key)} = .*$", lambda _: new, ckpt.read_text(),
+                           count=1, flags=re.M))
     data, out = tmp_path / "d.txt", tmp_path / "emb.txt"
     assert main(["gen-data", "--per-domain-class", "3", "--out", str(data)]) == 0
     capsys.readouterr()
     assert main(["dump-embeddings", "--checkpoint", str(ckpt),
                  "--data", str(data), "--out", str(out)]) == 1
-    assert f"error: {ckpt}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {ckpt}: " in err
+    if key.startswith("array."):
+        name = key[len("array."):-len(".shape")].split(".", 1)[1]
+        assert f"array {name!r} has shape" in err
     assert not out.exists()
 
 

@@ -182,7 +182,7 @@ def model_step(spec_seed, batchnorm, head, flags, n):
                      batchnorm=batchnorm, with_gen=gt)
     model = Model(3, 3, spec, np.random.default_rng(spec_seed + 1))
     # a rectifier-dead row would have no direction to normalize
-    model.encoder.layers[-1].b = Tensor(0.1 * rng.standard_normal(4))
+    model.parameters()["enc.1.b"].data = 0.1 * rng.standard_normal(4)
     cfg = LossConfig(cdc_enabled=cdc, pma_enabled=pma, gt_enabled=gt,
                      self_contrast_only=not (cdc or pma),
                      anchor_negatives=anchor_negatives, temperature=0.4, gen_weight=0.3,
@@ -202,7 +202,8 @@ def model_step(spec_seed, batchnorm, head, flags, n):
         z2 = model.embed(x2, training=True)
         batch = ContrastBatch(z=z1, labels=labels, domains=domains, z_alt=z2, z_pre=z_pre,
                               positive_assignment=assignment)
-        breakdown = total_loss(batch, model.logits(z1), cfg, gen=model.gen, noise=noise)
+        breakdown = total_loss(batch, model.logits(z1), cfg, gen=model.parameters(),
+                               noise=noise)
     grads = tape.gradients(breakdown.total)
     params = model.parameters()
     return ([breakdown.total.data, breakdown.erm, breakdown.contrast, breakdown.gen]

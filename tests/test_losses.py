@@ -8,9 +8,7 @@ from dccl.autodiff import Tape, Tensor, l2_normalize
 from dccl.losses import (ANCHOR_POSITIVE, ContrastBatch, LossConfig,
                          LossConfigError, erm_loss, gen_loss, infonce_loss,
                          mix_anchor_positives, sample_positives_cdc, total_loss)
-from dccl.nets import GenerativeTransformer
-
-from conftest import max_rel_err, numerical_gradient
+from conftest import generator_tensors, max_rel_err, numerical_gradient
 
 
 def normalize_rows(x):
@@ -240,14 +238,14 @@ def test_mix_bernoulli_frequency():
 # --- generative loss -----------------------------------------------------------
 
 def test_gen_loss_zero_at_prior_matched_perfect_reconstruction():
-    gen = GenerativeTransformer(2)
+    gen = generator_tensors(2)
     z = np.zeros((1, 2))
     loss = gen_loss(gen, Tensor(z), z, np.zeros((1, 2)))
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gen_loss_hand_value():
-    gen = GenerativeTransformer(2)
+    gen = generator_tensors(2)
     z = np.array([[1.0, 0.0]])
     z_pre = np.array([[0.0, 1.0]])
     loss = gen_loss(gen, Tensor(z), z_pre, np.zeros((1, 2)))
@@ -285,7 +283,7 @@ def test_total_equals_erm_when_all_flags_off():
 def test_breakdown_terms_sum_to_total():
     z_raw, z_alt_raw, labels, domains, assignment, z_pre = random_resolved_inputs(
         3, with_anchor=True)
-    gen = GenerativeTransformer(4)
+    gen = generator_tensors(4)
     rng = np.random.default_rng(5)
     logits = Tensor(rng.standard_normal((5, 2)))
     noise = rng.standard_normal((5, 4))

@@ -8,7 +8,7 @@ from dccl.formats import load_checkpoint, save_checkpoint
 from dccl.synthdata import gen_rotated_gaussians
 
 import elementary as el
-from conftest import max_rel_err, numerical_gradient
+from conftest import generator_tensors, max_rel_err, numerical_gradient
 
 
 def small_model(seed=0, with_gen=False, batchnorm=True):
@@ -21,8 +21,7 @@ def bare_model():
     """One identity-initialized affine layer, no projection head."""
     spec = nets.ModelSpec(encoder_hidden=(2,), embed_dim=2, head_hidden=0)
     model = nets.Model(2, 2, spec, np.random.default_rng(0))
-    model.encoder.layers[0].W = Tensor(np.eye(2))
-    model.encoder.layers[0].b = Tensor(np.zeros(2))
+    model.parameters()["enc.0.W"].data = np.eye(2)
     return model
 
 
@@ -34,7 +33,7 @@ def test_embed_normalizes_identity_encoder():
 
 def test_embed_rejects_zero_vector():
     model = bare_model()
-    model.encoder.layers[0].W = Tensor(np.zeros((2, 2)))
+    model.parameters()["enc.0.W"].data = np.zeros((2, 2))
     with pytest.raises(ad.DegenerateInputError):
         model.embed(np.array([3.0, 4.0]))
 
@@ -58,11 +57,11 @@ def test_batchnorm_running_stats_update_only_in_training():
     model = small_model(seed=2)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((8, 2))
-    before = model.head.bn.running_mean.copy()
+    before = model.stats()["head.bn.running_mean"].copy()
     model.embed(x, training=False)
-    assert np.array_equal(model.head.bn.running_mean, before)
+    assert np.array_equal(model.stats()["head.bn.running_mean"], before)
     model.embed(x, training=True)
-    assert not np.array_equal(model.head.bn.running_mean, before)
+    assert not np.array_equal(model.stats()["head.bn.running_mean"], before)
 
 
 def kl_only(gen, z):
@@ -72,7 +71,7 @@ def kl_only(gen, z):
 
 
 def test_transform_kl_hand_values():
-    gen = nets.GenerativeTransformer(2)
+    gen = generator_tensors(2)
     # posterior mean 0, sigma 1, no noise: standard normal vs the prior
     assert kl_only(gen, np.zeros((1, 2))) == pytest.approx(0.0, abs=1e-12)
     # z = (1, 0): kl = 0.5 * (1 + 1 - 1 - 0 + 1 + 0 - 1 - 0) = 0.5
@@ -80,7 +79,7 @@ def test_transform_kl_hand_values():
 
 
 def test_transform_identity_decoder_reconstructs():
-    gen = nets.GenerativeTransformer(3)
+    gen = generator_tensors(3)
     z = np.array([[0.2, -0.4, 0.9]])
     # sigma 1: the KL is 0.5 * |z|^2, so a loss of exactly that leaves no
     # room for a reconstruction error
@@ -88,26 +87,26 @@ def test_transform_identity_decoder_reconstructs():
 
 
 def test_transform_rejects_noise_shape_mismatch():
-    gen = nets.GenerativeTransformer(3)
+    gen = generator_tensors(3)
     with pytest.raises(ad.ShapeError):
         losses.gen_loss(gen, Tensor(np.zeros((2, 3))), np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 def test_kl_nonnegative_and_zero_only_at_prior(rng):
-    gen = nets.GenerativeTransformer(4)
+    gen = generator_tensors(4)
     for _ in range(50):
-        gen.std_bias = Tensor(rng.uniform(-1.0, 2.0, 4))
+        gen["gen.std_bias"] = Tensor(rng.uniform(-1.0, 2.0, 4))
         z = rng.standard_normal((3, 4))
         for row in z:
             assert kl_only(gen, row[None, :]) >= -1e-12
-    gen.std_bias = Tensor(np.full(4, nets.SOFTPLUS_INV_ONE))
+    gen["gen.std_bias"] = Tensor(np.full(4, nets.SOFTPLUS_INV_ONE))
     assert kl_only(gen, np.zeros((1, 4))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transform_gradient_matches_fd():
-    gen = nets.GenerativeTransformer(3)
+    gen = generator_tensors(3)
     rng = np.random.default_rng(9)
-    gen.std_bias = Tensor(rng.uniform(-0.5, 0.5, 3))
+    gen["gen.std_bias"] = Tensor(rng.uniform(-0.5, 0.5, 3))
     z_data = rng.standard_normal((4, 3))
     target = rng.standard_normal((4, 3))
 
@@ -116,14 +115,14 @@ def test_transform_gradient_matches_fd():
 
     with Tape() as tape:
         z = tape.watch(Tensor(z_data))
-        tape.watch(gen.std_bias)
+        tape.watch(gen["gen.std_bias"])
         loss = losses.gen_loss(gen, z, target, np.zeros((4, 3)))
     grads = tape.gradients(loss)
 
     fd_z = numerical_gradient(loss_value, z_data)
     assert max_rel_err(grads[z.node_id], fd_z) <= 1e-4
-    fd_bias = numerical_gradient(loss_value, gen.std_bias.data)
-    assert max_rel_err(grads[gen.std_bias.node_id], fd_bias) <= 1e-4
+    fd_bias = numerical_gradient(loss_value, gen["gen.std_bias"].data)
+    assert max_rel_err(grads[gen["gen.std_bias"].node_id], fd_bias) <= 1e-4
 
 
 # --- anchors -----------------------------------------------------------------
@@ -181,7 +180,7 @@ def test_anchor_checksum_survives_unrelated_training(pooled_dataset, anchor):
 
     with Tape() as tape:
         model.watch(tape)
-        logits = model.forward_logits(pooled_dataset.X[:8, :2], training=True)
+        logits = model.logits(model.embed(pooled_dataset.X[:8, :2], training=True))
         loss = erm_loss(logits, np.zeros(8, dtype=int))
     Adam().step(model.parameters(), tape.gradients(loss))
     assert anchor.checksum() == checksum

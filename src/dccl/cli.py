@@ -47,6 +47,11 @@ def _int_at_least(low):
     return parse
 
 
+def _flag(key):
+    """The `gen-data` flag of a dataset key."""
+    return "--" + key.replace("_", "-")
+
+
 def build_parser():
     parser = _Parser(prog="dccl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True,
@@ -62,7 +67,7 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="write a dataset dump")
     for key, f in options.option_fields(DatasetSpec):
-        p.add_argument("--" + key.replace("_", "-"), type=options.parser(f),
+        p.add_argument(_flag(key), type=options.parser(f),
                        choices=f.metadata["choices"], default=f.default, help=f.metadata["help"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
@@ -114,8 +119,10 @@ def cmd_toy(args):
 
 
 def cmd_gen_data(args):
-    ds = DatasetSpec(**{f.name: getattr(args, key)
-                        for key, f in options.option_fields(DatasetSpec)}).build()
+    spec = DatasetSpec(**{f.name: getattr(args, key)
+                          for key, f in options.option_fields(DatasetSpec)})
+    spec.validate(name=_flag)
+    ds = spec.build()
     write_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples ({ds.n_domains} domains, {ds.n_classes} classes) "
           f"to {args.out}")

@@ -65,9 +65,10 @@ def write_dataset(dataset, path):
                  zip(dataset.domains.tolist(), dataset.labels.tolist()), dataset.X)
 
 
-def _read_table(path, magic, what, keys, n_ids):
+def _read_table(path, magic, what, keys, n_ids, ranges=()):
     """Read a line table: a `magic` header line of `k=v` fields, then one
-    row per line of n_ids integer ids and `dim` finite coordinates.
+    row per line of n_ids integer ids and `dim` finite coordinates.  Each
+    (column, name, key) of `ranges` keeps that id column in [0, header[key]).
 
     Returns the header fields, the integer header values named by `keys`,
     an (N, n_ids) id array and an (N, dim) coordinate array.
@@ -99,6 +100,12 @@ def _read_table(path, magic, what, keys, n_ids):
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise FormatError(f"{path}:{body[int(np.argmin(finite))][0]}: non-finite coordinate")
+    for column, name, key in ranges:
+        bad = (ids[:, column] < 0) | (ids[:, column] >= ints[key])
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise FormatError(f"{path}:{body[row][0]}: {name} id {ids[row, column]} "
+                              f"outside [0, {ints[key]})")
     return header, ints, ids, X
 
 
@@ -128,7 +135,8 @@ def write_embeddings(records, path, n_classes, n_domains):
 
 def read_embeddings(path):
     _, meta, ids, X = _read_table(path, DUMP_MAGIC, "embedding dump",
-                                  ("dim", "classes", "domains"), n_ids=3)
+                                  ("dim", "classes", "domains"), n_ids=3,
+                                  ranges=((1, "domain", "domains"), (2, "class", "classes")))
     if not len(X):
         raise FormatError(f"{path}: dump has no records")
     records = [

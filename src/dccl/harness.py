@@ -54,15 +54,16 @@ class DatasetSpec:
             return gen_example31_both(self.n_per_class, seed=self.seed)
         raise ValueError(f"unknown dataset kind {self.kind!r}")
 
-    def validate(self):
-        """Raise unless `build` takes this spec; the message names the config key."""
+    def validate(self, name="dataset.{}".format):
+        """Raise unless `build` takes this spec; the message names the
+        value as `name` spells its key (by default, its config key)."""
         if self.seed < 0:
-            raise ValueError(f"dataset.seed must be at least 0, got {self.seed}")
+            raise ValueError(f"{name('seed')} must be at least 0, got {self.seed}")
         if self.kind == "example31":
-            check_example31(self.n_per_class, "dataset.")
+            check_example31(self.n_per_class, name)
         else:
             check_rotated_gaussians(self.n_domains, self.n_classes, self.n_per_domain_class,
-                                    self.class_separation, self.noise_std, "dataset.")
+                                    self.class_separation, self.noise_std, name)
 
     @property
     def domain_count(self):

@@ -79,11 +79,11 @@ def sgn(values):
 
 # --- the two-domain toy family -------------------------------------------
 
-def check_example31(n_per_class, prefix=""):
+def check_example31(n_per_class, name=str):
     """Raise unless `gen_example31` takes this class size; the message
-    names it by its dataset key after `prefix`."""
+    names it as `name` spells its dataset key."""
     if not n_per_class >= 1:
-        raise ValueError(f"{prefix}n_per_class must be at least 1, got {n_per_class}")
+        raise ValueError(f"{name('n_per_class')} must be at least 1, got {n_per_class}")
 
 
 def gen_example31(n_per_class, domain, seed=0):
@@ -160,9 +160,9 @@ def toy_map_accuracy(kind, dataset):
 # --- rotated-Gaussian benchmark -------------------------------------------
 
 def check_rotated_gaussians(n_domains, n_classes, n_per_domain_class, class_separation,
-                            noise_std, prefix=""):
+                            noise_std, name=str):
     """Raise unless `gen_rotated_gaussians` takes these arguments; the
-    message names each by its dataset key after `prefix`."""
+    message names each as `name` spells its dataset key."""
     for key, value, ok, need in (
             ("domains", n_domains, n_domains >= 2, "at least 2"),
             ("classes", n_classes, n_classes >= 2, "at least 2"),
@@ -170,7 +170,7 @@ def check_rotated_gaussians(n_domains, n_classes, n_per_domain_class, class_sepa
             ("class_separation", class_separation, class_separation > 0, "positive"),
             ("noise_std", noise_std, noise_std >= 0, "nonnegative")):
         if not ok:
-            raise ValueError(f"{prefix}{key} must be {need}, got {value}")
+            raise ValueError(f"{name(key)} must be {need}, got {value}")
 
 
 def gen_rotated_gaussians(n_domains, n_classes, n_per_domain_class,

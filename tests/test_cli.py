@@ -271,6 +271,18 @@ def test_non_finite_gen_data_flag_writes_nothing(tmp_path, capsys, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["--per-domain-class", "0"], "--per-domain-class must be at least 1, got 0"),
+    (["--kind", "example31", "--n-per-class", "0"], "--n-per-class must be at least 1, got 0"),
+], ids=["seed", "per-domain-class", "n-per-class"])
+def test_out_of_range_gen_data_flag_named_and_nothing_written(tmp_path, capsys, flags, message):
+    out = tmp_path / "data.txt"
+    assert main(["gen-data", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_with_diverging_anchor_is_runtime_failure(tmp_path, capsys):
     path = write_config(tmp_path, "loss.pma = true\nanchor.lr = 1e200\n")
     with np.errstate(all="ignore"):
@@ -362,6 +374,23 @@ def test_connectivity_non_finite_dump_names_line(tmp_path, capsys, bad):
                     f"0,0,0,1.0,2.0\n1,0,0,0.5,0.5\n2,0,0,{bad},1.0\n3,0,0,0.0,1.0\n")
     assert main(["connectivity", "--dump", str(dump)]) == 1
     assert f"{dump}:4: non-finite coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2,0,7,1.0,2.0", "class id 7 outside [0, 3)"),
+    ("2,0,-1,1.0,2.0", "class id -1 outside [0, 3)"),
+    ("2,2,0,1.0,2.0", "domain id 2 outside [0, 2)"),
+], ids=["class", "negative-class", "domain"])
+def test_connectivity_dump_with_ids_out_of_range_names_line(tmp_path, capsys, row, message):
+    dump, out = tmp_path / "bad.txt", tmp_path / "report.txt"
+    dump.write_text("# dccl-dump v1 dim=2 classes=3 domains=2\n"
+                    f"0,0,0,1.0,2.0\n1,1,0,0.5,0.5\n\n{row}\n")
+    assert main(["connectivity", "--dump", str(dump), "--out", str(out)]) == 1
+    assert f"error: {dump}:5: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(FormatError) as err:
+        read_embeddings(dump)
+    assert str(err.value) == f"{dump}:5: {message}"
 
 
 def test_dataset_dump_with_non_finite_coordinate_rejected(tmp_path):

@@ -30,6 +30,18 @@ def point_sets(draw, elements):
     return pts
 
 
+@st.composite
+def collinear_sets(draw):
+    """k x d points on one line at integer steps, so that equal steps tie
+    edges and equal positions duplicate points."""
+    k = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 12))
+    steps = np.array(draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k)), dtype=float)
+    base = draw(hnp.arrays(np.float64, d, elements=st.integers(-8, 8).map(lambda v: v / 4.0)))
+    direction = draw(hnp.arrays(np.float64, d, elements=st.sampled_from([-1.0, 0.5, 1.0, 2.0])))
+    return base + steps[:, None] * direction
+
+
 def records_from(vectors, class_ids, domain_ids=None):
     vectors = np.asarray(vectors, dtype=np.float64)
     domain_ids = domain_ids if domain_ids is not None else [0] * len(vectors)
@@ -146,6 +158,81 @@ def test_pairwise_stats_keeps_one_condensed_vector():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * condensed, f"peaked at {peak / condensed:.2f} condensed vectors"
+
+
+def score_of(pts):
+    row = cn._score_group(0, None, pts)
+    return row.tau, row.mu, row.sigma
+
+
+def assert_one_fill_same_bits(pts):
+    mu, sigma, _ = cn.pairwise_stats(pts)
+    assert score_of(pts) == (cn.connecting_threshold(pts), mu, sigma)
+    mu, sigma, _ = dense_pairwise_stats(pts)
+    assert score_of(pts) == (dense_threshold(pts), mu, sigma)
+
+
+@pytest.mark.parametrize("k", [2, 3, 17, 300, 2000])
+def test_one_fill_gives_the_standalone_and_dense_bits(k):
+    assert_one_fill_same_bits(np.random.default_rng(k).standard_normal((k, 16)))
+
+
+@PROPERTY
+@given(st.one_of(point_sets(st.integers(-20, 20).map(lambda v: v / 4.0)), collinear_sets()))
+@example(np.array([[0.0], [1.0], [2.0], [3.0]]))
+@example(np.zeros((4, 2)))
+def test_one_fill_gives_the_standalone_bits_on_ties(pts):
+    assert_one_fill_same_bits(pts)
+
+
+def test_one_distance_row_per_point_but_the_last(rng, monkeypatch):
+    counted = []
+    distances = cn._distances
+
+    def counting(point, others, buf, out):
+        counted.append(len(others))
+        return distances(point, others, buf, out)
+
+    monkeypatch.setattr(cn, "_distances", counting)
+    sizes = {0: 40, 1: 1, 2: 25}
+    classes = [c for c, n in sizes.items() for _ in range(n)]
+    cn.connectivity_report(records_from(rng.standard_normal((len(classes), 3)), classes))
+    assert len(counted) == sum(n - 1 for n in sizes.values() if n >= 2)
+    assert sum(counted) == sum(n * (n - 1) // 2 for n in sizes.values())
+
+
+def test_one_fill_keeps_one_condensed_vector():
+    k, d = 2000, 16
+    pts = np.random.default_rng(2).standard_normal((k, d))
+    condensed = k * (k - 1) // 2 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cn._score_group(0, None, pts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * condensed, f"peaked at {peak / condensed:.2f} condensed vectors"
+
+
+@pytest.mark.parametrize("mode", ["pooled", "per-domain"])
+def test_report_calls_each_gauge_point_once_per_group(rng, monkeypatch, mode):
+    """perfbench's speed gauge polls before `cn.pairwise_stats` and
+    `cn.connecting_threshold`, and its tracer times them, so a report must
+    call both through the module, once per group of 2 or more points."""
+    calls = []
+    for name in ("pairwise_stats", "connecting_threshold"):
+        def counting(points, *args, name=name, kernel=getattr(cn, name)):
+            calls.append((name, len(points)))
+            return kernel(points, *args)
+        monkeypatch.setattr(cn, name, counting)
+    classes = [0] * 7 + [1] + [2] * 5
+    domains = [0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1]
+    report = cn.connectivity_report(
+        records_from(rng.standard_normal((len(classes), 2)), classes, domains), mode=mode)
+    scored = [row.count for row in report.rows if row.count >= 2]
+    for name in ("pairwise_stats", "connecting_threshold"):
+        assert [n for called, n in calls if called == name] == scored
 
 
 def test_score_invariant_under_isometry_and_scale(rng):

@@ -323,6 +323,24 @@ def test_loo_summary_table(tmp_path, capsys):
     assert (tmp_path / "runs" / "micro" / "loo" / "summary.csv").read_text() == csv_text
 
 
+def test_loo_runs_the_same_cells_as_ablate(tmp_path, capsys):
+    # the config's loss flags are those of the grid's `full` row
+    full = ("loss.cdc = true\nloss.pma = true\nloss.gt = true\n"
+            "loss.aggressive_augmentation = true\nseeds = 0,1\noptim.steps = 20\n")
+    assert main(["loo", "--config", str(write_config(tmp_path, full))]) == 0
+    grid_config = write_config(tmp_path, full + "experiment = grid\n")
+    assert main(["ablate", "--config", str(grid_config), "--workers", "2"]) == 0
+    loo_dir, grid_dir = tmp_path / "runs" / "micro" / "loo", tmp_path / "runs" / "grid" / "full"
+    for seed in (0, 1):
+        for m in range(3):
+            run = Path(f"seed{seed}") / f"holdout{m}"
+            names = sorted(p.name for p in (loo_dir / run).iterdir())
+            assert names == ["checkpoint.txt", "losses.csv", "result.csv"]
+            assert names == sorted(p.name for p in (grid_dir / run).iterdir())
+            for name in names:
+                assert (loo_dir / run / name).read_bytes() == (grid_dir / run / name).read_bytes()
+
+
 def test_dump_and_connectivity_pipeline(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["train", "--config", str(config)]) == 0

@@ -1,9 +1,10 @@
-"""Golden SHA-256 hashes of the artifacts of four small CLI runs.
+"""Golden SHA-256 hashes of the artifacts of five small CLI runs.
 
 A change that keeps these hashes keeps every output byte: the training
 curve, the selected checkpoint, the config snapshot (which also pins all
-config key names and defaults), the ablation summary, the grid anchor,
-and embedding dumps of the trained model and of the grid anchor.  The
+config key names and defaults), the leave-one-domain-out table and run
+directories, the ablation summary, the grid anchor, and embedding dumps
+of the trained model and of the grid anchor.  The
 initial-model pins fix the draws and the array order of a freshly built
 `Model`, with and without the head and the generator.  A change that
 moves them on purpose must say why and replace the hashes.
@@ -64,6 +65,13 @@ model.batchnorm = false
 
 ABLATE = MICRO + "optim.steps = 40\n"
 
+LOO = ABLATE + """\
+loss.cdc = true
+loss.pma = true
+loss.gt = true
+loss.aggressive_augmentation = true
+"""
+
 TRAIN_HASHES = {
     "losses.csv":
         "1ad1a6086fb77b6ed0dcfaa026a942793772b7c7fb28b2a99830bb5c756cf081",
@@ -89,6 +97,34 @@ ABLATE_HASHES = {
         "bbb785d926d45c9ec138267bebbed037c4ca7804f2c4c35c125c8eecf3421995",
     "anchors/anchor_seed0.txt":
         "3fc97bb763750ad7d4b0e1ceb6620a61c08a0ae5c84f5f5a34fc483db18689c2",
+}
+
+LOO_STDOUT_HASH = "b797850487bdc43313e72e0d8d3c91ddb9dd35c721b67e6757bfdc4eed179973"
+
+# relative to runs/golden/loo
+LOO_HASHES = {
+    "summary.csv":
+        "35ea79422488e85de121a570a346636d50e1ed6c88282566046bb7c0cce5a047",
+    "seed0/config.txt":
+        "ea9e35ae02883b39eb9e104a79c4e9217c75f5e327fc9e50986128577fda8086",
+    "seed0/holdout0/losses.csv":
+        "20667a17e62d5bcd88212c655841d25e82fa8bfb089edee1f4292c2414478b45",
+    "seed0/holdout0/result.csv":
+        "6e445efc6efbd088dc30b975948be8aa27d99f276bfd121839f02e6430d22176",
+    "seed0/holdout0/checkpoint.txt":
+        "3cfc71181e5911519fb85ee4e827d92322619b65d4d345f440e6bb56f611038f",
+    "seed0/holdout1/losses.csv":
+        "e7f3cb25967d90881c4e15b06e79d5c50fbcc40a6053abbe78fb16588725519f",
+    "seed0/holdout1/result.csv":
+        "03e384109af6e057e373c847c381e247706aa473ed98985651f11ecab547d707",
+    "seed0/holdout1/checkpoint.txt":
+        "ff59b7d1d67666f7be9f0a390860242f87fc687969ddc5d179c8a36138d4b048",
+    "seed0/holdout2/losses.csv":
+        "325f97e7c755704e38c8194eff8f208aacf535ad9415fba5120ad45e12aefd40",
+    "seed0/holdout2/result.csv":
+        "d67cb1ab8f0449025bcff198dd86004614812a2583332d73728bf68cb62855c6",
+    "seed0/holdout2/checkpoint.txt":
+        "4564388526003258f0a2b25e3b4253ac7fc11affe4233d261d3e1de55e117db4",
 }
 
 DUMP_HASH = "03a6fc399f3896f401b6f7a3083d3aa7ded5a56cbcd0604c6f48156cc59ecf80"
@@ -164,6 +200,15 @@ def test_ablate_hashes(workdir, capsys):
     assert main(["dump-embeddings", "--checkpoint", str(anchor),
                  "--data", "data.txt", "--out", "anchor_emb.txt"]) == 0
     assert sha256(workdir / "anchor_emb.txt") == ANCHOR_DUMP_HASH
+
+
+def test_loo_hashes(workdir, capsys):
+    (workdir / "loo.cfg").write_text(LOO)
+    assert main(["loo", "--config", "loo.cfg"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == LOO_STDOUT_HASH
+    loo_dir = workdir / "runs" / "golden" / "loo"
+    assert {name: sha256(loo_dir / name) for name in LOO_HASHES} == LOO_HASHES
 
 
 @pytest.mark.parametrize("spec, checksum, param_names, stat_names", INITIAL_MODELS)

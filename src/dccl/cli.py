@@ -13,17 +13,15 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import options
 from .autodiff import DegenerateInputError
 from .config import ConfigError, config_snapshot, experiment_config, load_config
 from .connectivity import connectivity_report
 from .formats import (FormatError, load_checkpoint, read_dataset, read_embeddings,
                       write_dataset, write_embeddings, write_text)
-from .harness import (DEFAULT_ROWS, DatasetSpec, TrainingDiverged, ablation_grid,
-                      collect_embeddings, leave_one_out, train)
-from .options import fmt
+from .harness import (DEFAULT_ROWS, AblationRow, DatasetSpec, TrainingDiverged, ablation_grid,
+                      collect_embeddings, train)
+from .options import fmt, fmt_or_undefined
 from .synthdata import gen_example31_both, toy_map_accuracy
 
 
@@ -151,21 +149,20 @@ def cmd_train(args):
 def cmd_loo(args):
     values = load_config(args.config)
     exp_dir = _experiment_dir(values)
+    seeds = values["seeds"]
     # every seed's config is checked before the first run writes anything
-    cfgs = [experiment_config(values, seed=seed) for seed in values["seeds"]]
-    accs = {}
-    for seed, cfg in zip(values["seeds"], cfgs):
+    cfg, *_ = [experiment_config(values, seed=seed) for seed in seeds]
+    for seed in seeds:
         run_dir = exp_dir / "loo" / f"seed{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         write_text(run_dir / "config.txt", config_snapshot(values))
-        accs[seed] = leave_one_out(cfg, run_dir=run_dir)
-    seeds = list(values["seeds"])
-    cells = []
-    for m in range(len(accs[seeds[0]].runs)):
-        row = [accs[s].accuracy_by_holdout()[m] for s in seeds]
-        cells.append((str(m), row + [float(np.mean(row))]))
-    averages = [accs[s].average for s in seeds]
-    cells.append(("avg", averages + [float(np.mean(averages))]))
+    # a grid of one row, the config's own loss toggles
+    grid = ablation_grid(cfg, rows=(AblationRow.of_loss("loo", "loo", cfg.loss),),
+                         seeds=seeds, out_dir=exp_dir)
+    loo = grid.results["loo"]
+    cells = [(str(m), [loo[s].accuracy_by_holdout()[m] for s in seeds]
+              + [grid.row_domain_mean("loo", m)]) for m in range(grid.n_domains)]
+    cells.append(("avg", [loo[s].average for s in seeds] + [grid.row_mean("loo")]))
 
     header = ["holdout"] + [f"seed{s}" for s in seeds] + ["mean"]
     aligned = ["  ".join(h.ljust(10) for h in header).rstrip()]
@@ -189,6 +186,8 @@ def cmd_ablate(args):
     write_text(exp_dir / "config.txt", config_snapshot(values))
     grid = ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=values["seeds"],
                          workers=args.workers, out_dir=exp_dir)
+    write_text(exp_dir / "summary.csv", grid.table_csv())
+    write_text(exp_dir / "summary.txt", grid.table_text())
     print(grid.table_text(), end="")
     print(grid.table_csv(), end="")
     return 0
@@ -197,7 +196,6 @@ def cmd_ablate(args):
 def cmd_connectivity(args):
     records, _meta = read_embeddings(args.dump)
     report = connectivity_report(records, mode=args.mode)
-    opt = lambda v: fmt(v) if v is not None else "undefined"
     lines, csv = [f"mode: {report.mode}"], ["class,domain,count,tau,mu,sigma,score"]
     for row in report.rows:
         domain = "all" if row.domain_id is None else str(row.domain_id)
@@ -205,9 +203,10 @@ def cmd_connectivity(args):
         lines.append(f"{head} tau={fmt(row.tau)} mu={fmt(row.mu)} sigma={fmt(row.sigma)} "
                      f"score={fmt(row.score)}" if row.defined else f"{head} undefined")
         csv.append(",".join([str(row.class_id), domain, str(row.count),
-                             *map(opt, (row.tau, row.mu, row.sigma, row.score))]))
-    lines += [f"mean score: {opt(report.mean_score)}", f"max score: {opt(report.max_score)}",
-              "", *csv, f"mean,,,,,,{opt(report.mean_score)}", f"max,,,,,,{opt(report.max_score)}"]
+                             *map(fmt_or_undefined, (row.tau, row.mu, row.sigma, row.score))]))
+    mean, top = fmt_or_undefined(report.mean_score), fmt_or_undefined(report.max_score)
+    lines += [f"mean score: {mean}", f"max score: {top}",
+              "", *csv, f"mean,,,,,,{mean}", f"max,,,,,,{top}"]
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:

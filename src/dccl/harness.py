@@ -1,4 +1,4 @@
-"""Training loop, leave-one-domain-out protocol, and the ablation grid.
+"""Training loop and the ablation grid, the one leave-one-domain-out runner.
 
 Every run is a pure function of (config, seed): random streams for
 initialization, splitting, batching, augmentation, positive sampling and
@@ -24,7 +24,7 @@ from .losses import ContrastBatch, LossConfig, resolve_positives, total_loss
 from .nets import (AnchorConfig, Model, ModelSpec, TrainingDiverged, build_anchor,
                    dataset_hash)
 from .optim import Adam
-from .options import fmt, option
+from .options import fmt, fmt_or_undefined, option
 from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment, check_batch_size,
                         check_example31, check_intensity, check_rotated_gaussians,
                         gen_example31_both, gen_rotated_gaussians, make_batches)
@@ -170,8 +170,8 @@ class RunResult:
             ("test_accuracy", fmt(self.test_accuracy)),
             ("best_val_accuracy", fmt(self.best_val_accuracy)),
             ("selected_step", str(self.selected_step)),
-            ("connectivity_init", fmt(self.connectivity_init)),
-            ("connectivity_selected", fmt(self.connectivity_selected)),
+            ("connectivity_init", fmt_or_undefined(self.connectivity_init)),
+            ("connectivity_selected", fmt_or_undefined(self.connectivity_selected)),
             ("n_train", str(self.n_train)),
             ("n_val", str(self.n_val)),
         ]
@@ -370,25 +370,6 @@ class LooResult:
         return {r.holdout: r.test_accuracy for r in self.runs}
 
 
-def _loo_domain_count(cfg):
-    n_domains = cfg.dataset.domain_count
-    if n_domains < 2:
-        raise ValueError("leave-one-domain-out needs at least 2 domains")
-    return n_domains
-
-
-def leave_one_out(cfg, anchor=None, run_dir=None):
-    """One run per held-out domain; the average accuracy is the headline."""
-    n_domains = _loo_domain_count(cfg)
-    if cfg.needs_anchor and anchor is None:
-        anchor = build_run_anchor(cfg, cfg.dataset.build())
-    runs = []
-    for m in range(n_domains):
-        sub_dir = None if run_dir is None else Path(run_dir) / f"holdout{m}"
-        runs.append(train(replace(cfg, holdout=m), anchor=anchor, run_dir=sub_dir))
-    return LooResult(runs=runs)
-
-
 @dataclass(frozen=True)
 class AblationRow:
     name: str
@@ -404,6 +385,13 @@ class AblationRow:
                        gt_enabled=self.gt, self_contrast_only=self.self_contrast,
                        aggressive_augmentation=self.aggressive)
         return replace(cfg, loss=loss)
+
+    @classmethod
+    def of_loss(cls, name, label, loss):
+        """The row of `loss`'s own toggles, which `apply` leaves as they are."""
+        return cls(name, label, cdc=loss.cdc_enabled, pma=loss.pma_enabled, gt=loss.gt_enabled,
+                   self_contrast=loss.self_contrast_only,
+                   aggressive=loss.aggressive_augmentation)
 
 
 DEFAULT_ROWS = (
@@ -472,15 +460,19 @@ def _grid_job(cfg, anchor, run_dir):
 
 
 def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=None):
-    """Leave-one-domain-out average for every ablation row and seed.
+    """Leave-one-domain-out average for every ablation row and seed; the
+    one runner of many holdouts (`dccl loo` is a grid of one row).
 
     Runs are mutually independent; `workers` > 1 executes them in
     separate processes, one run per job.  Anchors are built once per seed,
     checkpointed under out_dir when given, and shared by every row of that
     seed; each seed's initial connectivity is scored once, before the pool
-    starts, so forked workers inherit it.
+    starts, so forked workers inherit it.  Under out_dir the grid writes
+    `<row>/seed<s>/holdout<m>/` run directories and `anchors/`, nothing else.
     """
-    n_domains = _loo_domain_count(cfg)
+    n_domains = cfg.dataset.domain_count
+    if n_domains < 2:
+        raise ValueError("leave-one-domain-out needs at least 2 domains")
     out_root = None if out_dir is None else Path(out_dir)
     anchors = {}
     if any(row.apply(cfg).needs_anchor for row in rows):
@@ -521,10 +513,5 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
                    for seed in seeds}
         for row in rows
     }
-    grid = GridResult(rows=tuple(rows), seeds=tuple(seeds), n_domains=n_domains,
+    return GridResult(rows=tuple(rows), seeds=tuple(seeds), n_domains=n_domains,
                       results=results)
-    if out_root is not None:
-        out_root.mkdir(parents=True, exist_ok=True)
-        formats.write_text(out_root / "summary.csv", grid.table_csv())
-        formats.write_text(out_root / "summary.txt", grid.table_text())
-    return grid

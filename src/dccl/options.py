@@ -81,6 +81,12 @@ def fmt(x):
     return f"{float(x):.17g}"
 
 
+def fmt_or_undefined(x):
+    """`fmt` of a value that may be None, as a connectivity score is when
+    no group defines one; None is written `undefined`."""
+    return "undefined" if x is None else fmt(x)
+
+
 def render(value):
     """The text form of a field value, which `parser` reads back."""
     if isinstance(value, tuple):

@@ -309,6 +309,18 @@ def test_ablate_divergence_in_a_worker_is_runtime_failure(tmp_path, capsys):
     assert "runtime failure: non-finite loss" in capsys.readouterr().err
 
 
+def test_collapsed_embeddings_write_undefined_connectivity(tmp_path, capsys):
+    # jitter this large maps every sample to one embedding, so no class has
+    # a connectivity score
+    path = write_config(tmp_path, "augment.standard_intensity = 1e300\noptim.steps = 6\n")
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    result = tmp_path / "runs" / "micro" / "train" / "seed0" / "result.csv"
+    assert "connectivity_selected,undefined" in out.splitlines()
+    assert "connectivity_selected,undefined" in result.read_text().splitlines()
+
+
 def test_loo_summary_table(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["loo", "--config", str(path)]) == 0
@@ -339,6 +351,9 @@ def test_loo_runs_the_same_cells_as_ablate(tmp_path, capsys):
             assert names == sorted(p.name for p in (grid_dir / run).iterdir())
             for name in names:
                 assert (loo_dir / run / name).read_bytes() == (grid_dir / run / name).read_bytes()
+    for seed in (0, 1):
+        anchor = Path("anchors") / f"anchor_seed{seed}.txt"
+        assert (loo_dir.parent / anchor).read_bytes() == (grid_dir.parent / anchor).read_bytes()
 
 
 def test_dump_and_connectivity_pipeline(tmp_path, capsys):

@@ -11,9 +11,17 @@ moves them on purpose must say why and replace the hashes.
 
 The runs are small enough to check in a few seconds, so refactors can
 use `python -m pytest -m "not slow"` as their inner loop.
+
+The hashes of trained runs hold for the FMA kernels of OpenBLAS
+(SkylakeX, Haswell), which numpy picks at run time; older kernels give
+other matrix-product bits, so each failure message names the kernel in
+use.
 """
 
+import ctypes
+import functools
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +165,24 @@ INITIAL_MODELS = [
 ]
 
 
+@functools.cache
+def blas_kernel():
+    """The kernel that numpy's bundled OpenBLAS picked at run time, or
+    `unknown` when numpy carries no such library."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return "unknown"
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def kernel_note():
+    return (f"numpy's OpenBLAS runs its {blas_kernel()} kernel here; the hashes of "
+            "trained runs hold for its FMA kernels (SkylakeX, Haswell) only")
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -172,48 +198,53 @@ def test_train_and_dump_hashes(workdir, capsys):
     (workdir / "train.cfg").write_text(TRAIN)
     assert main(["train", "--config", "train.cfg"]) == 0
     run_dir = workdir / "runs" / "golden" / "train" / "seed0"
-    assert {name: sha256(run_dir / name) for name in TRAIN_HASHES} == TRAIN_HASHES
+    assert {name: sha256(run_dir / name) for name in TRAIN_HASHES} == TRAIN_HASHES, kernel_note()
 
     assert main(["gen-data", "--domains", "3", "--classes", "2",
                  "--per-domain-class", "8", "--out", "data.txt"]) == 0
     assert main(["dump-embeddings", "--checkpoint", str(run_dir / "checkpoint.txt"),
                  "--data", "data.txt", "--out", "emb.txt"]) == 0
-    assert sha256(workdir / "emb.txt") == DUMP_HASH
+    assert sha256(workdir / "emb.txt") == DUMP_HASH, kernel_note()
 
 
 def test_variant_train_hashes(workdir, capsys):
     (workdir / "variant.cfg").write_text(VARIANT)
     assert main(["train", "--config", "variant.cfg"]) == 0
     run_dir = workdir / "runs" / "golden" / "train" / "seed0"
-    assert {name: sha256(run_dir / name) for name in VARIANT_HASHES} == VARIANT_HASHES
+    assert ({name: sha256(run_dir / name) for name in VARIANT_HASHES}
+            == VARIANT_HASHES), kernel_note()
 
 
 def test_ablate_hashes(workdir, capsys):
     (workdir / "ablate.cfg").write_text(ABLATE)
     assert main(["ablate", "--config", "ablate.cfg", "--workers", "2"]) == 0
     grid_dir = workdir / "runs" / "golden"
-    assert {name: sha256(grid_dir / name) for name in ABLATE_HASHES} == ABLATE_HASHES
+    assert ({name: sha256(grid_dir / name) for name in ABLATE_HASHES}
+            == ABLATE_HASHES), kernel_note()
 
     assert main(["gen-data", "--domains", "3", "--classes", "2",
                  "--per-domain-class", "8", "--out", "data.txt"]) == 0
     anchor = grid_dir / "anchors" / "anchor_seed0.txt"
     assert main(["dump-embeddings", "--checkpoint", str(anchor),
                  "--data", "data.txt", "--out", "anchor_emb.txt"]) == 0
-    assert sha256(workdir / "anchor_emb.txt") == ANCHOR_DUMP_HASH
+    assert sha256(workdir / "anchor_emb.txt") == ANCHOR_DUMP_HASH, kernel_note()
 
 
 def test_loo_hashes(workdir, capsys):
     (workdir / "loo.cfg").write_text(LOO)
     assert main(["loo", "--config", "loo.cfg"]) == 0
     stdout = capsys.readouterr().out
-    assert hashlib.sha256(stdout.encode()).hexdigest() == LOO_STDOUT_HASH
+    assert hashlib.sha256(stdout.encode()).hexdigest() == LOO_STDOUT_HASH, kernel_note()
     loo_dir = workdir / "runs" / "golden" / "loo"
-    assert {name: sha256(loo_dir / name) for name in LOO_HASHES} == LOO_HASHES
+    assert {name: sha256(loo_dir / name) for name in LOO_HASHES} == LOO_HASHES, kernel_note()
+    # the grid's anchor: same data, model and anchor settings as the ablate run
+    anchor = "anchors/anchor_seed0.txt"
+    assert sha256(loo_dir.parent / anchor) == ABLATE_HASHES[anchor], kernel_note()
 
 
 @pytest.mark.parametrize("spec, checksum, param_names, stat_names", INITIAL_MODELS)
 def test_initial_model_hashes(spec, checksum, param_names, stat_names):
     model = Model(2, 3, spec, np.random.default_rng(11))
-    assert model.checksum() == checksum
+    assert model.checksum() == checksum, kernel_note()
     assert list(model.parameters()) == param_names
     assert list(model.stats()) == stat_names

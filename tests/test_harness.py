@@ -7,10 +7,9 @@ import pytest
 from dccl import harness
 from dccl.connectivity import connectivity_report
 from dccl.formats import load_checkpoint
-from dccl.harness import (DEFAULT_ROWS, AnchorConfig, AugmentConfig, DatasetSpec,
-                          ExperimentConfig, OptimConfig, TrainingDiverged,
-                          ablation_grid, build_run_anchor, collect_embeddings,
-                          leave_one_out, train)
+from dccl.harness import (DEFAULT_ROWS, AblationRow, AnchorConfig, AugmentConfig,
+                          DatasetSpec, ExperimentConfig, OptimConfig, TrainingDiverged,
+                          ablation_grid, build_run_anchor, collect_embeddings, train)
 from dccl.losses import LossConfig
 from dccl.nets import Model, ModelSpec
 
@@ -88,8 +87,20 @@ def test_divergence_aborts_with_step():
     assert f"step {err.value.step}" in str(err.value)
 
 
+def loo_runs(cfg):
+    """The runs of cfg's seed in the one-row grid that `dccl loo` runs."""
+    row = AblationRow.of_loss("loo", "loo", cfg.loss)
+    return ablation_grid(cfg, rows=(row,), seeds=(cfg.seed,)).results["loo"][cfg.seed]
+
+
+def test_loss_row_leaves_its_config_unchanged():
+    for base in DEFAULT_ROWS:
+        cfg = base.apply(micro_config(loss=LossConfig(anchor_negatives=True, temperature=0.2)))
+        assert AblationRow.of_loss("loo", "loo", cfg.loss).apply(cfg) == cfg, base.name
+
+
 def test_leave_one_out_protocol():
-    loo = leave_one_out(micro_config())
+    loo = loo_runs(micro_config())
     assert len(loo.runs) == 3
     assert sorted(r.holdout for r in loo.runs) == [0, 1, 2]
     assert loo.average == pytest.approx(np.mean([r.test_accuracy for r in loo.runs]))
@@ -104,7 +115,7 @@ def test_no_shift_transfers_cleanly():
                             noise_std=0.3, seed=1),
         optim=OptimConfig(lr=1e-3, steps=200, batch_size=8, eval_every=40),
     )
-    loo = leave_one_out(cfg)
+    loo = loo_runs(cfg)
     accs = [r.test_accuracy for r in loo.runs]
     assert min(accs) >= 0.97
     assert max(accs) - min(accs) <= 0.02
@@ -176,7 +187,8 @@ def test_anchor_checksum_constant_across_harness_run():
     ds = cfg.dataset.build()
     anchor = build_run_anchor(cfg, ds)
     checksum = anchor.checksum()
-    leave_one_out(cfg, anchor=anchor)
+    for m in range(3):
+        train(replace(cfg, holdout=m), anchor=anchor)
     assert anchor.checksum() == checksum
 
 
@@ -193,8 +205,8 @@ def test_grid_rows_and_worker_equivalence(tmp_path):
                    for p in (tmp_path / "seq").rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(tmp_path / "par")
                            for p in (tmp_path / "par").rglob("*") if p.is_file())
-    # 2 anchors, 2 summaries, and 3 files per run of 3 rows x 2 seeds x 3 holdouts
-    assert len(files) == 2 + 2 + 3 * 18
+    # 2 anchors and 3 files per run of 3 rows x 2 seeds x 3 holdouts
+    assert len(files) == 2 + 3 * 18
     for rel in files:
         assert (tmp_path / "seq" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes(), rel
     for name in ("erm", "pma", "full"):

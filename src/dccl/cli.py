@@ -119,7 +119,7 @@ def cmd_toy(args):
 def cmd_gen_data(args):
     spec = DatasetSpec(**{f.name: getattr(args, key)
                           for key, f in options.option_fields(DatasetSpec)})
-    spec.validate(name=_flag)
+    options.check_ranges(spec, name=_flag)
     ds = spec.build()
     write_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples ({ds.n_domains} domains, {ds.n_classes} classes) "

@@ -4,8 +4,9 @@ The format is deliberately minimal: one assignment per line, `#` lines
 are comments, keys are validated against `SCHEMA` (unknown keys are
 rejected, every key has a default and help text).  `SCHEMA` is derived
 from the three command-level options and the `option` fields of
-`ExperimentConfig` and its blocks, so each default is written once;
-`dccl.options` reads and renders each value.
+`ExperimentConfig` and its blocks, so each default is written once, and
+each range beside it; `dccl.options` reads and renders each value, and
+`ExperimentConfig.validate` checks every range in one walk.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def parse_config_text(text, source="<config>"):
             values[key] = SCHEMA[key].parse(raw_value)
         except ValueError as exc:
             raise ConfigError(f"{key} {exc} ({source}:{lineno})") from None
+    if len(set(values["seeds"])) < len(values["seeds"]):
+        raise ConfigError(f"seeds must be distinct, got {render(values['seeds'])}")
     return values
 
 

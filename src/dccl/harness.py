@@ -24,9 +24,8 @@ from .losses import ContrastBatch, LossConfig, resolve_positives, total_loss
 from .nets import (AnchorConfig, Model, ModelSpec, TrainingDiverged, build_anchor,
                    dataset_hash)
 from .optim import Adam
-from .options import fmt, fmt_or_undefined, option
+from .options import check_ranges, fmt, fmt_or_undefined, option
 from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment, check_batch_size,
-                        check_example31, check_intensity, check_rotated_gaussians,
                         gen_example31_both, gen_rotated_gaussians, make_batches)
 
 
@@ -34,15 +33,16 @@ from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment, check_batc
 class DatasetSpec:
     kind: str = option("rotated_gaussians", "data generator family",
                        choices=("rotated_gaussians", "example31"))
-    n_domains: int = option(4, "number of domains", key="domains")
-    n_classes: int = option(3, "number of classes", key="classes")
+    n_domains: int = option(4, "number of domains", key="domains", within="[2, inf)")
+    n_classes: int = option(3, "number of classes", key="classes", within="[2, inf)")
     n_per_domain_class: int = option(40, "samples per domain per class",
-                                     key="per_domain_class")
+                                     key="per_domain_class", within="[1, inf)")
     rotation_step: float = option(0.5, "per-domain rotation in radians")
-    class_separation: float = option(3.0, "class-mean circle radius")
-    noise_std: float = option(0.3, "isotropic noise level")
-    n_per_class: int = option(128, "toy family: samples per class per domain")
-    seed: int = option(0, "generator seed (fixed across training seeds)")
+    class_separation: float = option(3.0, "class-mean circle radius", within="(0, inf)")
+    noise_std: float = option(0.3, "isotropic noise level", within="[0, inf)")
+    n_per_class: int = option(128, "toy family: samples per class per domain",
+                              within="[1, inf)")
+    seed: int = option(0, "generator seed (fixed across training seeds)", within="[0, inf)")
 
     def build(self):
         if self.kind == "rotated_gaussians":
@@ -54,17 +54,6 @@ class DatasetSpec:
             return gen_example31_both(self.n_per_class, seed=self.seed)
         raise ValueError(f"unknown dataset kind {self.kind!r}")
 
-    def validate(self, name="dataset.{}".format):
-        """Raise unless `build` takes this spec; the message names the
-        value as `name` spells its key (by default, its config key)."""
-        if self.seed < 0:
-            raise ValueError(f"{name('seed')} must be at least 0, got {self.seed}")
-        if self.kind == "example31":
-            check_example31(self.n_per_class, name)
-        else:
-            check_rotated_gaussians(self.n_domains, self.n_classes, self.n_per_domain_class,
-                                    self.class_separation, self.noise_std, name)
-
     @property
     def domain_count(self):
         """Domains that `build` makes; example31 always has two."""
@@ -74,8 +63,8 @@ class DatasetSpec:
 @dataclass(frozen=True)
 class AugmentConfig:
     kind: str = option(ADDITIVE, "jitter family", choices=(ADDITIVE, SCALING))
-    standard_intensity: float = option(0.1, "standard jitter intensity")
-    aggressive_intensity: float = option(0.5, "aggressive jitter intensity")
+    standard_intensity: float = option(0.1, "standard jitter intensity", within="[0, inf)")
+    aggressive_intensity: float = option(0.5, "aggressive jitter intensity", within="[0, inf)")
 
     def train_spec(self, aggressive):
         intensity = self.aggressive_intensity if aggressive else self.standard_intensity
@@ -84,10 +73,10 @@ class AugmentConfig:
 
 @dataclass(frozen=True)
 class OptimConfig:
-    lr: float = option(5e-4, "step size")
-    steps: int = option(2000, "training steps")
-    batch_size: int = option(24, "batch size (divisible by source domains)")
-    eval_every: int = option(50, "validation cadence in steps")
+    lr: float = option(5e-4, "step size", within="(0, inf)")
+    steps: int = option(2000, "training steps", within="[1, inf)")
+    batch_size: int = option(24, "batch size (divisible by source domains)", within="[2, inf)")
+    eval_every: int = option(50, "validation cadence in steps", within="[1, inf)")
 
 
 @dataclass(frozen=True)
@@ -100,31 +89,16 @@ class ExperimentConfig:
     anchor: AnchorConfig = AnchorConfig()
     holdout: int = option(0, "held-out test domain for the train command")
     seed: int = 0
-    split_fraction: float = option(0.8, "train share of each source domain")
-    label_ratio: float = option(1.0, "fraction of training labels kept")
+    split_fraction: float = option(0.8, "train share of each source domain", within="(0, 1)")
+    label_ratio: float = option(1.0, "fraction of training labels kept", within="(0, 1]")
 
     def validate(self):
         if self.seed < 0:
             raise ValueError(f"seeds must be at least 0, got {self.seed}")
+        check_ranges(self)
+        # each block's own `validate` adds its cross-field checks
         self.loss.validate()
-        self.dataset.validate()
         self.model.validate()
-        for key in ("standard_intensity", "aggressive_intensity"):
-            check_intensity(getattr(self.augment, key), f"augment.{key}")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError(f"split_fraction must lie in (0, 1), got {self.split_fraction}")
-        if not 0.0 < self.label_ratio <= 1.0:
-            raise ValueError(f"label_ratio must lie in (0, 1], got {self.label_ratio}")
-        if self.optim.steps < 1 or self.optim.batch_size < 2:
-            raise ValueError("need at least 1 step and a batch of at least 2")
-        for key, value in (("optim.eval_every", self.optim.eval_every),
-                           ("anchor.steps", self.anchor.steps),
-                           ("anchor.batch_size", self.anchor.batch_size)):
-            if value < 1:
-                raise ValueError(f"{key} must be at least 1, got {value}")
-        for key, value in (("optim.lr", self.optim.lr), ("anchor.lr", self.anchor.lr)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{key} must be finite and positive, got {value}")
         n_domains = self.dataset.domain_count
         if not 0 <= self.holdout < n_domains:
             raise ValueError(f"holdout domain {self.holdout} outside [0, {n_domains})")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .options import option
+from .options import check_ranges, option
 
 ANCHOR_POSITIVE = -1
 
@@ -43,9 +43,9 @@ class LossConfig:
     denominator stays negatives-only (the literal default).
     """
 
-    contrast_weight: float = option(1.0, "contrastive weight", key="lambda")
-    gen_weight: float = option(0.05, "generative weight", key="beta")
-    temperature: float = option(0.1, "contrastive temperature")
+    contrast_weight: float = option(1.0, "contrastive weight", key="lambda", within="[0, inf)")
+    gen_weight: float = option(0.05, "generative weight", key="beta", within="[0, inf)")
+    temperature: float = option(0.1, "contrastive temperature", within="(0, inf)")
     cdc_enabled: bool = option(False, "cross-domain positive sampling", key="cdc")
     pma_enabled: bool = option(False, "anchor-embedding positives (coin-mixed)", key="pma")
     gt_enabled: bool = option(False, "generative transformation loss", key="gt")
@@ -54,22 +54,15 @@ class LossConfig:
     denominator_mode: str = option(NEGATIVES_ONLY, "contrastive denominator contents",
                                    choices=(NEGATIVES_ONLY, STANDARD_INFONCE))
     anchor_negatives: bool = option(False, "other samples' anchor embeddings join the negatives")
-    pma_probability: float = option(0.5, "chance a positive becomes the anchor")
+    pma_probability: float = option(0.5, "chance a positive becomes the anchor",
+                                    within="[0, 1]")
 
     def validate(self):
-        if self.temperature <= 0:
-            raise LossConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.contrast_weight < 0 or self.gen_weight < 0:
-            raise LossConfigError("loss weights must be nonnegative")
+        check_ranges(self, name="loss.{}".format, error=LossConfigError)
         if self.self_contrast_only and self.cdc_enabled:
             raise LossConfigError("self_contrast_only and cdc_enabled are mutually exclusive")
         if self.self_contrast_only and self.pma_enabled:
             raise LossConfigError("self_contrast_only rules out anchor positives")
-        if self.denominator_mode not in (NEGATIVES_ONLY, STANDARD_INFONCE):
-            raise LossConfigError(f"unknown denominator_mode {self.denominator_mode!r}")
-        if not 0.0 <= self.pma_probability <= 1.0:
-            raise LossConfigError(
-                f"pma_probability must lie in [0, 1], got {self.pma_probability}")
         return self
 
     @property
@@ -182,7 +175,6 @@ def infonce_loss(batch, cfg):
     denominator sums exp(z.z-/tau) over the sample's negative pool,
     plus the positive term itself in "standard-infonce" mode.
     """
-    cfg.validate()
     if batch.z_alt is None or batch.positive_assignment is None:
         raise LossConfigError("contrastive loss needs z_alt and a positive assignment")
     z, z_alt = batch.z, batch.z_alt
@@ -244,7 +236,6 @@ class LossBreakdown:
 def total_loss(batch, logits, cfg, gen=None, noise=None):
     """Combined objective: ERM + lambda * contrast + beta * generative.
     `gen` holds the generator's tensors, as for `gen_loss`."""
-    cfg.validate()
     total = erm_loss(logits, batch.labels)
     erm_value = total.item()
     contrast_contrib = 0.0

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .options import fmt, option, render
+from .options import check_ranges, fmt, option
 
 SOFTPLUS_INV_ONE = math.log(math.e - 1.0)  # softplus(x) == 1
 BN_MOMENTUM = 0.1  # the share of each training batch in the running statistics
@@ -60,22 +60,19 @@ def generator(dim):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    encoder_hidden: tuple = option((32, 32), "encoder layer widths")
-    embed_dim: int = option(16, "embedding dimension")
+    encoder_hidden: tuple = option((32, 32), "encoder layer widths", within="[1, inf)")
+    embed_dim: int = option(16, "embedding dimension", within="[0, inf)")
     # a head width of 0 drops the head: embeddings are the normalized
     # encoder output directly
-    head_hidden: int = option(32, "projection-head hidden width")
+    head_hidden: int = option(32, "projection-head hidden width", within="[0, inf)")
     batchnorm: bool = option(True, "batch standardization in the head")
     with_gen: bool = False
 
     def validate(self):
         """Raise unless `Model` takes this spec; the message names the config key."""
-        if not self.encoder_hidden or min(self.encoder_hidden) < 1:
-            raise ValueError("model.encoder_hidden must be widths of at least 1, "
-                             f"got {render(self.encoder_hidden)}")
-        if self.head_hidden < 0:
-            raise ValueError("model.head_hidden must be at least 0 (0 drops the head), "
-                             f"got {self.head_hidden}")
+        check_ranges(self, name="model.{}".format)
+        if not self.encoder_hidden:
+            raise ValueError("model.encoder_hidden must list at least one width")
         if self.head_hidden > 0 and self.embed_dim < 1:
             raise ValueError("model.embed_dim must be at least 1 while the head is on, "
                              f"got {self.embed_dim}")
@@ -83,9 +80,9 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class AnchorConfig:
-    steps: int = option(1500, "anchor pretraining steps")
-    lr: float = option(1e-3, "anchor pretraining step size")
-    batch_size: int = option(32, "anchor pretraining batch size")
+    steps: int = option(1500, "anchor pretraining steps", within="[1, inf)")
+    lr: float = option(1e-3, "anchor pretraining step size", within="(0, inf)")
+    batch_size: int = option(32, "anchor pretraining batch size", within="[1, inf)")
 
 
 class Model:

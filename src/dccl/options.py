@@ -1,12 +1,13 @@
 """Config-file metadata on dataclass fields, and the text form of their values.
 
-`option` marks a dataclass field as settable from a config file, and
-`option_fields` finds the marked fields; `dccl.config` derives its schema
-from them.  `parser` and `render` are the one text form of a field value,
-shared by config files, the `gen-data` flags and checkpoints, and
-`key_values` is the one reader of their `key = value` lines.  This
-module lives apart from `dccl.config` because that module imports the
-ones that declare fields.
+`option` marks a dataclass field as settable from a config file and
+declares its default, its allowed values and its range; `option_fields`
+finds the marked fields, from which `dccl.config` derives its schema, and
+`check_ranges` checks a config's values against them.  `parser` and
+`render` are the one text form of a field value, shared by config files,
+the `gen-data` flags and checkpoints, and `key_values` is the one reader
+of their `key = value` lines.  This module lives apart from `dccl.config`
+because that module imports the ones that declare fields.
 """
 
 import argparse
@@ -14,20 +15,58 @@ import math
 from dataclasses import field, fields, is_dataclass
 
 
-def option(default, help, key=None, choices=None):
+def option(default, help, key=None, choices=None, within=None):
     """A config field: its default, its help text, its key within the
-    config block when that is not the field name, and its allowed values."""
-    return field(default=default, metadata={"help": help, "key": key, "choices": choices})
+    config block when that is not the field name, its allowed values, and
+    the interval its value (each item, for a tuple) must lie in, written
+    like "[1, inf)", "(0, inf)" or "(0, 1]"."""
+    return field(default=default, metadata={"help": help, "key": key, "choices": choices,
+                                            "within": within})
 
 
-def option_fields(cls, prefix=""):
+def _option_values(obj, prefix=""):
+    """(config key, field, value) of each `option` field of a config
+    dataclass or instance, nested config blocks included; a class gives
+    its defaults."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(f.default):
+            yield from _option_values(value, f"{prefix}{f.name}.")
+        elif f.metadata:
+            yield prefix + (f.metadata["key"] or f.name), f, value
+
+
+def option_fields(cls):
     """(config key, field) of each `option` field of a config dataclass,
     nested config blocks included."""
-    for f in fields(cls):
-        if is_dataclass(f.default):
-            yield from option_fields(type(f.default), f"{prefix}{f.name}.")
-        elif f.metadata:
-            yield prefix + (f.metadata["key"] or f.name), f
+    return ((key, f) for key, f, _ in _option_values(cls))
+
+
+def _outside(value, within):
+    """Why value lies outside the interval `within`, or None if it lies in it."""
+    low, high = (end.strip() for end in within[1:-1].split(","))
+    above_low = value >= float(low) if within[0] == "[" else value > float(low)
+    below_high = value <= float(high) if within[-1] == "]" else value < float(high)
+    if above_low and below_high:
+        return None
+    if high == "inf" and value < math.inf:
+        return f"be at least {low}" if within[0] == "[" else f"be greater than {low}"
+    return f"lie in {within}"
+
+
+def check_ranges(obj, name=str, error=ValueError):
+    """Raise `error` unless each `option` value of a config dataclass,
+    nested blocks included, is one of its allowed values and lies in its
+    interval (each item, for a tuple).  The message names the value as
+    `name` spells its config key: `<key> must be at least N, got <value>`."""
+    for key, f, value in _option_values(obj):
+        choices, within = f.metadata["choices"], f.metadata["within"]
+        if choices and value not in choices:
+            raise error(f"{name(key)} must be one of {choices}, got {value!r}")
+        for item in value if isinstance(value, tuple) else (value,):
+            need = within and _outside(item, within)
+            if need:
+                raise error(f"{name(key)} must {need}, got {item}")
 
 
 class TextError(ValueError, argparse.ArgumentTypeError):

@@ -79,13 +79,6 @@ def sgn(values):
 
 # --- the two-domain toy family -------------------------------------------
 
-def check_example31(n_per_class, name=str):
-    """Raise unless `gen_example31` takes this class size; the message
-    names it as `name` spells its dataset key."""
-    if not n_per_class >= 1:
-        raise ValueError(f"{name('n_per_class')} must be at least 1, got {n_per_class}")
-
-
 def gen_example31(n_per_class, domain, seed=0):
     """Two-class planar toy data; domain 1 and 2 interchange the coordinates.
 
@@ -94,7 +87,6 @@ def gen_example31(n_per_class, domain, seed=0):
     coordinate distributions.  Labels are stored as class ids {0, 1}
     (id = (Y + 1) / 2) and domains as ids {0, 1}.
     """
-    check_example31(n_per_class)
     if domain not in (1, 2):
         raise ValueError(f"domain must be 1 or 2, got {domain!r}")
     rng = np.random.default_rng(seed)
@@ -159,20 +151,6 @@ def toy_map_accuracy(kind, dataset):
 
 # --- rotated-Gaussian benchmark -------------------------------------------
 
-def check_rotated_gaussians(n_domains, n_classes, n_per_domain_class, class_separation,
-                            noise_std, name=str):
-    """Raise unless `gen_rotated_gaussians` takes these arguments; the
-    message names each as `name` spells its dataset key."""
-    for key, value, ok, need in (
-            ("domains", n_domains, n_domains >= 2, "at least 2"),
-            ("classes", n_classes, n_classes >= 2, "at least 2"),
-            ("per_domain_class", n_per_domain_class, n_per_domain_class >= 1, "at least 1"),
-            ("class_separation", class_separation, class_separation > 0, "positive"),
-            ("noise_std", noise_std, noise_std >= 0, "nonnegative")):
-        if not ok:
-            raise ValueError(f"{name(key)} must be {need}, got {value}")
-
-
 def gen_rotated_gaussians(n_domains, n_classes, n_per_domain_class,
                           rotation_step, class_separation, noise_std, seed=0):
     """Class means on a circle, rotated per domain, isotropic Gaussian noise.
@@ -182,8 +160,6 @@ def gen_rotated_gaussians(n_domains, n_classes, n_per_domain_class,
     sources.  Per domain the classes stay linearly separable as long as
     class_separation comfortably exceeds the noise scale.
     """
-    check_rotated_gaussians(n_domains, n_classes, n_per_domain_class, class_separation,
-                            noise_std)
     rng = np.random.default_rng(seed)
     xs, labels, domains = [], [], []
     for m in range(n_domains):
@@ -227,13 +203,8 @@ class AugmentationSpec:
     def __post_init__(self):
         if self.kind not in (ADDITIVE, SCALING):
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        check_intensity(self.intensity)
-
-
-def check_intensity(intensity, name="augmentation intensity"):
-    """Raise unless a jitter intensity is valid; the message calls it `name`."""
-    if not intensity >= 0:
-        raise ValueError(f"{name} must be nonnegative, got {intensity}")
+        if not self.intensity >= 0:
+            raise ValueError(f"augmentation intensity must be nonnegative, got {self.intensity}")
 
 
 def augment(X, spec, rng):

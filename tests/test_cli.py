@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 
 from dccl.cli import main
-from dccl.config import SCHEMA, load_config, parse_config_text
+from dccl.config import (SCHEMA, ConfigError, experiment_config, load_config,
+                         parse_config_text)
 from dccl.formats import FormatError, read_dataset, read_embeddings
+from dccl.harness import ExperimentConfig
+from dccl.options import option_fields
 
 
 MICRO_CONFIG = """
@@ -225,6 +229,44 @@ def test_bad_optimizer_or_anchor_setting_fails_before_any_run_directory(
     assert not (tmp_path / "runs").exists()
 
 
+# numeric keys with no declared range: any rotation is a valid shift, and
+# the holdout is checked against the domain count
+UNBOUNDED = {"dataset.rotation_step", "holdout"}
+# keys whose closed bound passes only beside another value: a head needs an
+# embedding of at least 1
+BOUND_CONTEXT = {"model.embed_dim": {"model.head_hidden": 0}}
+RANGED = [(key, f.metadata["within"], type(f.default))
+          for key, f in option_fields(ExperimentConfig) if f.metadata["within"]]
+
+
+def test_every_numeric_option_declares_a_range():
+    numeric = {key for key, f in option_fields(ExperimentConfig)
+               if type(f.default) in (int, float, tuple)}
+    assert numeric - UNBOUNDED == {key for key, _, _ in RANGED}
+
+
+def _bounds(within, kind):
+    """(value just outside, value on the bound or None if it is open) of
+    each finite end of an interval, for int or float values."""
+    low, high = (float(end) for end in within[1:-1].split(","))
+    for bound, closed, away in ((low, within[0] == "[", -1), (high, within[-1] == "]", 1)):
+        if math.isfinite(bound):
+            bound = kind(bound)
+            beyond = math.nextafter(bound, away * math.inf) if kind is float else bound + away
+            yield (beyond, bound) if closed else (bound, None)
+
+
+@pytest.mark.parametrize("key, within, kind", RANGED, ids=[key for key, _, _ in RANGED])
+def test_declared_range_is_checked_at_its_bounds(key, within, kind):
+    base = parse_config_text(MICRO_CONFIG)
+    wrap = (lambda v: (v,)) if kind is tuple else (lambda v: v)
+    for outside, on in _bounds(within, int if kind is tuple else kind):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must"):
+            experiment_config({**base, key: wrap(outside)}, seed=0)
+        if on is not None:
+            experiment_config({**base, **BOUND_CONTEXT.get(key, {}), key: wrap(on)}, seed=0)
+
+
 @pytest.mark.parametrize("command, extra, message", [
     (["train", "--seed", "-1"], "", "usage error: argument --seed: must be at least 0, got -1"),
     (["loo"], "seeds = 0,-2\n", "error: seeds must be at least 0, got -2"),
@@ -234,6 +276,15 @@ def test_negative_seed_fails_before_any_run_directory(tmp_path, capsys, command,
     path = write_config(tmp_path, extra)
     assert main(command[:1] + ["--config", str(path)] + command[1:]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["loo"], ["ablate"]])
+def test_repeated_seed_fails_before_any_run_directory(tmp_path, capsys, command):
+    # a repeated seed would count one run twice in every mean
+    path = write_config(tmp_path, "seeds = 0,0\n")
+    assert main(command + ["--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: seeds must be distinct, got 0,0\n"
     assert not (tmp_path / "runs").exists()
 
 

@@ -15,17 +15,23 @@ use `python -m pytest -m "not slow"` as their inner loop.
 The hashes of trained runs hold for the FMA kernels of OpenBLAS
 (SkylakeX, Haswell), which numpy picks at run time; older kernels give
 other matrix-product bits, so each failure message names the kernel in
-use.
+use.  One test forces the kernel of a child process with
+`OPENBLAS_CORETYPE`: Haswell must give the hashes, and an older kernel
+must give the same bits on a rerun.
 """
 
 import ctypes
 import functools
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dccl
 from dccl.cli import main
 from dccl.nets import Model, ModelSpec
 
@@ -248,3 +254,30 @@ def test_initial_model_hashes(spec, checksum, param_names, stat_names):
     assert model.checksum() == checksum, kernel_note()
     assert list(model.parameters()) == param_names
     assert list(model.stats()) == stat_names
+
+
+def train_under_kernel(cwd, coretype):
+    """name -> bytes of the golden `train` artifacts, from a child process
+    whose OpenBLAS runs its `coretype` kernel."""
+    cwd.mkdir()
+    (cwd / "train.cfg").write_text(TRAIN)
+    src = str(Path(dccl.__file__).parent.parent)
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "dccl.cli", "train", "--config", "train.cfg"],
+                   cwd=cwd, env=env, check=True, capture_output=True, timeout=300)
+    run_dir = cwd / "runs" / "golden" / "train" / "seed0"
+    return {name: (run_dir / name).read_bytes() for name in TRAIN_HASHES}
+
+
+# a CPU whose default kernel is one of these also runs the older kernels
+@pytest.mark.skipif(blas_kernel() not in ("SkylakeX", "Haswell"),
+                    reason="needs numpy's OpenBLAS on a CPU with the Haswell instructions")
+def test_train_bits_hold_on_each_blas_kernel(tmp_path):
+    haswell = train_under_kernel(tmp_path / "haswell", "Haswell")
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in haswell.items()} == TRAIN_HASHES
+    first, second = (train_under_kernel(tmp_path / f"prescott{i}", "Prescott") for i in (0, 1))
+    assert first == second
+    # the forced kernel took effect: without FMA the training curve moves
+    assert first["losses.csv"] != haswell["losses.csv"]

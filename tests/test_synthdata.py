@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dccl import synthdata as sd
+from dccl.harness import DatasetSpec
+from dccl.options import check_ranges
 
 
 # --- toy family --------------------------------------------------------------
@@ -28,8 +30,9 @@ def test_example31_balanced_and_deterministic():
 def test_example31_rejects_bad_domain():
     with pytest.raises(ValueError):
         sd.gen_example31(10, 3)
-    with pytest.raises(ValueError):
-        sd.gen_example31(0, 1)
+    # the class size is a dataset field, so its range is checked on the spec
+    with pytest.raises(ValueError, match=r"^n_per_class must be at least 1, got 0$"):
+        check_ranges(DatasetSpec(kind="example31", n_per_class=0))
 
 
 def test_weak_map_hand_value():
@@ -81,10 +84,12 @@ def test_rotated_gaussians_shapes_and_determinism():
 
 
 def test_rotated_gaussians_rejects_bad_args():
-    with pytest.raises(ValueError):
-        sd.gen_rotated_gaussians(1, 3, 10, 0.3, 3.0, 0.3)
-    with pytest.raises(ValueError):
-        sd.gen_rotated_gaussians(4, 3, 0, 0.3, 3.0, 0.3)
+    with pytest.raises(ValueError, match=r"^domains must be at least 2, got 1$"):
+        check_ranges(DatasetSpec(n_domains=1, n_classes=3, n_per_domain_class=10,
+                                 rotation_step=0.3, class_separation=3.0, noise_std=0.3))
+    with pytest.raises(ValueError, match=r"^per_domain_class must be at least 1, got 0$"):
+        check_ranges(DatasetSpec(n_domains=4, n_classes=3, n_per_domain_class=0,
+                                 rotation_step=0.3, class_separation=3.0, noise_std=0.3))
 
 
 def test_rotation_step_zero_means_identical_distributions():

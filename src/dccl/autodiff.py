@@ -7,17 +7,21 @@ numpy float64 arrays of rank <= 2, which is all the MLPs and losses in
 this package need; every backward rule is checked against central finite
 differences.
 
-The package records nine ops: `add` and `mul` (through `Tensor.__add__`
-and `__mul__`), `relu`, `l2_normalize`, and the fused `affine`,
-`batchnorm_train`, `softmax_cross_entropy`, `contrastive_term` and
-`generative_term`.  Each fused op replays, forward and backward, the numpy
-operations of a chain of elementary primitives, in the same order; those
-primitives and the chains built from them live with the tests, in
-`tests/elementary.py` and `tests/conftest.py`.  Where a chain sent several
-gradient contributions to one input, the input appears once per
-contribution in the op's parent tuple, in the order the reverse sweep
-would have met them, so `Tape.gradients` sums them with the same
-association.  A fused op therefore yields the same bits as its chain.
+The package has nine ops: `add` and `mul` (through `Tensor.__add__` and
+`__mul__`), `relu`, `l2_normalize`, and the fused `affine`, `embed_views`,
+`softmax_cross_entropy`, `contrastive_term` and `generative_term`.
+`embed_views` embeds all of a training step's views as one op with one
+output per view, so `relu` and `l2_normalize` only run in evaluation mode,
+on no tape; a full-method step records 9 tape ops.  Each fused op
+replays, forward and backward, the numpy operations of a chain of
+elementary primitives, in the same order; those primitives and the chains
+built from them live with the tests, in `tests/elementary.py` and
+`tests/conftest.py`.  Where a chain sent several gradient contributions
+to one input, the input appears once per contribution in the op's parent
+tuple, in the order the reverse sweep would have met them, so
+`Tape.gradients` sums them with the same association; `embed_views` sums
+a parameter's per-view contributions itself, in that order.  A fused op
+therefore yields the same bits as its chain.
 """
 
 from __future__ import annotations
@@ -127,30 +131,44 @@ class Tape:
         return tensor
 
     def _record(self, out_data, parents, backward_rule):
-        out = Tensor(out_data)
-        out.node_id = next(_node_ids)
         known = self._known
-        known.add(out.node_id)
+        if isinstance(out_data, list):
+            out = [Tensor(data, next(_node_ids)) for data in out_data]
+            known.update(t.node_id for t in out)
+            key = tuple((t.node_id, t.data.shape) for t in out)
+        else:
+            out = Tensor(out_data, next(_node_ids))
+            known.add(out.node_id)
+            key = out.node_id
         parent_ids = tuple(p.node_id if p.node_id in known else None for p in parents)
-        self._ops.append((out.node_id, parent_ids, backward_rule))
+        self._ops.append((key, parent_ids, backward_rule))
         return out
 
     def gradients(self, root):
         """Gradients of a scalar `root` with respect to every watched leaf.
 
         Returns a dict keyed by node id; tensors that never touched this
-        tape are simply absent.  The sweep is pure, so repeated calls on
-        the same tape yield bit-identical results.
+        tape are simply absent.  An op with several outputs gets one
+        gradient per output, zeros for an output that nothing used.  The
+        sweep is pure, so repeated calls on the same tape yield
+        bit-identical results.
         """
         if root.node_id is None or root.node_id not in self._known:
             raise ValueError("root tensor was not produced under this tape")
         if root.data.shape != ():
             raise ShapeError(f"backward root must be scalar-shaped, got shape {root.data.shape}")
         grads = {root.node_id: np.ones((), dtype=np.float64)}
-        for out_id, parent_ids, rule in reversed(self._ops):
-            g = grads.get(out_id)
-            if g is None:
-                continue
+        for key, parent_ids, rule in reversed(self._ops):
+            if key.__class__ is tuple:
+                # an op with several outputs: (node id, shape) pairs
+                g = [grads.get(out_id) for out_id, _ in key]
+                if all(gi is None for gi in g):
+                    continue
+                g = [np.zeros(shape) if gi is None else gi for gi, (_, shape) in zip(g, key)]
+            else:
+                g = grads.get(key)
+                if g is None:
+                    continue
             for pid, pg in zip(parent_ids, rule(g)):
                 if pid is None or pg is None:
                     continue
@@ -160,12 +178,17 @@ class Tape:
 
 
 def _emit(out_data, parents, backward_rule):
+    """The output Tensor of an op, recorded on the active tape if a parent
+    is on it.  A list of arrays is an op with one output per array: it
+    returns a list of Tensors, and its rule takes a list of gradients."""
     tape = active_tape()
     if tape is not None:
         known = tape._known
         for p in parents:
             if p.node_id in known:
                 return tape._record(out_data, parents, backward_rule)
+    if isinstance(out_data, list):
+        return [Tensor(data) for data in out_data]
     return Tensor(out_data)
 
 
@@ -328,45 +351,104 @@ def affine(x, W, b):
     return _emit(h + b.data, (b, x, W), rule)
 
 
-def batchnorm_train(x, gamma, beta, eps):
-    """Batch standardization of the rows of x, scaled by gamma, shifted by beta.
+def _views_sum(parts):
+    """The sum of per-view gradient contributions, last view first: the
+    association in which the reverse sweep met one chain per view."""
+    acc = parts[-1]
+    for part in parts[-2::-1]:
+        acc = acc + part
+    return acc
 
-    Returns the output tensor and the batch mean and variance (plain
-    arrays), which the caller folds into its running statistics.
+
+def embed_views(views, layers, eps):
+    """Training-mode embedding of a (views, n, d) stack of constant batches,
+    one output Tensor per view.
+
+    Each layer of `layers`, a (W, b, bn, relu) tuple, is `affine` with W
+    and b; then, with bn a (gamma, beta) pair, batch standardization over
+    each view's own rows, scaled by gamma and shifted by beta; then `relu`
+    if relu is set.  Each row of the last layer's output is
+    `l2_normalize`d.  Also returns, per batch-norm layer, the (views, m)
+    batch means and variances, which the caller folds into its running
+    statistics.
+
+    The op replays one view's chain with a leading view axis: a stacked
+    matmul, axis sum or mean gives the bytes of its per-view call.  Each
+    parameter takes one gradient, its per-view contributions summed last
+    view first, as the reverse sweep summed the per-view chains.
     """
-    x, gamma, beta = _coerce(x), _coerce(gamma), _coerce(beta)
-    _check_rank2(x, "batchnorm_train")
-    xd, gd, sbeta = x.data, gamma.data, beta.data.shape
-    scale = 1.0 / xd.shape[0]
-    mu = xd.mean(axis=0)                      # reduce_mean(x, 0)
-    c = xd - mu                               # sub
-    var = (c * c).mean(axis=0)                # mul, reduce_mean(., 0)
-    ve = var + eps                            # add
+    xs = np.asarray(views, dtype=np.float64)
+    if xs.ndim != 3 or 0 in xs.shape:
+        raise ShapeError(f"embed_views expects a (views, n, d) stack, got shape {xs.shape}")
+    scale = 1.0 / xs.shape[1]
     p = -0.5
-    _check_power(ve, p)
-    inv = ve ** p                             # power
-    t1 = c * inv                              # mul
-    _check_shapes(t1.shape, gd.shape, "mul")
-    t2 = t1 * gd                              # mul
-    _check_shapes(t2.shape, sbeta, "add")
-    out = t2 + beta.data                      # add
+    parents, saved, batch_stats = [], [], []
+    h = xs
+    for W, b, bn, relu in layers:
+        x_in, Wd, bd = h, W.data, b.data
+        _check_matmul(x_in.shape[1:], Wd.shape)
+        if bd.shape != Wd.shape[1:]:
+            raise ShapeError(f"bias shape {bd.shape} does not match weight shape {Wd.shape}")
+        h = x_in @ Wd + bd                            # matmul, add
+        parents += [W, b]
+        norm = None
+        if bn is not None:
+            gamma, beta = bn
+            gd = gamma.data
+            if gd.shape != bd.shape or beta.data.shape != bd.shape:
+                raise ShapeError(f"batch-norm shapes {gd.shape} and {beta.data.shape} "
+                                 f"do not match width {bd.shape}")
+            mu = h.mean(axis=1)                       # reduce_mean(x, 0)
+            c = h - mu[:, None]                       # sub
+            var = (c * c).mean(axis=1)                # mul, reduce_mean(., 0)
+            ve = var + eps                            # add
+            _check_power(ve, p)
+            inv = (ve ** p)[:, None]                  # power
+            t1 = c * inv                              # mul
+            h = t1 * gd + beta.data                   # mul, add
+            parents += [gamma, beta]
+            batch_stats.append((mu, var))
+            norm = (gd, c, ve, inv, t1)
+        alive = None
+        if relu:
+            alive = h > 0.0
+            h = np.maximum(h, 0.0)                    # relu
+        saved.append((x_in, Wd, norm, alive))
+    norms = np.sqrt(np.sum(h * h, axis=2))            # l2_normalize
+    bad = norms < NORM_FLOOR
+    if bad.any():
+        view, row = (int(i) for i in np.argwhere(bad)[0])
+        raise DegenerateInputError(f"cannot normalize row {row} of view {view} with norm "
+                                   f"{norms[view, row]:g} < {NORM_FLOOR:g}")
+    norms = norms[:, :, None]
+    out = h / norms
 
-    def rule(g):
-        g_beta = _unbroadcast(g, sbeta)
-        g_t2 = _unbroadcast(g, t2.shape)
-        g_gamma = _unbroadcast(g_t2 * t1, gd.shape)
-        g_t1 = _unbroadcast(g_t2 * gd, t1.shape)
-        g_c = _unbroadcast(g_t1 * inv, c.shape)
-        g_inv = _unbroadcast(g_t1 * c, inv.shape)
-        g_var = g_inv * p * ve ** (p - 1.0)
-        g_sq = (g_var * scale)[None, :]
-        g_c = g_c + g_sq * c
-        g_c = g_c + g_sq * c
-        g_mu = _unbroadcast(g_c, mu.shape).__neg__()
-        return (g_beta, g_gamma, g_c,
-                np.broadcast_to((g_mu * scale)[None, :], xd.shape))
+    def rule(gs):
+        g = np.stack(gs)
+        inner = np.sum(g * out, axis=2, keepdims=True)
+        g = (g - out * inner) / norms
+        grads = []
+        for x_in, Wd, norm, alive in reversed(saved):
+            if alive is not None:
+                g = g * alive
+            if norm is not None:
+                gd, c, ve, inv, t1 = norm
+                grads += [_views_sum(g.sum(axis=1)), _views_sum((g * t1).sum(axis=1))]
+                g_t1 = g * gd
+                g_c = g_t1 * inv
+                g_var = (g_t1 * c).sum(axis=1) * p * ve ** (p - 1.0)
+                g_sq = (g_var * scale)[:, None]
+                g_c = g_c + g_sq * c
+                g_c = g_c + g_sq * c
+                g_mu = g_c.sum(axis=1).__neg__()
+                g = g_c + (g_mu * scale)[:, None]
+            grads += [_views_sum(g.sum(axis=1)), _views_sum(np.swapaxes(x_in, 1, 2) @ g)]
+            if x_in is not xs:
+                g = g @ Wd.T
+        return grads[::-1]
 
-    return _emit(out, (beta, gamma, x, x), rule), mu, var
+    outs = _emit(list(out), parents, rule)
+    return outs, batch_stats
 
 
 def softmax_cross_entropy(logits, labels):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .harness import ExperimentConfig
-from .options import key_values, option, option_fields, parser, render
+from .options import check_value, key_values, option, option_fields, parser, render
 
 
 class ConfigError(ValueError):
@@ -32,7 +32,7 @@ class Field:
 _COMMAND_OPTIONS = {
     "experiment": option("experiment", "run name used in output paths"),
     "output_dir": option("runs", "root directory for run artifacts"),
-    "seeds": option((0, 1, 2), "comma-separated training seeds"),
+    "seeds": option((0, 1, 2), "comma-separated training seeds", within="[0, inf)"),
 }
 
 SCHEMA = {key: Field(parser(f), f.default, f.metadata["help"])
@@ -48,6 +48,8 @@ def parse_config_text(text, source="<config>"):
             values[key] = SCHEMA[key].parse(raw_value)
         except ValueError as exc:
             raise ConfigError(f"{key} {exc} ({source}:{lineno})") from None
+    for key, f in _COMMAND_OPTIONS.items():
+        check_value(key, f, values[key], error=ConfigError)
     if len(set(values["seeds"])) < len(values["seeds"]):
         raise ConfigError(f"seeds must be distinct, got {render(values['seeds'])}")
     return values

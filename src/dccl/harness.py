@@ -230,6 +230,9 @@ def train(cfg, anchor=None, run_dir=None):
         rng_label = np.random.default_rng(label_s)
         chosen = rng_label.permutation(len(train_idx))[:n_labeled]
         train_idx = np.sort(train_idx[chosen])
+    train_ds = dataset.subset(train_idx)
+    # a domain too small for its share of a batch fails here, before the anchor
+    batches = make_batches(train_ds, cfg.optim.batch_size, seed=batch_s)
 
     if cfg.needs_anchor:
         if anchor is None:
@@ -247,8 +250,6 @@ def train(cfg, anchor=None, run_dir=None):
                   np.random.default_rng(init_s))
     params = model.parameters()
     adam = Adam(lr=cfg.optim.lr)
-    train_ds = dataset.subset(train_idx)
-    batches = make_batches(train_ds, cfg.optim.batch_size, seed=batch_s)
     train_aug = cfg.augment.train_spec(cfg.loss.aggressive_augmentation)
 
     connectivity_init = _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False),
@@ -278,10 +279,9 @@ def train(cfg, anchor=None, run_dir=None):
 
         with ad.Tape() as tape:
             model.watch(tape)
-            z1 = model.embed(view1, training=True)
+            z1, *z2 = model.embed([view1, view2] if contrast_on else [view1], training=True)
             logits = model.logits(z1)
-            z2 = model.embed(view2, training=True) if contrast_on else None
-            batch = ContrastBatch(z=z1, labels=yb, domains=db, z_alt=z2,
+            batch = ContrastBatch(z=z1, labels=yb, domains=db, z_alt=z2[0] if z2 else None,
                                   z_pre=z_pre, positive_assignment=assignment)
             breakdown = total_loss(batch, logits, cfg.loss, gen=params, noise=noise)
         total_value = breakdown.total.item()

@@ -131,39 +131,61 @@ class Model:
         self._params = {name: Tensor(arr) for name, arr in params.items()}
         self._stats = stats
 
+    def _layers(self):
+        """The embedding's layers as `ad.embed_views` takes them: (W, b,
+        (gamma, beta) or None, relu after) each."""
+        p, spec = self._params, self.spec
+        last = len(spec.encoder_hidden) - 1
+        layers = [(p[f"enc.{i}.W"], p[f"enc.{i}.b"], None, i < last) for i in range(last + 1)]
+        if spec.head_hidden > 0:
+            bn = (p["head.bn.gamma"], p["head.bn.beta"]) if spec.batchnorm else None
+            layers += [(p["head.l1.W"], p["head.l1.b"], bn, True),
+                       (p["head.l2.W"], p["head.l2.b"], None, False)]
+        return layers
+
     def embed(self, x, training=False):
-        """Unit-norm embeddings of a batch.  In training mode batch norm
-        uses batch statistics and moves the running ones (momentum
-        `BN_MOMENTUM`).  Evaluation mode uses the running statistics in
-        plain numpy and records nothing on a tape: the package only embeds
-        in that mode outside `ad.Tape` (anchor, validation and test
-        accuracy, connectivity), so no gradient flows through it."""
-        if not isinstance(x, Tensor):
-            x = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        if x.shape[1] != self.input_dim:
-            raise ad.ShapeError(
-                f"batch width {x.shape[1]} does not match encoder input width {self.input_dim}"
-            )
-        p, n_layers = self._params, len(self.spec.encoder_hidden)
-        for i in range(n_layers):
-            x = ad.affine(x, p[f"enc.{i}.W"], p[f"enc.{i}.b"])
-            if i < n_layers - 1:
-                x = ad.relu(x)
-        if self.spec.head_hidden == 0:
-            return ad.l2_normalize(x)
-        h = ad.affine(x, p["head.l1.W"], p["head.l1.b"])
-        if self.spec.batchnorm:
-            gamma, beta, stats = p["head.bn.gamma"], p["head.bn.beta"], self._stats
-            if training:
-                h, mu, var = ad.batchnorm_train(h, gamma, beta, BN_EPS)
-                m = BN_MOMENTUM
-                stats["head.bn.running_mean"] = (1.0 - m) * stats["head.bn.running_mean"] + m * mu
-                stats["head.bn.running_var"] = (1.0 - m) * stats["head.bn.running_var"] + m * var
-            else:
+        """Unit-norm embeddings of a batch, as a Tensor.
+
+        In training mode `x` may also be a list of equal-shape batches, the
+        views of one step; a list of Tensors comes back, one per view.  All
+        views are embedded as one tape op, `ad.embed_views`: batch norm
+        uses each view's batch statistics and moves the running ones
+        (momentum `BN_MOMENTUM`) view by view, in view order.  Evaluation
+        mode uses the running statistics in plain numpy and records
+        nothing on a tape: the package only embeds in that mode outside
+        `ad.Tape` (anchor, validation and test accuracy, connectivity), so
+        no gradient flows through it."""
+        views = x if isinstance(x, list) else [x]
+        views = [np.atleast_2d(np.asarray(v.data if isinstance(v, Tensor) else v,
+                                          dtype=np.float64)) for v in views]
+        for v in views:
+            if v.shape[1] != self.input_dim:
+                raise ad.ShapeError(
+                    f"batch width {v.shape[1]} does not match encoder input width "
+                    f"{self.input_dim}")
+        if training:
+            zs, batch_stats = ad.embed_views(np.stack(views), self._layers(), BN_EPS)
+            stats, m = self._stats, BN_MOMENTUM
+            for mu, var in batch_stats:
+                for v in range(len(views)):
+                    stats["head.bn.running_mean"] = ((1.0 - m) * stats["head.bn.running_mean"]
+                                                     + m * mu[v])
+                    stats["head.bn.running_var"] = ((1.0 - m) * stats["head.bn.running_var"]
+                                                    + m * var[v])
+            return zs if isinstance(x, list) else zs[0]
+        (h,) = views
+        h = Tensor(h)
+        for W, b, bn, relu in self._layers():
+            h = ad.affine(h, W, b)
+            if bn is not None:
+                gamma, beta = bn
+                stats = self._stats
                 inv = 1.0 / np.sqrt(stats["head.bn.running_var"] + BN_EPS)
                 h = Tensor((h.data - stats["head.bn.running_mean"]) * inv * gamma.data
                            + beta.data)
-        return ad.l2_normalize(ad.affine(ad.relu(h), p["head.l2.W"], p["head.l2.b"]))
+            if relu:
+                h = ad.relu(h)
+        return ad.l2_normalize(h)
 
     def logits(self, z):
         return ad.affine(z, self._params["cls.W"], self._params["cls.b"])

@@ -3,7 +3,7 @@
 `option` marks a dataclass field as settable from a config file and
 declares its default, its allowed values and its range; `option_fields`
 finds the marked fields, from which `dccl.config` derives its schema, and
-`check_ranges` checks a config's values against them.  `parser` and
+`check_value` and `check_ranges` check values against them.  `parser` and
 `render` are the one text form of a field value, shared by config files,
 the `gen-data` flags and checkpoints, and `key_values` is the one reader
 of their `key = value` lines.  This module lives apart from `dccl.config`
@@ -54,19 +54,25 @@ def _outside(value, within):
     return f"lie in {within}"
 
 
+def check_value(key, f, value, name=str, error=ValueError):
+    """Raise `error` unless `value` of the `option` field f is one of its
+    allowed values and lies in its interval (each item, for a tuple).  The
+    message names the value as `name` spells its config key:
+    `<key> must be at least N, got <value>`."""
+    choices, within = f.metadata["choices"], f.metadata["within"]
+    if choices and value not in choices:
+        raise error(f"{name(key)} must be one of {choices}, got {value!r}")
+    for item in value if isinstance(value, tuple) else (value,):
+        need = within and _outside(item, within)
+        if need:
+            raise error(f"{name(key)} must {need}, got {item}")
+
+
 def check_ranges(obj, name=str, error=ValueError):
-    """Raise `error` unless each `option` value of a config dataclass,
-    nested blocks included, is one of its allowed values and lies in its
-    interval (each item, for a tuple).  The message names the value as
-    `name` spells its config key: `<key> must be at least N, got <value>`."""
+    """`check_value` of each `option` value of a config dataclass, nested
+    blocks included."""
     for key, f, value in _option_values(obj):
-        choices, within = f.metadata["choices"], f.metadata["within"]
-        if choices and value not in choices:
-            raise error(f"{name(key)} must be one of {choices}, got {value!r}")
-        for item in value if isinstance(value, tuple) else (value,):
-            need = within and _outside(item, within)
-            if need:
-                raise error(f"{name(key)} must {need}, got {item}")
+        check_value(key, f, value, name, error)
 
 
 class TextError(ValueError, argparse.ArgumentTypeError):

@@ -237,7 +237,9 @@ def make_batches(dataset, batch_size, seed=0):
     Every batch holds batch_size / n_domains samples from each domain
     present in the dataset; a domain is reshuffled only once its samples
     are exhausted, so an epoch touches each sample at most once per
-    domain.  Yields index arrays into `dataset`.
+    domain.  Yields index arrays into `dataset`.  A domain with fewer
+    samples than its share of a batch raises ValueError here, before the
+    first batch.
     """
     present = np.unique(dataset.domains)
     n_dom = len(present)
@@ -245,11 +247,20 @@ def make_batches(dataset, batch_size, seed=0):
         raise ValueError("dataset has no samples")
     check_batch_size(batch_size, n_dom)
     per_domain = batch_size // n_dom
-    rng = np.random.default_rng(seed)
     pools = [dataset.domain_indices(m).astype(np.int64) for m in present]
+    for m, pool in zip(present, pools):
+        if len(pool) < per_domain:
+            raise ValueError(
+                f"domain {m} has {len(pool)} training samples, fewer than its share of "
+                f"{per_domain} in a batch of {batch_size} over {n_dom} domains"
+            )
+    return _batch_stream(pools, per_domain, np.random.default_rng(seed))
+
+
+def _batch_stream(pools, per_domain, rng):
     # a domain's queue is a shuffled copy of its pool, consumed from `heads`
     queues = [pool[:0] for pool in pools]
-    heads = [0] * n_dom
+    heads = [0] * len(pools)
     while True:
         parts = []
         for k, pool in enumerate(pools):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dccl import autodiff as ad
 from dccl import nets
 from dccl.autodiff import Tensor
 
@@ -97,9 +98,9 @@ def brute_force_threshold(points):
 # -- composite oracles of the fused tape ops ------------------------------------
 #
 # Each function below has the signature of the fused op of the same name in
-# `dccl.autodiff` and builds it from the elementary primitives of
-# `elementary.py`, one tape op per step.  The fused op must give the same
-# bits, value and gradients.
+# `dccl.autodiff` (or, for `batchnorm_train`, in `elementary.py`) and builds
+# it from the elementary primitives of `elementary.py`, one tape op per step.
+# The fused op must give the same bits, value and gradients.
 
 def affine(x, W, b):
     return el.matmul(x, W) + b
@@ -159,8 +160,30 @@ def generative_term(z, z_pre, noise, std_bias, W, b):
     return el.reduce_mean(reconstruction + kl)
 
 
-COMPOSITES = {fn.__name__: fn for fn in (affine, batchnorm_train, softmax_cross_entropy,
-                                         contrastive_term, generative_term)}
+def embed_views(views, layers, eps):
+    """One walk per view, in view order, through the `affine` and
+    `batchnorm_train` composites and the package's `relu` and
+    `l2_normalize`: the chain `Model.embed` recorded for each view before
+    one op took in all of them."""
+    outs, stats = [], []
+    for x in np.asarray(views, dtype=np.float64):
+        h, view_stats = Tensor(x), []
+        for W, b, bn, relu in layers:
+            h = affine(h, W, b)
+            if bn is not None:
+                h, mu, var = batchnorm_train(h, *bn, eps)
+                view_stats.append((mu, var))
+            if relu:
+                h = ad.relu(h)
+        outs.append(ad.l2_normalize(h))
+        stats.append(view_stats)
+    # per batch-norm layer, the (views, m) means and variances
+    return outs, [tuple(map(np.stack, zip(*layer))) for layer in zip(*stats)]
+
+
+COMPOSITES = {fn.__name__: fn for fn in (affine, batchnorm_train, embed_views,
+                                         softmax_cross_entropy, contrastive_term,
+                                         generative_term)}
 
 
 @pytest.fixture

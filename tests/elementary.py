@@ -7,6 +7,10 @@ differences.  They record through `autodiff._emit` and share its shape
 checks and log-sum-exp helpers, so a chain of them yields the same bits as
 before the fused ops existed.  Tests call them as functions; `Tensor`
 keeps only `+` and `*`.
+
+`batchnorm_train` at the end is the one-view batch-norm op that the
+package recorded before `autodiff.embed_views` took in the whole
+embedding; it is kept as an oracle of the batch-norm step of that op.
 """
 
 import numpy as np
@@ -167,3 +171,46 @@ def index_rows(a, idx):
         return (z,)
 
     return _emit(a.data[idx], (a,), rule)
+
+
+# -- the one-view batch-norm op, as the package recorded it -----------------------
+
+def batchnorm_train(x, gamma, beta, eps):
+    """Batch standardization of the rows of x, scaled by gamma, shifted by beta.
+
+    Returns the output tensor and the batch mean and variance (plain
+    arrays), which the caller folds into its running statistics.
+    """
+    x, gamma, beta = _coerce(x), _coerce(gamma), _coerce(beta)
+    _check_rank2(x, "batchnorm_train")
+    xd, gd, sbeta = x.data, gamma.data, beta.data.shape
+    scale = 1.0 / xd.shape[0]
+    mu = xd.mean(axis=0)                      # reduce_mean(x, 0)
+    c = xd - mu                               # sub
+    var = (c * c).mean(axis=0)                # mul, reduce_mean(., 0)
+    ve = var + eps                            # add
+    p = -0.5
+    _check_power(ve, p)
+    inv = ve ** p                             # power
+    t1 = c * inv                              # mul
+    _check_shapes(t1.shape, gd.shape, "mul")
+    t2 = t1 * gd                              # mul
+    _check_shapes(t2.shape, sbeta, "add")
+    out = t2 + beta.data                      # add
+
+    def rule(g):
+        g_beta = _unbroadcast(g, sbeta)
+        g_t2 = _unbroadcast(g, t2.shape)
+        g_gamma = _unbroadcast(g_t2 * t1, gd.shape)
+        g_t1 = _unbroadcast(g_t2 * gd, t1.shape)
+        g_c = _unbroadcast(g_t1 * inv, c.shape)
+        g_inv = _unbroadcast(g_t1 * c, inv.shape)
+        g_var = g_inv * p * ve ** (p - 1.0)
+        g_sq = (g_var * scale)[None, :]
+        g_c = g_c + g_sq * c
+        g_c = g_c + g_sq * c
+        g_mu = _unbroadcast(g_c, mu.shape).__neg__()
+        return (g_beta, g_gamma, g_c,
+                np.broadcast_to((g_mu * scale)[None, :], xd.shape))
+
+    return _emit(out, (beta, gamma, x, x), rule), mu, var

@@ -271,7 +271,10 @@ def test_declared_range_is_checked_at_its_bounds(key, within, kind):
     (["train", "--seed", "-1"], "", "usage error: argument --seed: must be at least 0, got -1"),
     (["loo"], "seeds = 0,-2\n", "error: seeds must be at least 0, got -2"),
     (["ablate"], "seeds = 0,-2\n", "error: seeds must be at least 0, got -2"),
-], ids=["train", "loo", "ablate"])
+    # train runs the first seed only, but a bad seed later in the list is
+    # still a bad config
+    (["train"], "seeds = 0,-2\n", "error: seeds must be at least 0, got -2"),
+], ids=["train", "loo", "ablate", "train-seed-list"])
 def test_negative_seed_fails_before_any_run_directory(tmp_path, capsys, command, extra, message):
     path = write_config(tmp_path, extra)
     assert main(command[:1] + ["--config", str(path)] + command[1:]) == 1
@@ -358,6 +361,22 @@ def test_ablate_divergence_in_a_worker_is_runtime_failure(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["ablate", "--config", str(path), "--workers", "2"]) == 2
     assert "runtime failure: non-finite loss" in capsys.readouterr().err
+
+
+def test_domain_smaller_than_its_batch_share_is_user_error(tmp_path, capsys, monkeypatch):
+    from dccl import harness
+
+    def no_anchor(*args, **kwargs):
+        raise AssertionError("anchor built")
+
+    monkeypatch.setattr(harness, "build_anchor", no_anchor)
+    # one labelled sample leaves one source domain, which a batch of 8 asks
+    # for 8 samples; CDC would then find no negatives
+    path = write_config(tmp_path, "label_ratio = 0.01\nloss.cdc = true\nloss.pma = true\n")
+    assert main(["train", "--config", str(path)]) == 1
+    assert re.fullmatch(r"error: domain [12] has 1 training samples, fewer than its share of 8 "
+                        r"in a batch of 8 over 1 domains\n", capsys.readouterr().err)
+    assert not (tmp_path / "runs" / "micro" / "train" / "seed0" / "result.csv").exists()
 
 
 def test_collapsed_embeddings_write_undefined_connectivity(tmp_path, capsys):

@@ -68,9 +68,15 @@ def assert_same(fused, composite):
             assert np.array_equal(g, ref)
 
 
-def compare(name, leaves, call, weights=1.0):
-    assert_same(run(getattr(ad, name), leaves, call, weights),
-                run(COMPOSITES[name], leaves, call, weights))
+def fused_op(name):
+    """The fused op `name`: from `dccl.autodiff`, or from `elementary` for
+    `batchnorm_train`, which only the oracles call now."""
+    return getattr(ad, name, None) or getattr(el, name)
+
+
+def compare(name, leaves, call, weights=1.0, later_use=True):
+    assert_same(run(fused_op(name), leaves, call, weights, later_use),
+                run(COMPOSITES[name], leaves, call, weights, later_use))
 
 
 class Call:
@@ -93,6 +99,34 @@ def batchnorm_call(watched, eps):
         out, mu, var = op(t["x"], t["gamma"], t["beta"], eps)
         return out, (mu, var)
     return Call(fn, watched)
+
+
+def embed_call(views, bn, eps, view_weights):
+    """`embed_views` of a constant (views, n, d) stack over a relu layer, a
+    relu layer with or without batch norm, and a last affine layer.  The
+    result is the sum of z_v * w_v over the views with weights; a view
+    without any gets no gradient, so the op sees zeros for it.  Its extras
+    are each view's z and the batch statistics."""
+    watched = ("W0", "b0", "W1", "b1") + (("gamma", "beta") if bn else ()) + ("W2", "b2")
+
+    def fn(op, t):
+        layers = [(t["W0"], t["b0"], None, True),
+                  (t["W1"], t["b1"], (t["gamma"], t["beta"]) if bn else None, True),
+                  (t["W2"], t["b2"], None, False)]
+        zs, stats = op(views, layers, eps)
+        terms = [z * Tensor(w) for z, w in zip(zs, view_weights) if w is not None]
+        out = terms[0]
+        for term in terms[1:]:
+            out = out + term
+        return out, [z.data for z in zs] + [a for pair in stats for a in pair]
+    return Call(fn, watched)
+
+
+def embed_leaves(rng, d):
+    return {"W0": rng.standard_normal((d, 5)), "b0": 0.1 * rng.standard_normal(5),
+            "W1": rng.standard_normal((5, 4)), "b1": 0.1 * rng.standard_normal(4),
+            "gamma": rng.standard_normal(4), "beta": rng.standard_normal(4),
+            "W2": rng.standard_normal((4, 3)), "b2": rng.standard_normal(3)}
 
 
 def xent_call(labels):
@@ -137,6 +171,21 @@ def test_batchnorm_train_matches_composite(n, m, eps, seed):
 
 
 @PROPERTY
+@given(st.integers(1, 3), st.integers(2, 6), st.integers(1, 4), st.booleans(),
+       st.sampled_from([1e-5, 0.3]), st.integers(0, 2**32 - 1))
+def test_embed_views_matches_composite(n_views, n, d, bn, eps, seed):
+    rng = np.random.default_rng(seed)
+    weights = [rng.standard_normal((n, 3)) if rng.random() < 0.7 else None
+               for _ in range(n_views)]
+    weights[rng.integers(n_views)] = rng.standard_normal((n, 3))
+    call = embed_call(rng.standard_normal((n_views, n, d)), bn, eps, weights)
+    # the op hands each parameter one sum over the views, which equals the
+    # chain's association only while the op holds the parameter's every
+    # use, as in `Model`: so no later use here
+    compare("embed_views", embed_leaves(rng, d), call, later_use=False)
+
+
+@PROPERTY
 @given(st.integers(1, 6), st.integers(2, 5), st.integers(0, 2**32 - 1))
 def test_softmax_cross_entropy_matches_composite(n, m, seed):
     rng = np.random.default_rng(seed)
@@ -173,9 +222,12 @@ def test_generative_term_matches_composite(n, d, watch_z, seed):
     compare("generative_term", leaves, call)
 
 
-def model_step(spec_seed, batchnorm, head, flags, n):
+def model_step(spec_seed, batchnorm, head, flags, n, n_views):
     """Loss, every parameter gradient and the running statistics of one
-    full-objective step through `Model` and `total_loss`."""
+    full-objective step through `Model` and `total_loss`.  The step embeds
+    `n_views` views; the second (or, with one view, the first) is the
+    contrastive alternative, and a third enters the loss through its
+    alignment with the anchor embeddings."""
     cdc, pma, gt, anchor_negatives, standard = flags
     rng = np.random.default_rng(spec_seed)
     spec = ModelSpec(encoder_hidden=(16, 4), embed_dim=4, head_hidden=head,
@@ -193,31 +245,34 @@ def model_step(spec_seed, batchnorm, head, flags, n):
                   else np.arange(n, dtype=np.int64))
     if pma:
         assignment = mix_anchor_positives(assignment, 0.5, rng)
-    x1, x2 = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+    views = [rng.standard_normal((n, 3)) for _ in range(n_views)]
     z_pre = unit_rows(rng.standard_normal((n, 4)))
     noise = rng.standard_normal((n, 4))
     with Tape() as tape:
         model.watch(tape)
-        z1 = model.embed(x1, training=True)
-        z2 = model.embed(x2, training=True)
-        batch = ContrastBatch(z=z1, labels=labels, domains=domains, z_alt=z2, z_pre=z_pre,
-                              positive_assignment=assignment)
-        breakdown = total_loss(batch, model.logits(z1), cfg, gen=model.parameters(),
+        zs = model.embed(views, training=True)
+        batch = ContrastBatch(z=zs[0], labels=labels, domains=domains, z_alt=zs[n_views > 1],
+                              z_pre=z_pre, positive_assignment=assignment)
+        breakdown = total_loss(batch, model.logits(zs[0]), cfg, gen=model.parameters(),
                                noise=noise)
-    grads = tape.gradients(breakdown.total)
+        root = breakdown.total
+        for z in zs[2:]:
+            root = root + el.reduce_sum(z * Tensor(z_pre))
+    grads = tape.gradients(root)
     params = model.parameters()
-    return ([breakdown.total.data, breakdown.erm, breakdown.contrast, breakdown.gen]
+    return ([root.data, breakdown.erm, breakdown.contrast, breakdown.gen]
             + [grads[params[name].node_id] for name in sorted(params)]
             + [model.stats()[name] for name in sorted(model.stats())])
 
 
 @PROPERTY
 @given(st.integers(0, 10**6), st.booleans(), st.sampled_from([0, 6]),
-       st.tuples(*[st.booleans()] * 5), st.integers(2, 9))
-def test_model_step_matches_composite_chain(seed, batchnorm, head, flags, n):
-    fused = model_step(seed, batchnorm, head, flags, n)
-    with mock.patch.multiple(ad, **COMPOSITES):
-        composite = model_step(seed, batchnorm, head, flags, n)
+       st.tuples(*[st.booleans()] * 5), st.integers(2, 9), st.integers(1, 3))
+def test_model_step_matches_composite_chain(seed, batchnorm, head, flags, n, n_views):
+    fused = model_step(seed, batchnorm, head, flags, n, n_views)
+    with mock.patch.multiple(ad, **{name: fn for name, fn in COMPOSITES.items()
+                                    if hasattr(ad, name)}):
+        composite = model_step(seed, batchnorm, head, flags, n, n_views)
     assert len(fused) == len(composite)
     for a, b in zip(fused, composite):
         assert np.array_equal(a, b)
@@ -239,6 +294,10 @@ def fd_cases():
                             {"x": rng.standard_normal((6, 3)),
                              "gamma": rng.standard_normal(3), "beta": rng.standard_normal(3)},
                             rng.standard_normal((6, 3))),
+        "embed_views": (embed_call(rng.standard_normal((3, 4, 2)), True, 1e-5,
+                                   [rng.standard_normal((4, 3)), None,
+                                    rng.standard_normal((4, 3))]),
+                        embed_leaves(rng, 2), 1.0),
         "softmax_cross_entropy": (xent_call(np.array([2, 0, 1, 1])),
                                   {"logits": rng.standard_normal((4, 3))}, 1.0),
         "contrastive_term": (contrastive_call(positive, z_pre, 0.3, True, True, False),
@@ -256,7 +315,7 @@ def fd_cases():
 @pytest.mark.parametrize("name", sorted(COMPOSITES))
 def test_fused_gradients_match_fd(name):
     call, leaves, weights = fd_cases()[name]
-    op = getattr(ad, name)
+    op = fused_op(name)
     _, _, grads = run(op, leaves, call, weights, later_use=False)
 
     def value():
@@ -278,7 +337,19 @@ def test_fused_ops_keep_shape_and_domain_guards():
         ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
     # constant rows and eps 0: a zero variance under the -1/2 power
     with pytest.raises(ad.DegenerateInputError):
-        ad.batchnorm_train(Tensor(np.ones((4, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), 0.0)
+        el.batchnorm_train(Tensor(np.ones((4, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), 0.0)
+    eye = (Tensor(np.eye(2)), Tensor(np.zeros(2)))
+    with pytest.raises(ad.DegenerateInputError):
+        ad.embed_views(np.ones((2, 4, 2)), [(*eye, (Tensor(np.ones(2)), Tensor(np.zeros(2))),
+                                             False)], 0.0)
+    with pytest.raises(ad.ShapeError):
+        ad.embed_views(np.ones((2, 4, 3)), [(*eye, None, False)], 1e-5)
+    with pytest.raises(ad.ShapeError):
+        ad.embed_views(np.ones((2, 4, 2)), [(eye[0], Tensor(np.zeros(3)), None, False)], 1e-5)
+    views = np.ones((2, 4, 2))
+    views[1, 2] = 0.0
+    with pytest.raises(ad.DegenerateInputError, match="row 2 of view 1 "):
+        ad.embed_views(views, [(*eye, None, False)], 1e-5)
     with pytest.raises(IndexError):
         ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
     with pytest.raises(ad.ShapeError):
@@ -349,10 +420,16 @@ def loop_batches(dataset, batch_size, seed):
 def test_make_batches_matches_loop_across_refills(n_domains, per_domain, size, seed):
     rng = np.random.default_rng(seed)
     full = gen_rotated_gaussians(n_domains, 2, size, 0.3, 3.0, 0.3, seed=seed % 1000)
-    # uneven domains, some smaller than one batch share, so that refills
-    # drop leftovers at different steps and a short pool yields short batches
+    # uneven domains, so that refills drop leftovers at different steps; a
+    # domain smaller than its batch share is rejected by name
     dataset = full.subset(np.sort(rng.permutation(len(full))[:max(1, len(full) - size)]))
-    batch_size = per_domain * len(np.unique(dataset.domains))
+    present = np.unique(dataset.domains)
+    batch_size = per_domain * len(present)
+    short = [m for m in present if len(dataset.domain_indices(m)) < per_domain]
+    if short:
+        with pytest.raises(ValueError, match=f"^domain {short[0]} has "):
+            make_batches(dataset, batch_size, seed=seed)
+        return
     fast = make_batches(dataset, batch_size, seed=seed)
     slow = loop_batches(dataset, batch_size, seed)
     for _ in range(40):

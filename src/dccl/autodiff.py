@@ -7,21 +7,21 @@ numpy float64 arrays of rank <= 2, which is all the MLPs and losses in
 this package need; every backward rule is checked against central finite
 differences.
 
-The package has nine ops: `add` and `mul` (through `Tensor.__add__` and
-`__mul__`), `relu`, `l2_normalize`, and the fused `affine`, `embed_views`,
-`softmax_cross_entropy`, `contrastive_term` and `generative_term`.
-`embed_views` embeds all of a training step's views as one op with one
-output per view, so `relu` and `l2_normalize` only run in evaluation mode,
-on no tape; a full-method step records 9 tape ops.  Each fused op
-replays, forward and backward, the numpy operations of a chain of
-elementary primitives, in the same order; those primitives and the chains
-built from them live with the tests, in `tests/elementary.py` and
-`tests/conftest.py`.  Where a chain sent several gradient contributions
-to one input, the input appears once per contribution in the op's parent
-tuple, in the order the reverse sweep would have met them, so
-`Tape.gradients` sums them with the same association; `embed_views` sums
-a parameter's per-view contributions itself, in that order.  A fused op
-therefore yields the same bits as its chain.
+The package has seven ops: `add` and `mul` (through `Tensor.__add__` and
+`__mul__`) and the fused `affine`, `embed_views`, `softmax_cross_entropy`,
+`contrastive_term` and `generative_term`; a full-method training step
+records 9 tape ops.  Evaluation needs no gradient and records nothing:
+`normalize_rows` is its forward-only row normalization, which
+`embed_views` shares.  Each fused op replays, forward and backward, the
+numpy operations of a chain of elementary primitives, in the same order;
+those primitives and the chains built from them live with the tests, in
+`tests/elementary.py` and `tests/conftest.py`.  Where a chain sent
+several gradient contributions to one input, the input appears once per
+contribution in the op's parent tuple, in the order the reverse sweep
+would have met them, so `Tape.gradients` sums them with the same
+association; `embed_views` sums a parameter's per-view contributions
+itself, in that order.  A fused op therefore yields the same bits as its
+chain.
 """
 
 from __future__ import annotations
@@ -43,6 +43,27 @@ class ShapeError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Input outside the numerically safe domain of a primitive."""
+
+
+def normalize_rows(h):
+    """Each row of h (a vector along its last axis) scaled to unit
+    Euclidean norm, and the norms with a trailing axis; forward only, on
+    no tape.
+
+    Norms below NORM_FLOOR are rejected rather than smoothed, so the
+    unit-norm invariant of the output is exact.  The error names the
+    first such row, and its view when h is a (views, n, d) stack.
+    """
+    norms = np.sqrt(np.sum(h * h, axis=-1))
+    bad = norms < NORM_FLOOR
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        *view, row = first
+        of_view = "".join(f" of view {v}" for v in view)
+        raise DegenerateInputError(f"cannot normalize row {row}{of_view} with norm "
+                                   f"{norms[first]:g} < {NORM_FLOOR:g}")
+    norms = norms[..., None]
+    return h / norms, norms
 
 
 def _tape_stack():
@@ -278,37 +299,6 @@ def _sigmoid(x):
     return out
 
 
-def relu(a):
-    a = _coerce(a)
-    da = a.data
-    return _emit(np.maximum(da, 0.0), (a,), lambda g: (g * (da > 0.0),))
-
-
-def l2_normalize(a):
-    """Scale each row of a rank-2 tensor to unit Euclidean norm.
-
-    Norms at or below NORM_FLOOR are rejected rather than smoothed, so
-    the unit-norm invariant of the output is exact.
-    """
-    a = _coerce(a)
-    _check_rank2(a, "l2_normalize")
-    da = a.data
-    norms = np.sqrt(np.sum(da * da, axis=1))
-    bad = norms < NORM_FLOOR
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise DegenerateInputError(
-            f"cannot normalize row {row} with norm {norms[row]:g} < {NORM_FLOOR:g}"
-        )
-    out = da / norms[:, None]
-
-    def rule(g):
-        inner = np.sum(g * out, axis=1, keepdims=True)
-        return ((g - out * inner) / norms[:, None],)
-
-    return _emit(out, (a,), rule)
-
-
 def _lse_rows(da, mask):
     """Masked row-wise log-sum-exp, max-stabilized: the masked input and
     the result."""
@@ -414,14 +404,7 @@ def embed_views(views, layers, eps):
             alive = h > 0.0
             h = np.maximum(h, 0.0)                    # relu
         saved.append((x_in, Wd, norm, alive))
-    norms = np.sqrt(np.sum(h * h, axis=2))            # l2_normalize
-    bad = norms < NORM_FLOOR
-    if bad.any():
-        view, row = (int(i) for i in np.argwhere(bad)[0])
-        raise DegenerateInputError(f"cannot normalize row {row} of view {view} with norm "
-                                   f"{norms[view, row]:g} < {NORM_FLOOR:g}")
-    norms = norms[:, :, None]
-    out = h / norms
+    out, norms = normalize_rows(h)                    # l2_normalize
 
     def rule(gs):
         g = np.stack(gs)

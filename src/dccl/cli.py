@@ -159,10 +159,9 @@ def cmd_loo(args):
     # a grid of one row, the config's own loss toggles
     grid = ablation_grid(cfg, rows=(AblationRow.of_loss("loo", "loo", cfg.loss),),
                          seeds=seeds, out_dir=exp_dir)
-    loo = grid.results["loo"]
-    cells = [(str(m), [loo[s].accuracy_by_holdout()[m] for s in seeds]
+    cells = [(str(m), [grid.accuracy("loo", s, m) for s in seeds]
               + [grid.row_domain_mean("loo", m)]) for m in range(grid.n_domains)]
-    cells.append(("avg", [loo[s].average for s in seeds] + [grid.row_mean("loo")]))
+    cells.append(("avg", [grid.seed_mean("loo", s) for s in seeds] + [grid.row_mean("loo")]))
 
     header = ["holdout"] + [f"seed{s}" for s in seeds] + ["mean"]
     aligned = ["  ".join(h.ljust(10) for h in header).rstrip()]

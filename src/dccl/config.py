@@ -11,7 +11,7 @@ each range beside it; `dccl.options` reads and renders each value, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 
 from .harness import ExperimentConfig
 from .options import check_value, key_values, option, option_fields, parser, render
@@ -21,13 +21,6 @@ class ConfigError(ValueError):
     """Unknown key, bad value, or unreadable config file."""
 
 
-@dataclass(frozen=True)
-class Field:
-    parse: callable
-    default: object
-    help: str
-
-
 # the command-level keys: where runs go and which seeds they take
 _COMMAND_OPTIONS = {
     "experiment": option("experiment", "run name used in output paths"),
@@ -35,17 +28,17 @@ _COMMAND_OPTIONS = {
     "seeds": option((0, 1, 2), "comma-separated training seeds", within="[0, inf)"),
 }
 
-SCHEMA = {key: Field(parser(f), f.default, f.metadata["help"])
-          for key, f in [*_COMMAND_OPTIONS.items(), *option_fields(ExperimentConfig)]}
+# config key -> its `option` field
+SCHEMA = {**_COMMAND_OPTIONS, **dict(option_fields(ExperimentConfig))}
 
 
 def parse_config_text(text, source="<config>"):
-    values = {key: field.default for key, field in SCHEMA.items()}
+    values = {key: f.default for key, f in SCHEMA.items()}
     for lineno, key, raw_value in key_values(text, source, ConfigError):
         if key not in SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = SCHEMA[key].parse(raw_value)
+            values[key] = parser(SCHEMA[key])(raw_value)
         except ValueError as exc:
             raise ConfigError(f"{key} {exc} ({source}:{lineno})") from None
     for key, f in _COMMAND_OPTIONS.items():

@@ -7,6 +7,7 @@ artifact the package writes goes through `write_text`.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import fields
 from pathlib import Path
@@ -185,6 +186,9 @@ def load_checkpoint(path):
         spec.validate()
         input_dim = int(entries["arch.input_dim"])
         n_classes = int(entries["arch.n_classes"])
+        if input_dim < 1 or n_classes < 1:
+            raise ValueError(f"arch.input_dim and arch.n_classes must be at least 1, "
+                             f"got {input_dim} and {n_classes}")
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad checkpoint metadata: {exc}") from None
     model = Model(input_dim, n_classes, spec, np.random.default_rng(0))
@@ -194,13 +198,22 @@ def load_checkpoint(path):
             skey, dkey = f"array.{group}.{name}.shape", f"array.{group}.{name}.data"
             if skey not in entries or dkey not in entries:
                 raise FormatError(f"{path}: checkpoint is missing array {name!r}")
-            shape = tuple(int(s) for s in entries[skey].split(",")) if entries[skey] else ()
+            dims = entries[skey].split(",") if entries[skey] else []
+            if not all(d.strip().isdecimal() for d in dims):
+                raise FormatError(f"{path}: array {name!r} has shape {entries[skey]!r}: each "
+                                  "dimension must be a non-negative integer")
+            shape = tuple(map(int, dims))
             try:
                 values = np.array([float(v) for v in entries[dkey].split(",")])
             except ValueError as exc:
                 raise FormatError(f"{path}: corrupt data for {name!r}: {exc}") from None
-            expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            if values.size != expected:
+            if not np.isfinite(values).all():
+                raise FormatError(f"{path}: array {name!r} holds a non-finite value at "
+                                  f"index {int(np.argmin(np.isfinite(values)))}")
+            if name.endswith("running_var") and (values < 0.0).any():
+                raise FormatError(f"{path}: array {name!r} holds a negative variance at "
+                                  f"index {int(np.argmax(values < 0.0))}")
+            if values.size != math.prod(shape):
                 raise FormatError(f"{path}: array {name!r} size does not match shape {shape}")
             state[name] = values.reshape(shape)
     if sum(key.startswith("array.") for key in entries) != 2 * len(state):

@@ -332,18 +332,6 @@ def _write_run_dir(run_dir, model, result):
     formats.write_text(run_dir / "result.csv", "\n".join(result_lines) + "\n")
 
 
-@dataclass
-class LooResult:
-    runs: list
-
-    @property
-    def average(self):
-        return float(np.mean([r.test_accuracy for r in self.runs]))
-
-    def accuracy_by_holdout(self):
-        return {r.holdout: r.test_accuracy for r in self.runs}
-
-
 @dataclass(frozen=True)
 class AblationRow:
     name: str
@@ -387,15 +375,20 @@ class GridResult:
     rows: tuple
     seeds: tuple
     n_domains: int
-    results: dict  # row name -> {seed -> LooResult}
+    runs: dict  # (row name, seed, holdout) -> RunResult
+
+    def accuracy(self, name, seed, holdout):
+        return self.runs[name, seed, holdout].test_accuracy
+
+    def seed_mean(self, name, seed):
+        """The leave-one-domain-out average of one row and seed."""
+        return float(np.mean([self.accuracy(name, seed, m) for m in range(self.n_domains)]))
 
     def row_mean(self, name):
-        return float(np.mean([self.results[name][s].average for s in self.seeds]))
+        return float(np.mean([self.seed_mean(name, s) for s in self.seeds]))
 
     def row_domain_mean(self, name, holdout):
-        return float(np.mean([
-            self.results[name][s].accuracy_by_holdout()[holdout] for s in self.seeds
-        ]))
+        return float(np.mean([self.accuracy(name, s, holdout) for s in self.seeds]))
 
     def table_csv(self):
         cols = ",".join(f"holdout{m}" for m in range(self.n_domains))
@@ -479,13 +472,7 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {key: pool.submit(_grid_job, *job) for key, job in jobs.items()}
-            done = {key: future.result() for key, future in futures.items()}
+            runs = {key: future.result() for key, future in futures.items()}
     else:
-        done = {key: _grid_job(*job) for key, job in jobs.items()}
-    results = {
-        row.name: {seed: LooResult(runs=[done[row.name, seed, m] for m in range(n_domains)])
-                   for seed in seeds}
-        for row in rows
-    }
-    return GridResult(rows=tuple(rows), seeds=tuple(seeds), n_domains=n_domains,
-                      results=results)
+        runs = {key: _grid_job(*job) for key, job in jobs.items()}
+    return GridResult(rows=tuple(rows), seeds=tuple(seeds), n_domains=n_domains, runs=runs)

@@ -151,10 +151,12 @@ class Model:
         views are embedded as one tape op, `ad.embed_views`: batch norm
         uses each view's batch statistics and moves the running ones
         (momentum `BN_MOMENTUM`) view by view, in view order.  Evaluation
-        mode uses the running statistics in plain numpy and records
-        nothing on a tape: the package only embeds in that mode outside
-        `ad.Tape` (anchor, validation and test accuracy, connectivity), so
-        no gradient flows through it."""
+        mode is a plain numpy walk over the same layers, with batch norm
+        from the running statistics and rows normalized by
+        `ad.normalize_rows`.  It records nothing, even under an active
+        tape that watches the parameters, so no gradient flows through
+        it.  The package embeds in that mode for the anchor's embeddings,
+        validation and test accuracy, and connectivity."""
         views = x if isinstance(x, list) else [x]
         views = [np.atleast_2d(np.asarray(v.data if isinstance(v, Tensor) else v,
                                           dtype=np.float64)) for v in views]
@@ -174,18 +176,16 @@ class Model:
                                                     + m * var[v])
             return zs if isinstance(x, list) else zs[0]
         (h,) = views
-        h = Tensor(h)
+        stats = self._stats
         for W, b, bn, relu in self._layers():
-            h = ad.affine(h, W, b)
+            h = h @ W.data + b.data
             if bn is not None:
                 gamma, beta = bn
-                stats = self._stats
                 inv = 1.0 / np.sqrt(stats["head.bn.running_var"] + BN_EPS)
-                h = Tensor((h.data - stats["head.bn.running_mean"]) * inv * gamma.data
-                           + beta.data)
+                h = (h - stats["head.bn.running_mean"]) * inv * gamma.data + beta.data
             if relu:
-                h = ad.relu(h)
-        return ad.l2_normalize(h)
+                h = np.maximum(h, 0.0)
+        return Tensor(ad.normalize_rows(h)[0])
 
     def logits(self, z):
         return ad.affine(z, self._params["cls.W"], self._params["cls.b"])

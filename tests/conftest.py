@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dccl import autodiff as ad
 from dccl import nets
 from dccl.autodiff import Tensor
 
@@ -162,9 +161,9 @@ def generative_term(z, z_pre, noise, std_bias, W, b):
 
 def embed_views(views, layers, eps):
     """One walk per view, in view order, through the `affine` and
-    `batchnorm_train` composites and the package's `relu` and
-    `l2_normalize`: the chain `Model.embed` recorded for each view before
-    one op took in all of them."""
+    `batchnorm_train` composites and the `relu` and `l2_normalize`
+    primitives: the chain `Model.embed` recorded for each view before one
+    op took in all of them."""
     outs, stats = [], []
     for x in np.asarray(views, dtype=np.float64):
         h, view_stats = Tensor(x), []
@@ -174,8 +173,8 @@ def embed_views(views, layers, eps):
                 h, mu, var = batchnorm_train(h, *bn, eps)
                 view_stats.append((mu, var))
             if relu:
-                h = ad.relu(h)
-        outs.append(ad.l2_normalize(h))
+                h = el.relu(h)
+        outs.append(el.l2_normalize(h))
         stats.append(view_stats)
     # per batch-norm layer, the (views, m) means and variances
     return outs, [tuple(map(np.stack, zip(*layer))) for layer in zip(*stats)]

@@ -8,6 +8,9 @@ checks and log-sum-exp helpers, so a chain of them yields the same bits as
 before the fused ops existed.  Tests call them as functions; `Tensor`
 keeps only `+` and `*`.
 
+`relu` and `l2_normalize` are the last steps of each view's chain in the
+`embed_views` composite; `l2_normalize` takes its forward pass from
+`autodiff.normalize_rows`, the package's forward-only row normalization.
 `batchnorm_train` at the end is the one-view batch-norm op that the
 package recorded before `autodiff.embed_views` took in the whole
 embedding; it is kept as an oracle of the batch-norm step of that op.
@@ -18,7 +21,7 @@ import numpy as np
 from dccl.autodiff import (DegenerateInputError, ShapeError, _check_cols, _check_log,
                            _check_matmul, _check_power, _check_rank2, _check_rows,
                            _check_shapes, _coerce, _emit, _lse_grad, _lse_rows, _sigmoid,
-                           _unbroadcast)
+                           _unbroadcast, normalize_rows)
 
 
 def sub(a, b):
@@ -64,6 +67,25 @@ def softplus(a):
     a = _coerce(a)
     da = a.data
     return _emit(np.logaddexp(0.0, da), (a,), lambda g: (g * _sigmoid(da),))
+
+
+def relu(a):
+    a = _coerce(a)
+    da = a.data
+    return _emit(np.maximum(da, 0.0), (a,), lambda g: (g * (da > 0.0),))
+
+
+def l2_normalize(a):
+    """Scale each row of a rank-2 tensor to unit Euclidean norm."""
+    a = _coerce(a)
+    _check_rank2(a, "l2_normalize")
+    out, norms = normalize_rows(a.data)
+
+    def rule(g):
+        inner = np.sum(g * out, axis=1, keepdims=True)
+        return ((g - out * inner) / norms,)
+
+    return _emit(out, (a,), rule)
 
 
 def power(a, exponent):

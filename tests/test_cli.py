@@ -93,7 +93,7 @@ def test_bad_config_value_rejected(tmp_path, capsys):
 
 def test_every_schema_key_has_default_and_doc():
     for key, field in SCHEMA.items():
-        assert field.help
+        assert field.metadata["help"], key
         parse_config_text("")  # defaults alone are a valid config
 
 
@@ -577,12 +577,14 @@ def test_corrupted_checkpoint_rejected(tmp_path, capsys):
 
 
 # each case replaces the line of its first key; the third also overrides the
-# earlier encoder_hidden line with a width of 0, and the last two give an
-# array a shape of the right size that its slot does not have
+# earlier encoder_hidden line with a width of 0, the next two give an array
+# a shape of the right size that its slot does not have, and the last two
+# give the model no input or no class
 @pytest.mark.parametrize("new", ["arch.batchnorm = ture", "arch.batchnorm = false",
                                  "arch.batchnorm = true\narch.encoder_hidden = 0",
                                  "array.param.cls.W.shape = 9,1",
-                                 "array.stat.head.bn.running_mean.shape = 2,2"])
+                                 "array.stat.head.bn.running_mean.shape = 2,2",
+                                 "arch.input_dim = 0", "arch.n_classes = -1"])
 def test_checkpoint_with_a_wrong_architecture_rejected(tmp_path, capsys, new):
     from dccl.formats import save_checkpoint
     from dccl.nets import Model, ModelSpec
@@ -603,6 +605,36 @@ def test_checkpoint_with_a_wrong_architecture_rejected(tmp_path, capsys, new):
     if key.startswith("array."):
         name = key[len("array."):-len(".shape")].split(".", 1)[1]
         assert f"array {name!r} has shape" in err
+    assert not out.exists()
+
+
+# each case edits one array line: a shape, or data with the first value
+# replaced
+@pytest.mark.parametrize("key, edit, message", [
+    ("param.enc.0.W.shape", lambda _: "2,x",
+     "'enc.0.W' has shape '2,x': each dimension must be a non-negative integer"),
+    ("param.enc.0.W.shape", lambda _: "-2,-32",
+     "'enc.0.W' has shape '-2,-32': each dimension must be a non-negative integer"),
+    ("param.enc.0.W.data", lambda v: "nan," + v.split(",", 1)[1],
+     "'enc.0.W' holds a non-finite value at index 0"),
+    ("stat.head.bn.running_var.data", lambda v: "-1," + v.split(",", 1)[1],
+     "'head.bn.running_var' holds a negative variance at index 0"),
+], ids=["letter", "negative", "nan", "variance"])
+def test_checkpoint_with_a_corrupt_array_rejected(tmp_path, capsys, key, edit, message):
+    from dccl.formats import save_checkpoint
+    from dccl.nets import Model, ModelSpec
+
+    ckpt = tmp_path / "ckpt.txt"
+    save_checkpoint(Model(2, 3, ModelSpec(), np.random.default_rng(0)), ckpt)
+    line = re.escape(f"array.{key} = ")
+    ckpt.write_text(re.sub(rf"^({line})(.*)$", lambda m: m[1] + edit(m[2]), ckpt.read_text(),
+                           count=1, flags=re.M))
+    data, out = tmp_path / "d.txt", tmp_path / "emb.txt"
+    assert main(["gen-data", "--per-domain-class", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["dump-embeddings", "--checkpoint", str(ckpt),
+                 "--data", str(data), "--out", str(out)]) == 1
+    assert f"error: {ckpt}: array {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

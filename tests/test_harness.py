@@ -87,10 +87,10 @@ def test_divergence_aborts_with_step():
     assert f"step {err.value.step}" in str(err.value)
 
 
-def loo_runs(cfg):
-    """The runs of cfg's seed in the one-row grid that `dccl loo` runs."""
+def loo_grid(cfg):
+    """The one-row grid that `dccl loo` runs, on cfg's seed."""
     row = AblationRow.of_loss("loo", "loo", cfg.loss)
-    return ablation_grid(cfg, rows=(row,), seeds=(cfg.seed,)).results["loo"][cfg.seed]
+    return ablation_grid(cfg, rows=(row,), seeds=(cfg.seed,))
 
 
 def test_loss_row_leaves_its_config_unchanged():
@@ -100,11 +100,12 @@ def test_loss_row_leaves_its_config_unchanged():
 
 
 def test_leave_one_out_protocol():
-    loo = loo_runs(micro_config())
-    assert len(loo.runs) == 3
-    assert sorted(r.holdout for r in loo.runs) == [0, 1, 2]
-    assert loo.average == pytest.approx(np.mean([r.test_accuracy for r in loo.runs]))
-    for run in loo.runs:
+    grid = loo_grid(micro_config())
+    runs = list(grid.runs.values())
+    assert list(grid.runs) == [("loo", 0, m) for m in range(3)]
+    assert [r.holdout for r in runs] == [0, 1, 2]
+    assert grid.seed_mean("loo", 0) == pytest.approx(np.mean([r.test_accuracy for r in runs]))
+    for run in runs:
         assert run.holdout not in run.domain_batch_counts
 
 
@@ -115,8 +116,7 @@ def test_no_shift_transfers_cleanly():
                             noise_std=0.3, seed=1),
         optim=OptimConfig(lr=1e-3, steps=200, batch_size=8, eval_every=40),
     )
-    loo = loo_runs(cfg)
-    accs = [r.test_accuracy for r in loo.runs]
+    accs = [r.test_accuracy for r in loo_grid(cfg).runs.values()]
     assert min(accs) >= 0.97
     assert max(accs) - min(accs) <= 0.02
 
@@ -211,7 +211,7 @@ def test_grid_rows_and_worker_equivalence(tmp_path):
         assert (tmp_path / "seq" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes(), rel
     for name in ("erm", "pma", "full"):
         for seed in (0, 1):
-            assert [r.holdout for r in seq.results[name][seed].runs] == [0, 1, 2]
+            assert [seq.runs[name, seed, m].holdout for m in range(3)] == [0, 1, 2]
             assert (tmp_path / "seq" / name / f"seed{seed}" / "holdout0" / "result.csv").exists()
 
 
@@ -265,7 +265,7 @@ def test_grid_scores_initial_connectivity_once_per_seed(monkeypatch):
     grid = ablation_grid(micro_config(), rows=rows, seeds=(0,), workers=1)
     # one selected-checkpoint report per run, plus the seed's initial report
     assert len(calls) == len(rows) * 3 + 1
-    inits = {run.connectivity_init for loo in grid.results.values() for run in loo[0].runs}
+    inits = {run.connectivity_init for run in grid.runs.values()}
     assert inits == {_fresh_initial_connectivity(micro_config())}
 
 

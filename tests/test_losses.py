@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from dccl import losses
-from dccl.autodiff import Tape, Tensor, l2_normalize
+from dccl.autodiff import Tape, Tensor
 from dccl.losses import (ANCHOR_POSITIVE, ContrastBatch, LossConfig,
                          LossConfigError, erm_loss, gen_loss, infonce_loss,
                          mix_anchor_positives, sample_positives_cdc, total_loss)
 from conftest import generator_tensors, max_rel_err, numerical_gradient
+from elementary import l2_normalize
 
 
 def normalize_rows(x):

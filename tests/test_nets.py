@@ -53,6 +53,15 @@ def test_embed_rows_are_unit_norm():
     assert np.max(np.abs(np.sqrt(np.sum(z.data ** 2, axis=1)) - 1.0)) <= 1e-9
 
 
+def test_evaluation_embedding_records_nothing_on_a_tape():
+    model = small_model(seed=3)
+    with Tape() as tape:
+        model.watch(tape)
+        z = model.embed(np.random.default_rng(1).standard_normal((5, 2)))
+    assert tape._ops == []
+    assert z.node_id is None
+
+
 def test_batchnorm_running_stats_update_only_in_training():
     model = small_model(seed=2)
     rng = np.random.default_rng(2)

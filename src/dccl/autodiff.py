@@ -12,8 +12,10 @@ The package has seven ops: `add` and `mul` (through `Tensor.__add__` and
 `contrastive_term` and `generative_term`; a full-method training step
 records 9 tape ops.  Evaluation needs no gradient and records nothing:
 `normalize_rows` is its forward-only row normalization, which
-`embed_views` shares.  Each fused op replays, forward and backward, the
-numpy operations of a chain of elementary primitives, in the same order;
+`embed_views` shares.  Only `add` and `mul` broadcast; each fused op
+takes exact shapes, checked once at entry, and replays, forward and
+backward, the numpy operations of a chain of elementary primitives, in
+the same order;
 those primitives and the chains built from them live with the tests, in
 `tests/elementary.py` and `tests/conftest.py`.  Where a chain sent
 several gradient contributions to one input, the input appears once per
@@ -239,6 +241,13 @@ def _check_matmul(sa, sb):
         raise ShapeError(f"matmul inner dimensions differ: {sa} vs {sb}")
 
 
+def _check_layer(sx, sW, sb):
+    """x @ W + b for rows x of shape sx, b with one entry per column of W."""
+    _check_matmul(sx, sW)
+    if sb != sW[1:]:
+        raise ShapeError(f"bias shape {sb} does not match weight shape {sW}")
+
+
 def _check_log(da):
     if (da <= NORM_FLOOR).any():
         raise DegenerateInputError(
@@ -299,10 +308,10 @@ def _sigmoid(x):
     return out
 
 
-def _lse_rows(da, mask):
-    """Masked row-wise log-sum-exp, max-stabilized: the masked input and
-    the result."""
-    xm = np.where(mask, da, -np.inf)
+def _lse_rows(da, mask=None):
+    """Row-wise log-sum-exp, max-stabilized, over the entries `mask` sets
+    (all without one): the masked input and the result."""
+    xm = da if mask is None else np.where(mask, da, -np.inf)
     peak = xm.max(axis=1)
     return xm, peak + np.log(np.sum(np.exp(xm - peak[:, None]), axis=1))
 
@@ -317,28 +326,20 @@ def _lse_grad(g, xm, out):
 # Each op below replays a chain of the elementary primitives of
 # `tests/elementary.py`, step for step; `tests/conftest.py` builds each chain
 # as a composite oracle.  The comments name the primitive each numpy line
-# stands for; the backward
-# rule walks the chain in reverse and hands back one gradient per entry of
-# the parent tuple.  A broadcast gradient that only meets elementwise
-# arithmetic stays a (1, m) or (n, 1) view; one that is summed is built
-# with `np.broadcast_to`, as in `reduce_sum`/`reduce_mean`, because a
-# reduction's bits depend on the strides it walks.
+# stands for; the backward rule walks the chain in reverse and hands back
+# one gradient per entry of the parent tuple.  Shapes are exact, so the
+# only broadcast a rule undoes is an (m,) bias or std_bias, by an axis-0
+# sum.  A gradient spread from a scalar or a column that is summed again
+# is built with `np.broadcast_to`, as in `reduce_sum`/`reduce_mean`,
+# because a reduction's bits depend on the strides it walks.
 
 
 def affine(x, W, b):
-    """x @ W + b: `matmul` then a broadcast `add`."""
+    """x @ W + b for x (n, i), W (i, o), b (o,): `matmul`, broadcast `add`."""
     x, W, b = _coerce(x), _coerce(W), _coerce(b)
     xd, Wd = x.data, W.data
-    _check_matmul(xd.shape, Wd.shape)
-    h = xd @ Wd
-    sb = b.data.shape
-    _check_shapes(h.shape, sb, "add")
-
-    def rule(g):
-        gh = _unbroadcast(g, h.shape)
-        return (_unbroadcast(g, sb), gh @ Wd.T, xd.T @ gh)
-
-    return _emit(h + b.data, (b, x, W), rule)
+    _check_layer(xd.shape, Wd.shape, b.data.shape)
+    return _emit(xd @ Wd + b.data, (b, x, W), lambda g: (g.sum(axis=0), g @ Wd.T, xd.T @ g))
 
 
 def _views_sum(parts):
@@ -376,9 +377,7 @@ def embed_views(views, layers, eps):
     h = xs
     for W, b, bn, relu in layers:
         x_in, Wd, bd = h, W.data, b.data
-        _check_matmul(x_in.shape[1:], Wd.shape)
-        if bd.shape != Wd.shape[1:]:
-            raise ShapeError(f"bias shape {bd.shape} does not match weight shape {Wd.shape}")
+        _check_layer(x_in.shape[1:], Wd.shape, bd.shape)
         h = x_in @ Wd + bd                            # matmul, add
         parents += [W, b]
         norm = None
@@ -441,7 +440,7 @@ def softmax_cross_entropy(logits, labels):
     da = logits.data
     cols = _check_cols(labels, da.shape, "softmax_cross_entropy")
     rows = np.arange(len(cols))
-    xm, lse = _lse_rows(da, np.ones(da.shape, dtype=bool))     # logsumexp
+    xm, lse = _lse_rows(da)                                      # logsumexp
     diff = lse - da[rows, cols]                                  # gather_pairs, sub
     scale = 1.0 / diff.size
 
@@ -507,7 +506,7 @@ def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=Fa
     def rule(g):
         g_diff = np.broadcast_to(g * scale, diff.shape)     # reduce_mean
         g_den = g_diff                                      # sub
-        g_pos = _unbroadcast(g_diff, pos.shape).__neg__()
+        g_pos = g_diff.__neg__()
         if standard:
             g_pos = g_pos + g_den * np.exp(pos - denom)
             g_den = g_den * np.exp(denom_prev - denom)
@@ -538,59 +537,44 @@ def generative_term(z, z_pre, noise, std_bias, W, b):
 
     sigma = softplus(std_bias), z_lat = z + sigma * noise and the decoder
     psi(v) = v @ W + b; the KL is 0.5 * sum(sigma^2 + z^2 - 1 - ln sigma^2).
+    z and noise are (n, m), std_bias (m,), W (m, k), b (k,) and z_pre (n, k).
     """
     z, std_bias, W, b = _coerce(z), _coerce(std_bias), _coerce(W), _coerce(b)
     zd, bd, Wd = z.data, std_bias.data, W.data
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != zd.shape:
-        raise ShapeError(f"noise shape {noise.shape} does not match z shape {zd.shape}")
+    noise, z_pre = np.asarray(noise, dtype=np.float64), np.asarray(z_pre, dtype=np.float64)
+    _check_rank2(z, "generative_term")
+    (n, m), k = zd.shape, Wd.shape[-1:]
+    for name, arr, want in (("noise", noise, (n, m)), ("std_bias", bd, (m,)), ("W", Wd, (m, *k)),
+                            ("b", b.data, k), ("z_pre", z_pre, (n, *k))):
+        if arr.shape != want:
+            raise ShapeError(f"generative_term: {name} shape {arr.shape} is not {want}")
     sig = np.logaddexp(0.0, bd)                 # softplus
-    _check_shapes(sig.shape, noise.shape, "mul")
     sn = sig * noise                            # mul
-    _check_shapes(zd.shape, sn.shape, "add")
     zl = zd + sn                                # add
-    _check_matmul(zl.shape, Wd.shape)
     r0 = zl @ Wd                                # matmul
-    sb = b.data.shape
-    _check_shapes(r0.shape, sb, "add")
     recon = r0 + b.data                         # add
     s2 = sig * sig                              # mul
     zz = zd * zd                                # mul
-    _check_shapes(s2.shape, zz.shape, "add")
     a8 = s2 + zz                                # add
     a9 = a8 - 1.0                               # sub
     _check_log(s2)
     l10 = np.log(s2)                            # log
     a11 = a9 - l10                              # sub
     kl = a11.sum(axis=1) * 0.5                  # reduce_sum(., 1), mul
-    z_pre = Tensor(z_pre).data
-    _check_shapes(z_pre.shape, recon.shape, "sub")
     err = z_pre - recon                         # sub
     rec = (err * err).sum(axis=1)               # mul, reduce_sum(., 1)
-    _check_shapes(rec.shape, kl.shape, "add")
     tot = rec + kl                              # add
     scale = 1.0 / tot.size
 
     def rule(g):
         g_tot = np.broadcast_to(g * scale, tot.shape)
-        g_e2 = _unbroadcast(g_tot, rec.shape)[:, None]
-        g_err = g_e2 * err
-        g_err = g_err + g_e2 * err
-        g_recon = _unbroadcast(g_err, recon.shape).__neg__()
-        g_a12 = _unbroadcast(g_tot, kl.shape) * 0.5
-        g_a11 = np.broadcast_to(g_a12[:, None], a11.shape)
-        g_a8 = _unbroadcast(g_a11, a9.shape)
-        g_s2 = _unbroadcast(g_a11, l10.shape).__neg__() / s2
-        g_s2 = g_s2 + _unbroadcast(g_a8, s2.shape)
-        g_zz = _unbroadcast(g_a8, zz.shape)
-        g_sig = _unbroadcast(g_s2 * sig, sig.shape)
-        g_sig = g_sig + _unbroadcast(g_s2 * sig, sig.shape)
-        g_r0 = _unbroadcast(g_recon, r0.shape)
-        g_zl = g_r0 @ Wd.T
-        g_sn = _unbroadcast(g_zl, sn.shape)
-        g_sig = g_sig + _unbroadcast(g_sn * noise, sig.shape)
-        return (_unbroadcast(g_zz * zd, zd.shape), _unbroadcast(g_zz * zd, zd.shape),
-                _unbroadcast(g_recon, sb), zl.T @ g_r0, _unbroadcast(g_zl, zd.shape),
-                g_sig * _sigmoid(bd))
+        g_recon = (g_tot[:, None] * err + g_tot[:, None] * err).__neg__()
+        g_a11 = np.broadcast_to((g_tot * 0.5)[:, None], a11.shape)
+        g_cols = g_a11.sum(axis=0)
+        g_s2 = g_cols.__neg__() / s2 + g_cols
+        g_zl = g_recon @ Wd.T
+        g_sig = g_s2 * sig + g_s2 * sig + (g_zl * noise).sum(axis=0)
+        g_z = g_a11 * zd
+        return (g_z, g_z, g_recon.sum(axis=0), zl.T @ g_recon, g_zl, g_sig * _sigmoid(bd))
 
     return _emit(tot.mean(), (z, z, b, W, z, std_bias), rule)

@@ -20,7 +20,7 @@ from .connectivity import connectivity_report
 from .formats import (FormatError, load_checkpoint, read_dataset, read_embeddings,
                       write_dataset, write_embeddings, write_text)
 from .harness import (DEFAULT_ROWS, AblationRow, DatasetSpec, TrainingDiverged, ablation_grid,
-                      collect_embeddings, train)
+                      check_splits, collect_embeddings, train)
 from .options import fmt, fmt_or_undefined
 from .synthdata import gen_example31_both, toy_map_accuracy
 
@@ -135,6 +135,7 @@ def cmd_train(args):
     values = load_config(args.config)
     seed = args.seed if args.seed is not None else values["seeds"][0]
     cfg = experiment_config(values, seed=seed, holdout=args.holdout)
+    check_splits(cfg, [seed], [cfg.holdout], cfg.needs_anchor)
     run_dir = _experiment_dir(values) / "train" / f"seed{seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
     write_text(run_dir / "config.txt", config_snapshot(values))
@@ -150,8 +151,9 @@ def cmd_loo(args):
     values = load_config(args.config)
     exp_dir = _experiment_dir(values)
     seeds = values["seeds"]
-    # every seed's config is checked before the first run writes anything
+    # every seed's config and every run's split are checked before any write
     cfg, *_ = [experiment_config(values, seed=seed) for seed in seeds]
+    check_splits(cfg, seeds, range(cfg.dataset.domain_count), cfg.needs_anchor)
     for seed in seeds:
         run_dir = exp_dir / "loo" / f"seed{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -180,6 +182,8 @@ def cmd_loo(args):
 def cmd_ablate(args):
     values = load_config(args.config)
     cfg, *_ = [experiment_config(values, seed=seed) for seed in values["seeds"]]
+    check_splits(cfg, values["seeds"], range(cfg.dataset.domain_count),
+                 any(row.apply(cfg).needs_anchor for row in DEFAULT_ROWS))
     exp_dir = _experiment_dir(values)
     exp_dir.mkdir(parents=True, exist_ok=True)
     write_text(exp_dir / "config.txt", config_snapshot(values))

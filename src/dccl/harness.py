@@ -21,8 +21,8 @@ from . import formats
 from .connectivity import EmbeddingRecord, connectivity_report
 from .formats import save_checkpoint
 from .losses import ContrastBatch, LossConfig, resolve_positives, total_loss
-from .nets import (AnchorConfig, Model, ModelSpec, TrainingDiverged, build_anchor,
-                   dataset_hash)
+from .nets import (AnchorConfig, Model, ModelSpec, TrainingDiverged, anchor_split,
+                   build_anchor, dataset_hash)
 from .optim import Adam
 from .options import check_ranges, fmt, fmt_or_undefined, option
 from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment, check_batch_size,
@@ -151,22 +151,6 @@ class RunResult:
         ]
 
 
-def split_sources(dataset, holdout, split_fraction, rng):
-    """Per-domain shuffled split of the source domains; the held-out domain
-    appears in neither side."""
-    train_idx, val_idx = [], []
-    for m in range(dataset.n_domains):
-        if m == holdout:
-            continue
-        idx = dataset.domain_indices(m)
-        order = rng.permutation(len(idx))
-        n_train = int(round(split_fraction * len(idx)))
-        n_train = min(max(n_train, 1), len(idx) - 1) if len(idx) > 1 else len(idx)
-        train_idx.append(idx[order[:n_train]])
-        val_idx.append(idx[order[n_train:]])
-    return np.concatenate(train_idx), np.concatenate(val_idx)
-
-
 def build_run_anchor(cfg, dataset):
     return build_anchor(dataset, cfg.anchor, replace(cfg.model, with_gen=False), cfg.seed)
 
@@ -205,6 +189,43 @@ def _initial_connectivity(dataset_spec, model_spec, seed):
     return _mean_connectivity(model, dataset)
 
 
+def train_split(cfg, dataset):
+    """A run's labelled training rows, validation rows (the held-out domain
+    in neither) and batch stream, which raises on a domain too small for
+    its share of a batch before any batch is drawn."""
+    _, split_s, label_s, batch_s, *_ = _seed_streams(cfg.seed)
+    rng_split = np.random.default_rng(split_s)
+    train_idx, val_idx = [], []
+    for m in range(dataset.n_domains):
+        if m == cfg.holdout:
+            continue
+        idx = dataset.domain_indices(m)
+        order = rng_split.permutation(len(idx))
+        n_train = int(round(cfg.split_fraction * len(idx)))
+        n_train = min(max(n_train, 1), len(idx) - 1) if len(idx) > 1 else len(idx)
+        train_idx.append(idx[order[:n_train]])
+        val_idx.append(idx[order[n_train:]])
+    train_idx, val_idx = np.concatenate(train_idx), np.concatenate(val_idx)
+    if cfg.label_ratio < 1.0:
+        n_labeled = math.ceil(cfg.label_ratio * len(train_idx))
+        chosen = np.random.default_rng(label_s).permutation(len(train_idx))[:n_labeled]
+        train_idx = np.sort(train_idx[chosen])
+    return train_idx, val_idx, make_batches(dataset.subset(train_idx), cfg.optim.batch_size,
+                                            seed=batch_s, key="optim.batch_size")
+
+
+def check_splits(cfg, seeds, holdouts, anchor):
+    """Raise before a command writes anything if a (seed, holdout) run's
+    split or, with `anchor`, a seed's anchor split is too small for its
+    batch; no batch is drawn and no anchor is trained."""
+    dataset = cfg.dataset.build()
+    for seed in seeds:
+        for m in holdouts:
+            train_split(replace(cfg, seed=seed, holdout=m), dataset)
+        if anchor:
+            anchor_split(dataset, cfg.anchor, seed)
+
+
 def train(cfg, anchor=None, run_dir=None):
     """One leave-one-domain-out training run.
 
@@ -217,22 +238,13 @@ def train(cfg, anchor=None, run_dir=None):
     cfg.validate()
     dataset = cfg.dataset.build()
 
-    (init_s, split_s, label_s, batch_s,
-     augment_s, contrast_s, noise_s) = _seed_streams(cfg.seed)
-    rng_split = np.random.default_rng(split_s)
+    init_s, _, _, _, augment_s, contrast_s, noise_s = _seed_streams(cfg.seed)
     rng_augment = np.random.default_rng(augment_s)
     rng_contrast = np.random.default_rng(contrast_s)
     rng_noise = np.random.default_rng(noise_s)
 
-    train_idx, val_idx = split_sources(dataset, cfg.holdout, cfg.split_fraction, rng_split)
-    if cfg.label_ratio < 1.0:
-        n_labeled = math.ceil(cfg.label_ratio * len(train_idx))
-        rng_label = np.random.default_rng(label_s)
-        chosen = rng_label.permutation(len(train_idx))[:n_labeled]
-        train_idx = np.sort(train_idx[chosen])
-    train_ds = dataset.subset(train_idx)
     # a domain too small for its share of a batch fails here, before the anchor
-    batches = make_batches(train_ds, cfg.optim.batch_size, seed=batch_s)
+    train_idx, val_idx, batches = train_split(cfg, dataset)
 
     if cfg.needs_anchor:
         if anchor is None:

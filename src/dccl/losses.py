@@ -178,11 +178,9 @@ def infonce_loss(batch, cfg):
     if batch.z_alt is None or batch.positive_assignment is None:
         raise LossConfigError("contrastive loss needs z_alt and a positive assignment")
     z, z_alt = batch.z, batch.z_alt
-    n, d = z.shape
+    n, _ = z.shape
     if n < 2:
         raise LossConfigError("empty negative pool: need at least 2 samples")
-    if z_alt.shape != (n, d):
-        raise ad.ShapeError(f"z_alt shape {z_alt.shape} does not match z shape {z.shape}")
     _require_unit_rows(z.data, "z")
     _require_unit_rows(z_alt.data, "z_alt")
     assignment = np.asarray(batch.positive_assignment, dtype=np.int64)
@@ -198,10 +196,7 @@ def infonce_loss(batch, cfg):
     if anchor_rows.any() or cfg.anchor_negatives:
         if batch.z_pre is None:
             raise LossConfigError("anchor embeddings required but z_pre is absent")
-        z_pre = np.asarray(batch.z_pre, dtype=np.float64)
-        if z_pre.shape != (n, d):
-            raise ad.ShapeError(f"z_pre shape {z_pre.shape} does not match z shape {z.shape}")
-        _require_unit_rows(z_pre, "z_pre")
+        _require_unit_rows(np.asarray(batch.z_pre, dtype=np.float64), "z_pre")
     return ad.contrastive_term(z, z_alt, assignment, batch.z_pre, cfg.temperature,
                                anchor_negatives=cfg.anchor_negatives,
                                standard=cfg.denominator_mode == STANDARD_INFONCE)

@@ -259,27 +259,14 @@ def build_anchor(dataset, anchor_cfg, spec, seed):
     """
     from .losses import erm_loss
     from .optim import Adam
-    from .synthdata import make_batches
 
     if len(dataset) == 0:
         raise ValueError("cannot build an anchor from an empty dataset")
-    seq = np.random.SeedSequence(seed)
-    init_s, split_s, batch_s = (int(s) for s in seq.generate_state(3))
-
-    rng_split = np.random.default_rng(split_s)
-    order = rng_split.permutation(len(dataset))
-    n_val = max(1, int(round(0.2 * len(dataset))))
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    train = dataset.subset(train_idx)
-
+    val_idx, train, batches = anchor_split(dataset, anchor_cfg, seed)
+    init_s = int(np.random.SeedSequence(seed).generate_state(3)[0])
     model = Model(dataset.dim, dataset.n_classes, spec, np.random.default_rng(init_s))
     params = model.parameters()
     adam = Adam(lr=anchor_cfg.lr)
-    # All pooled domains sit in every batch, so round the requested size
-    # up to the nearest multiple of the domain count.
-    n_dom = len(np.unique(train.domains))
-    per_domain = max(1, int(round(anchor_cfg.batch_size / n_dom)))
-    batches = make_batches(train, per_domain * n_dom, seed=batch_s)
     for step in range(1, anchor_cfg.steps + 1):
         idx = next(batches)
         with ad.Tape() as tape:
@@ -294,3 +281,20 @@ def build_anchor(dataset, anchor_cfg, spec, seed):
     model.provenance = {"seed": str(seed), "data_hash": dataset_hash(dataset),
                         "val_accuracy": fmt(val_acc)}
     return model
+
+
+def anchor_split(dataset, anchor_cfg, seed):
+    """The pooled validation rows, training set and batch stream of the
+    anchor of `seed`, which raises on a domain too small for its share."""
+    from .synthdata import make_batches
+
+    _, split_s, batch_s = (int(s) for s in np.random.SeedSequence(seed).generate_state(3))
+    order = np.random.default_rng(split_s).permutation(len(dataset))
+    n_val = max(1, int(round(0.2 * len(dataset))))
+    train = dataset.subset(order[n_val:])
+    # All pooled domains sit in every batch, so round the requested size
+    # to the nearest multiple of the domain count.
+    n_dom = len(np.unique(train.domains))
+    per_domain = max(1, int(round(anchor_cfg.batch_size / n_dom)))
+    batches = make_batches(train, per_domain * n_dom, seed=batch_s, key="anchor.batch_size")
+    return order[:n_val], train, batches

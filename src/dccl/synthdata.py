@@ -231,7 +231,7 @@ def check_batch_size(batch_size, n_domains):
         )
 
 
-def make_batches(dataset, batch_size, seed=0):
+def make_batches(dataset, batch_size, seed=0, key="batch_size"):
     """Endless stream of index batches balanced across the dataset's domains.
 
     Every batch holds batch_size / n_domains samples from each domain
@@ -239,7 +239,7 @@ def make_batches(dataset, batch_size, seed=0):
     are exhausted, so an epoch touches each sample at most once per
     domain.  Yields index arrays into `dataset`.  A domain with fewer
     samples than its share of a batch raises ValueError here, before the
-    first batch.
+    first batch, naming `key`, the setting that sized the batch.
     """
     present = np.unique(dataset.domains)
     n_dom = len(present)
@@ -252,7 +252,7 @@ def make_batches(dataset, batch_size, seed=0):
         if len(pool) < per_domain:
             raise ValueError(
                 f"domain {m} has {len(pool)} training samples, fewer than its share of "
-                f"{per_domain} in a batch of {batch_size} over {n_dom} domains"
+                f"{per_domain} in a batch of {batch_size} ({key}) over {n_dom} domains"
             )
     return _batch_stream(pools, per_domain, np.random.default_rng(seed))
 

@@ -375,8 +375,32 @@ def test_domain_smaller_than_its_batch_share_is_user_error(tmp_path, capsys, mon
     path = write_config(tmp_path, "label_ratio = 0.01\nloss.cdc = true\nloss.pma = true\n")
     assert main(["train", "--config", str(path)]) == 1
     assert re.fullmatch(r"error: domain [12] has 1 training samples, fewer than its share of 8 "
-                        r"in a batch of 8 over 1 domains\n", capsys.readouterr().err)
+                        r"in a batch of 8 \(optim.batch_size\) over 1 domains\n",
+                        capsys.readouterr().err)
     assert not (tmp_path / "runs" / "micro" / "train" / "seed0" / "result.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "loo", "ablate"])
+@pytest.mark.parametrize("extra, key, share", [
+    # one labelled sample is left, in one source domain
+    ("label_ratio = 0.01\nloss.cdc = true\noptim.batch_size = 6\n", "optim.batch_size", 6),
+    # 58 pooled anchor rows over 3 domains, 100 of each asked for
+    ("loss.pma = true\nanchor.batch_size = 300\n", "anchor.batch_size", 100),
+], ids=["labelled-split", "anchor-split"])
+def test_split_too_small_for_its_batch_fails_before_any_write(tmp_path, capsys, monkeypatch,
+                                                             command, extra, key, share):
+    from dccl import harness
+
+    def no_anchor(*args, **kwargs):
+        raise AssertionError("anchor built")
+
+    monkeypatch.setattr(harness, "build_anchor", no_anchor)
+    path = write_config(tmp_path, "optim.steps = 6\n" + extra)
+    assert main([command, "--config", str(path)]) == 1
+    assert re.fullmatch(rf"error: domain \d has \d+ training samples, fewer than its share of "
+                        rf"{share} in a batch of \d+ \({key}\) over \d domains\n",
+                        capsys.readouterr().err)
+    assert not (tmp_path / "runs" / "micro").exists()
 
 
 def test_collapsed_embeddings_write_undefined_connectivity(tmp_path, capsys):

@@ -335,6 +335,9 @@ def test_fused_ops_keep_shape_and_domain_guards():
         ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
     with pytest.raises(ad.ShapeError):
         ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
+    # a broadcastable but inexact bias
+    with pytest.raises(ad.ShapeError, match="^bias shape"):
+        ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2))))
     # constant rows and eps 0: a zero variance under the -1/2 power
     with pytest.raises(ad.DegenerateInputError):
         el.batchnorm_train(Tensor(np.ones((4, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), 0.0)
@@ -367,6 +370,15 @@ def test_fused_ops_keep_shape_and_domain_guards():
     with pytest.raises(ad.ShapeError):
         ad.generative_term(Tensor(np.zeros((2, 2))), np.zeros((2, 2)), np.zeros((2, 3)),
                            Tensor(np.zeros(2)), *args[1:])
+    # broadcastable but inexact operands, each named
+    gen = {"z_pre": np.zeros((2, 2)), "noise": np.zeros((2, 2)), "std_bias": np.zeros(2),
+           "W": np.eye(2), "b": np.zeros(2)}
+    for name, bad in (("std_bias", np.zeros(1)), ("b", np.zeros((1, 2))),
+                      ("z_pre", np.zeros((1, 2)))):
+        ops = {**gen, name: bad}
+        with pytest.raises(ad.ShapeError, match=f"^generative_term: {name} shape"):
+            ad.generative_term(Tensor(np.zeros((2, 2))), ops["z_pre"], ops["noise"],
+                               *(Tensor(ops[k]) for k in ("std_bias", "W", "b")))
     # softplus(-40)^2 is far below the log floor
     with pytest.raises(ad.DegenerateInputError):
         ad.generative_term(Tensor(np.zeros((2, 2))), *args[:1], np.zeros((2, 2)),

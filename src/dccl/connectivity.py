@@ -9,18 +9,40 @@ class is better connected relative to its own spread.
 
 For k points of width d a report computes each pairwise distance once,
 one row at a time, into one condensed k(k-1)/2 vector per group (8 bytes
-per pair, and no second copy).  Prim's MST reads its rows from that
-vector first; mu and sigma then reduce the whole vector in place, which
-is what fixes their last bits.  Called on points alone,
-`connecting_threshold` computes its rows itself in O(k d) memory and
-`pairwise_stats` fills its own vector.
+per pair, and no second copy).  A group of at least 2^19 pairs (k of
+1025 or more) is filled on one thread per available CPU
+(`os.sched_getaffinity`, else `os.cpu_count`), at most one per 2^18
+pairs: each thread fills a contiguous range of rows holding about the
+same number of pairs, into its own slice of the vector, through its own
+row buffer of at most (k-1) d floats.  Every row is the same `_distances`
+call on any thread, so the bits do not depend on the split, and every
+thread is joined before the fill returns.  Smaller groups, such as the
+160-point reports of a training run, fill on the calling thread.
+
+Prim's MST then reads its rows from the vector: per step one gather for
+the joining point's column, one slice for its row, and a minimum, a
+maximum and an argmin over all k points.  mu and sigma then reduce the
+whole vector in place, which is what fixes their last bits.  Called on
+points alone, `connecting_threshold` computes its rows itself in O(k d)
+memory and `pairwise_stats` fills its own vector.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+# pairs per fill thread: a group's distance vector is filled on
+# min(available CPUs, pairs // THREAD_PAIRS) threads, so two threads start
+# at 2^19 pairs (k = 1025).  On 2 CPUs at d = 16, two threads lost to one
+# up to k = 800, won 1.05-1.2x at k = 850-1030 and 1.5-1.6x at k >= 1500.
+THREAD_PAIRS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -74,18 +96,82 @@ def _distances(point, others, buf, out):
     return out
 
 
+def _row_starts(k):
+    """The index of each row's first entry in the condensed vector of k
+    points: row i holds d(i, j) for j > i."""
+    rows = np.arange(k)
+    return rows * (2 * k - 1 - rows) // 2
+
+
+def _fill_rows(points, dists, first, stop):
+    """Rows first..stop-1 of the condensed vector of `points`, one
+    `_distances` call per row, through one row buffer sized for the first
+    (longest) of them."""
+    k = len(points)
+    buf = np.empty((k - 1 - first, points.shape[1]))
+    start = first * (2 * k - 1 - first) // 2
+    for i in range(first, stop):
+        end = start + k - 1 - i
+        _distances(points[i], points[i + 1:], buf, dists[start:end])
+        start = end
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_joined(tasks):
+    """Run `tasks` (no-argument callables) at once: the first on this
+    thread, each other on a thread of its own that sees this thread's
+    context variables (numpy's error state among them).  Every thread is
+    joined before this returns or raises, and the first exception a task
+    raised is re-raised."""
+    errors = []
+
+    def guarded(task):
+        try:
+            task()
+        except BaseException as exc:  # handed to the caller below
+            errors.append(exc)
+
+    threads = []
+    try:
+        for task in tasks[1:]:
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(guarded, task))
+            thread.start()
+            threads.append(thread)
+        tasks[0]()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def condensed_distances(points):
     """The k(k-1)/2 pairwise Euclidean distances of `points` in
-    `np.triu_indices` row-major order, filled one row at a time."""
+    `np.triu_indices` row-major order, filled one row at a time.
+
+    When min(available CPUs, pairs // THREAD_PAIRS) is 2 or more, the rows
+    are split into that many contiguous ranges of about equal pair counts,
+    each filled on its own thread into its own slice of the vector.  Each
+    row is the same `_distances` call either way, so the bits do not
+    depend on the split."""
     points = np.asarray(points, dtype=np.float64)
     k = len(points)
     dists = np.empty(k * (k - 1) // 2)
-    buf = np.empty((k - 1, points.shape[1]))
-    start = 0
-    for i in range(k - 1):
-        stop = start + k - 1 - i
-        _distances(points[i], points[i + 1:], buf, dists[start:stop])
-        start = stop
+    parts = min(_cpu_count(), len(dists) // THREAD_PAIRS)
+    if parts < 2:
+        _fill_rows(points, dists, 0, k - 1)
+        return dists
+    cuts = np.searchsorted(_row_starts(k), [len(dists) * j // parts for j in range(1, parts)])
+    bounds = [0, *cuts.tolist(), k - 1]
+    _run_joined([functools.partial(_fill_rows, points, dists, a, b)
+                 for a, b in zip(bounds, bounds[1:])])
     return dists
 
 
@@ -119,50 +205,56 @@ def connecting_threshold(points, dists=None):
     <= threshold), computed as the maximum edge of the Euclidean MST.
 
     Prim's algorithm, taking one row of distances per step: from the point
-    that just joined the tree to the points still outside it.  Without
-    `dists` each row is computed from the points, in O(k d) memory.  With
-    the condensed vector of `condensed_distances(points)` each row is
-    gathered from it instead (its entries for q < p sit at
-    starts[q] + p - q - 1, those for q > p in row p's contiguous slice),
-    which reads the same bits: d(p, q) and d(q, p) differ only in the sign
-    of each coordinate difference before it is squared.  Time is O(k^2 d)
-    or O(k^2), and ties may pick a different tree than a dense scan would,
-    but every MST has the same largest edge.
+    that just joined the tree.  Without `dists` each row is computed from
+    the points still outside the tree, in O(k d) memory.  With the
+    condensed vector of `condensed_distances(points)` each row is read
+    from it instead, which gives the same bits: d(p, q) and d(q, p) differ
+    only in the sign of each coordinate difference before it is squared.
+    Time is O(k^2 d) or O(k^2), and ties may pick a different tree than a
+    dense scan would, but every MST has the same largest edge.
     """
     points = np.asarray(points, dtype=np.float64)
     k = len(points)
     if k < 2:
         raise ValueError("connecting_threshold needs at least 2 points")
-    # outside[:n] are the points not yet in the tree (their indices, when
-    # rows are gathered) and best[:n] their distance to it; a joining point
-    # is overwritten by the last of them.
     if dists is None:
-        outside = points.copy()
-        buf = np.empty_like(outside)
+        return _threshold_from_points(points)
+    starts = _row_starts(k)
+    col = starts - np.arange(k)     # d(q, p), q < p: dists[p - 1 + col[q]]
+    # best[q] is q's distance to the tree, held at +inf once q has joined:
+    # joined[q] is 0 before that and +inf after, and each step ends with
+    # best = max(min(best, row), joined), which also hides row[p], a stale
+    # value.  A step is one gather for the column above p, one slice for
+    # row p and four calls over all k points.  The gather's indices are
+    # always in range; mode="clip" skips the copy that "raise" makes for out=.
+    best, joined, row = np.full(k, np.inf), np.zeros(k), np.zeros(k)
+    tau, p = 0.0, 0
+    for _ in range(k - 1):
+        joined[p] = np.inf
+        np.take(dists[p - 1:], col[:p], out=row[:p], mode="clip")
+        row[p + 1:] = dists[starts[p]:starts[p] + k - 1 - p]
+        np.minimum(best, row, out=best)
+        np.maximum(best, joined, out=best)
+        p = int(np.argmin(best))
+        tau = max(tau, float(best[p]))
+    return tau
 
-        def row_from(j, n, out):
-            return _distances(outside[j], outside[:n], buf, out)
-    else:
-        outside = np.arange(k)
-        starts = outside * (2 * k - 1 - outside) // 2   # row p's first entry
-        up = starts - outside - 1                       # d(q, p), q < p: up[q] + p
-        full, at = np.empty(k), np.empty(k, dtype=np.intp)
 
-        def row_from(j, n, out):
-            p = int(outside[j])
-            np.add(up[:p], p, out=at[:p])
-            np.take(dists, at[:p], out=full[:p])
-            full[p] = 0.0
-            full[p + 1:] = dists[starts[p]:starts[p] + k - 1 - p]
-            return np.take(full, outside[:n], out=out)
+def _threshold_from_points(points):
+    """`connecting_threshold` computing each row from the points: outside[:n]
+    are the points not yet in the tree and best[:n] their distance to it; a
+    joining point is overwritten by the last of them."""
+    k = len(points)
+    outside = points.copy()
+    buf = np.empty_like(outside)
     row = np.empty(k)
-    best = row_from(0, k, np.empty(k))
+    best = _distances(outside[0], outside, buf, np.empty(k))
     outside[0], best[0] = outside[k - 1], best[k - 1]
     tau = 0.0
     for n in range(k - 1, 0, -1):
         j = int(np.argmin(best[:n]))
         tau = max(tau, float(best[j]))
-        np.minimum(best[:n], row_from(j, n, row[:n]), out=best[:n])
+        np.minimum(best[:n], _distances(outside[j], outside[:n], buf, row[:n]), out=best[:n])
         outside[j], best[j] = outside[n - 1], best[n - 1]
     return tau
 
@@ -171,10 +263,16 @@ def _score_group(class_id, domain_id, points):
     count = len(points)
     if count < 2:
         return GroupScore(class_id, domain_id, count, None, None, None, None)
-    # one fill per group: Prim reads the vector before the stats overwrite it
-    dists = condensed_distances(points)
-    tau = connecting_threshold(points, dists)
-    mu, sigma, _ = pairwise_stats(points, dists)
+    # one fill per group: Prim reads the vector before the stats overwrite
+    # it.  Distances that overflow float64 raise below instead of warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dists = condensed_distances(points)
+        tau = connecting_threshold(points, dists)
+        mu, sigma, _ = pairwise_stats(points, dists)
+    if not all(map(math.isfinite, (tau, mu, sigma))):
+        domain = "all" if domain_id is None else domain_id
+        raise ValueError(f"class {class_id} domain {domain}: pairwise distances are not "
+                         f"finite in float64 (tau={tau} mu={mu} sigma={sigma})")
     if sigma == 0.0:
         return GroupScore(class_id, domain_id, count, tau, mu, sigma, None)
     return GroupScore(class_id, domain_id, count, tau, mu, sigma, (tau - mu) / sigma)
@@ -187,7 +285,8 @@ def connectivity_report(records, mode="pooled"):
     cross-domain connectivity is exactly what the score is after);
     mode "per-domain" scores each class/domain pair separately.
     Groups with fewer than 2 points, or zero distance spread, are marked
-    undefined and excluded from the mean/max aggregates.  Every other
+    undefined and excluded from the mean/max aggregates; a group whose
+    tau, mu or sigma is not finite raises ValueError naming it.  Every other
     group calls `pairwise_stats` and `connecting_threshold` once each,
     through this module's namespace: perfbench's speed gauge and tracer
     hook those two names.

@@ -24,6 +24,8 @@ DATA_MAGIC = "# dccl-data v1"
 DUMP_MAGIC = "# dccl-dump v1"
 CKPT_MAGIC = "# dccl-checkpoint v1"
 KINDS = ("model", "anchor")
+# coordinates a table read holds as Python floats before copying them out
+PARSE_CHUNK = 4096
 
 
 class FormatError(ValueError):
@@ -87,17 +89,36 @@ def _read_table(path, magic, what, keys, n_ids, ranges=()):
         raise FormatError(f"{path}: bad {what} header: dim={ints['dim']}")
     width = n_ids + ints["dim"]
     body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
-    ids = np.empty((len(body), n_ids), dtype=np.int64)
-    X = np.empty((len(body), ints["dim"]))
-    for row, (lineno, line) in enumerate(body):
+    # ids and coordinates go into one flat list each; the coordinates are
+    # copied into X every PARSE_CHUNK values, so that few float objects
+    # are alive at once
+    X = np.empty(len(body) * ints["dim"])
+    flat_ids, flat_X, filled = [], [], 0
+
+    def bad_line(lineno, problem):
+        _check_int64(path, body, flat_ids, n_ids)   # ids too big on an earlier line
+        raise FormatError(f"{path}:{lineno}: {problem}") from None
+
+    for lineno, line in body:
         parts = line.split(",")
         if len(parts) != width:
-            raise FormatError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+            bad_line(lineno, f"expected {width} fields, got {len(parts)}")
         try:
-            ids[row] = [int(v) for v in parts[:n_ids]]
-            X[row] = [float(v) for v in parts[n_ids:]]
-        except (ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
+            flat_ids.extend(map(int, parts[:n_ids]))
+            flat_X.extend(map(float, parts[n_ids:]))
+        except ValueError as exc:
+            bad_line(lineno, exc)
+        if len(flat_X) >= PARSE_CHUNK:
+            X[filled:filled + len(flat_X)] = flat_X
+            filled += len(flat_X)
+            flat_X.clear()
+    X[filled:] = flat_X
+    X = X.reshape(len(body), ints["dim"])
+    try:
+        ids = np.array(flat_ids, dtype=np.int64).reshape(len(body), n_ids)
+    except OverflowError:
+        _check_int64(path, body, flat_ids, n_ids)
+        raise
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise FormatError(f"{path}:{body[int(np.argmin(finite))][0]}: non-finite coordinate")
@@ -108,6 +129,17 @@ def _read_table(path, magic, what, keys, n_ids, ranges=()):
             raise FormatError(f"{path}:{body[row][0]}: {name} id {ids[row, column]} "
                               f"outside [0, {ints[key]})")
     return header, ints, ids, X
+
+
+def _check_int64(path, body, flat_ids, n_ids):
+    """Raise the FormatError of the first line whose ids, all parsed into
+    `flat_ids`, do not fit in int64: a line's ids are checked before its
+    coordinates are parsed and before any later line."""
+    for row in range(len(flat_ids) // n_ids):
+        try:
+            np.array(flat_ids[row * n_ids:(row + 1) * n_ids], dtype=np.int64)
+        except OverflowError as exc:
+            raise FormatError(f"{path}:{body[row][0]}: {exc}") from None
 
 
 def read_dataset(path):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -501,6 +502,32 @@ def test_connectivity_non_finite_dump_names_line(tmp_path, capsys, bad):
                     f"0,0,0,1.0,2.0\n1,0,0,0.5,0.5\n2,0,0,{bad},1.0\n3,0,0,0.0,1.0\n")
     assert main(["connectivity", "--dump", str(dump)]) == 1
     assert f"{dump}:4: non-finite coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, group", [("pooled", "class 1 domain all"),
+                                         ("per-domain", "class 1 domain 0")])
+@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "threaded"])
+def test_connectivity_overflowing_distances_exit_1(tmp_path, capsys, monkeypatch, mode, group,
+                                                    threads):
+    from dccl import connectivity
+
+    # finite coordinates whose distances overflow float64; with two threads
+    # the fill's worker runs under the caller's error state too
+    monkeypatch.setattr(connectivity, "THREAD_PAIRS", 1)
+    monkeypatch.setattr(connectivity, "_cpu_count", lambda: threads)
+    dump, out = tmp_path / "big.txt", tmp_path / "report.txt"
+    dump.write_text("# dccl-dump v1 dim=2 classes=2 domains=1\n"
+                    "0,0,0,0.0,1.0\n1,0,0,1.0,0.0\n"
+                    "2,0,1,1e200,0.0\n3,0,1,-1e200,1.0\n4,0,1,0.0,2.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["connectivity", "--dump", str(dump), "--mode", mode, "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {group}: pairwise distances are not finite in float64 "
+                            "(tau=inf mu=inf sigma=nan)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row, message", [

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -213,6 +215,100 @@ def test_one_fill_keeps_one_condensed_vector():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * condensed, f"peaked at {peak / condensed:.2f} condensed vectors"
+
+
+def force_fill(monkeypatch, pairs_per_thread, cpus):
+    """Set the fill's thread threshold and CPU count, and record the row
+    range of each `_fill_rows` call."""
+    monkeypatch.setattr(cn, "THREAD_PAIRS", pairs_per_thread)
+    monkeypatch.setattr(cn, "_cpu_count", lambda: cpus)
+    ranges, fill_rows = [], cn._fill_rows
+
+    def recording(points, dists, first, stop):
+        ranges.append((first, stop))
+        return fill_rows(points, dists, first, stop)
+
+    monkeypatch.setattr(cn, "_fill_rows", recording)
+    return ranges
+
+
+def serial_fill(points):
+    k = len(points)
+    dists = np.empty(k * (k - 1) // 2)
+    cn._fill_rows(np.asarray(points, dtype=np.float64), dists, 0, k - 1)
+    return dists
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 129])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_threaded_fill_gives_the_serial_bytes(rng, monkeypatch, d, cpus):
+    k = 61
+    pts = rng.standard_normal((k, d))
+    serial = {n: serial_fill(pts[:n]).tobytes() for n in (k - 1, k)}
+    ranges = force_fill(monkeypatch, 1, cpus)
+    threads_before = threading.active_count()
+    # k points reach the threshold of two threads and k - 1 points fall
+    # just below it; one pair per thread gives every CPU a range
+    for n, pairs_per_thread, parts in [(k, k * (k - 1) // 4, 2), (k - 1, k * (k - 1) // 4, 1),
+                                       (k, 1, cpus)]:
+        monkeypatch.setattr(cn, "THREAD_PAIRS", pairs_per_thread)
+        ranges.clear()
+        assert cn.condensed_distances(pts[:n]).tobytes() == serial[n]
+        ranges.sort()
+        assert len(ranges) == parts and ranges[0][0] == 0 and ranges[-1][1] == n - 1
+        assert all(stop == first for (_, stop), (first, _) in zip(ranges, ranges[1:]))
+    assert threading.active_count() == threads_before
+
+
+def test_more_fill_threads_than_cores_under_fast_switching(rng, monkeypatch):
+    pts = rng.standard_normal((300, 3))
+    serial = serial_fill(pts).tobytes()
+    ranges = force_fill(monkeypatch, 1, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert cn.condensed_distances(pts).tobytes() == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(ranges) == 5 * 8
+
+
+def test_threaded_report_equals_the_serial_report(rng, monkeypatch):
+    classes = np.repeat([0, 1, 2], 90)
+    domains = np.tile(np.repeat([0, 1], 45), 3)
+    records = records_from(rng.standard_normal((len(classes), 5)), classes, domains)
+    serial = {mode: cn.connectivity_report(records, mode=mode)
+              for mode in ("pooled", "per-domain")}
+    ranges = force_fill(monkeypatch, 1, 2)
+    for mode, report in serial.items():
+        assert cn.connectivity_report(records, mode=mode) == report
+    # every group, the 45-point ones included, took two threads
+    assert len(ranges) == 2 * (3 + 6)
+
+
+@pytest.mark.parametrize("part", [0, 1, 2])
+def test_fill_error_in_any_thread_propagates_and_no_thread_outlives_it(rng, monkeypatch,
+                                                                       part):
+    pts = rng.standard_normal((40, 3))
+    ranges = force_fill(monkeypatch, 1, 3)
+    cn.condensed_distances(pts)
+    first = sorted(ranges)[part][0]
+    distances, on_main = cn._distances, []
+
+    def failing(point, others, buf, out):
+        if len(pts) - 1 - len(others) == first:
+            on_main.append(threading.current_thread() is threading.main_thread())
+            raise RuntimeError(f"row {first} failed")
+        return distances(point, others, buf, out)
+
+    monkeypatch.setattr(cn, "_distances", failing)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"row {first} failed"):
+        cn.condensed_distances(pts)
+    assert threading.active_count() == threads_before
+    # the first range fills on the calling thread, the others on their own
+    assert on_main == [part == 0]
 
 
 @pytest.mark.parametrize("mode", ["pooled", "per-domain"])

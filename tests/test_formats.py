@@ -82,6 +82,35 @@ def test_dataset_dump_round_trips_byte_for_byte(ds):
     assert np.array_equal(again.domains, ds.domains)
 
 
+@pytest.mark.parametrize("chunk", [1, 4, 7])
+def test_table_read_copies_coordinates_out_in_chunks(tmp_path, monkeypatch, chunk):
+    rng = np.random.default_rng(chunk)
+    ds = Dataset(rng.standard_normal((13, 3)), rng.integers(0, 2, 13), rng.integers(0, 3, 13),
+                 2, 3, generator="g", params={}, seed=0)
+    path = tmp_path / "data.txt"
+    formats.write_dataset(ds, path)
+    monkeypatch.setattr(formats, "PARSE_CHUNK", chunk)
+    again = formats.read_dataset(path)
+    assert again.X.tobytes() == ds.X.tobytes()
+    assert np.array_equal(again.labels, ds.labels)
+    assert np.array_equal(again.domains, ds.domains)
+
+
+@pytest.mark.parametrize("rows", [
+    "0,0,0,1.0,2.0\n99999999999999999999,0,0,1.0,2.0\n1,1,0,0.5,0.5\n",
+    "0,0,0,1.0,2.0\n-99999999999999999999,0,0,1.0,zz\n",
+    "0,0,0,1.0,2.0\n99999999999999999999,0,0,1.0,2.0\n1,1,0,0.5\n",
+    "0,0,0,1.0,2.0\n99999999999999999999,0,0,1.0,2.0\n1,x,0,0.5,0.5\n",
+], ids=["alone", "bad-coordinate-after", "short-line-after", "bad-id-after"])
+def test_id_too_big_for_int64_names_its_line_first(tmp_path, rows):
+    # ids are checked line by line, each before its own coordinates
+    path = tmp_path / "emb.txt"
+    path.write_text("# dccl-dump v1 dim=2 classes=2 domains=2\n" + rows)
+    with pytest.raises(formats.FormatError) as err:
+        formats.read_embeddings(path)
+    assert str(err.value) == f"{path}:3: Python int too large to convert to C long"
+
+
 @PROPERTY
 @given(embedding_records(), st.integers(0, 3), st.integers(0, 3))
 def test_embedding_dump_round_trips_byte_for_byte(records, more_classes, more_domains):

@@ -52,18 +52,22 @@ def normalize_rows(h):
     Euclidean norm, and the norms with a trailing axis; forward only, on
     no tape.
 
-    Norms below NORM_FLOOR are rejected rather than smoothed, so the
-    unit-norm invariant of the output is exact.  The error names the
-    first such row, and its view when h is a (views, n, d) stack.
+    Norms below NORM_FLOOR are rejected rather than smoothed, and so are
+    norms whose sum of squares overflows float64 (dividing by them would
+    give all-zero rows), so every finite row of the output has unit norm:
+    no loss needs to check it again.  A NaN norm passes through, for the
+    caller's divergence check.  The error names the first rejected row,
+    and its view when h is a (views, n, d) stack.
     """
     norms = np.sqrt(np.sum(h * h, axis=-1))
-    bad = norms < NORM_FLOOR
+    bad = (norms < NORM_FLOOR) | (norms == np.inf)
     if bad.any():
         first = tuple(int(i) for i in np.argwhere(bad)[0])
         *view, row = first
         of_view = "".join(f" of view {v}" for v in view)
-        raise DegenerateInputError(f"cannot normalize row {row}{of_view} with norm "
-                                   f"{norms[first]:g} < {NORM_FLOOR:g}")
+        why = (f"{norms[first]:g} < {NORM_FLOOR:g}" if norms[first] < NORM_FLOOR
+               else "overflowing float64")
+        raise DegenerateInputError(f"cannot normalize row {row}{of_view} with norm {why}")
     norms = norms[..., None]
     return h / norms, norms
 

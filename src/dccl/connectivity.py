@@ -23,8 +23,8 @@ Prim's MST then reads its rows from the vector: per step one gather for
 the joining point's column, one slice for its row, and a minimum, a
 maximum and an argmin over all k points.  mu and sigma then reduce the
 whole vector in place, which is what fixes their last bits.  Called on
-points alone, `connecting_threshold` computes its rows itself in O(k d)
-memory and `pairwise_stats` fills its own vector.
+points alone, `connecting_threshold` and `pairwise_stats` each fill their
+own vector.
 """
 
 from __future__ import annotations
@@ -204,21 +204,20 @@ def connecting_threshold(points, dists=None):
     """Smallest threshold connecting the proximity graph (edges at distance
     <= threshold), computed as the maximum edge of the Euclidean MST.
 
-    Prim's algorithm, taking one row of distances per step: from the point
-    that just joined the tree.  Without `dists` each row is computed from
-    the points still outside the tree, in O(k d) memory.  With the
-    condensed vector of `condensed_distances(points)` each row is read
-    from it instead, which gives the same bits: d(p, q) and d(q, p) differ
-    only in the sign of each coordinate difference before it is squared.
-    Time is O(k^2 d) or O(k^2), and ties may pick a different tree than a
-    dense scan would, but every MST has the same largest edge.
+    Prim's algorithm, reading one row of distances per step, from the
+    point that just joined the tree, out of the condensed vector of
+    `condensed_distances(points)`: `dists` if given, else a fresh fill.
+    Reading d(q, p) for d(p, q) gives the same bits, since they differ only
+    in the sign of each coordinate difference before it is squared.  Time
+    is O(k^2) after the O(k^2 d) fill, and ties may pick a different tree
+    than a dense scan would, but every MST has the same largest edge.
     """
     points = np.asarray(points, dtype=np.float64)
     k = len(points)
     if k < 2:
         raise ValueError("connecting_threshold needs at least 2 points")
     if dists is None:
-        return _threshold_from_points(points)
+        dists = condensed_distances(points)
     starts = _row_starts(k)
     col = starts - np.arange(k)     # d(q, p), q < p: dists[p - 1 + col[q]]
     # best[q] is q's distance to the tree, held at +inf once q has joined:
@@ -237,25 +236,6 @@ def connecting_threshold(points, dists=None):
         np.maximum(best, joined, out=best)
         p = int(np.argmin(best))
         tau = max(tau, float(best[p]))
-    return tau
-
-
-def _threshold_from_points(points):
-    """`connecting_threshold` computing each row from the points: outside[:n]
-    are the points not yet in the tree and best[:n] their distance to it; a
-    joining point is overwritten by the last of them."""
-    k = len(points)
-    outside = points.copy()
-    buf = np.empty_like(outside)
-    row = np.empty(k)
-    best = _distances(outside[0], outside, buf, np.empty(k))
-    outside[0], best[0] = outside[k - 1], best[k - 1]
-    tau = 0.0
-    for n in range(k - 1, 0, -1):
-        j = int(np.argmin(best[:n]))
-        tau = max(tau, float(best[j]))
-        np.minimum(best[:n], _distances(outside[j], outside[:n], buf, row[:n]), out=best[:n])
-        outside[j], best[j] = outside[n - 1], best[n - 1]
     return tau
 
 

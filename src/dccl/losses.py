@@ -1,5 +1,6 @@
-"""Training objectives: cross-entropy, the contrastive family, and the
-variational generative-transformation loss.
+"""Training objectives: the contrastive family and the variational
+generative-transformation loss, combined with the cross-entropy of
+`autodiff.softmax_cross_entropy` by `total_loss`.
 
 The contrastive loss compares each anchor embedding against one resolved
 positive and the second-view embeddings of all other batch samples as
@@ -24,13 +25,6 @@ ANCHOR_POSITIVE = -1
 
 NEGATIVES_ONLY = "negatives-only"
 STANDARD_INFONCE = "standard-infonce"
-
-_UNIT_NORM_TOL = 1e-6
-
-
-class LossConfigError(ValueError):
-    """Inconsistent loss configuration or batch contents."""
-
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -58,11 +52,11 @@ class LossConfig:
                                     within="[0, 1]")
 
     def validate(self):
-        check_ranges(self, name="loss.{}".format, error=LossConfigError)
+        check_ranges(self, name="loss.{}".format)
         if self.self_contrast_only and self.cdc_enabled:
-            raise LossConfigError("self_contrast_only and cdc_enabled are mutually exclusive")
+            raise ValueError("self_contrast_only and cdc_enabled are mutually exclusive")
         if self.self_contrast_only and self.pma_enabled:
-            raise LossConfigError("self_contrast_only rules out anchor positives")
+            raise ValueError("self_contrast_only rules out anchor positives")
         return self
 
     @property
@@ -93,32 +87,6 @@ class ContrastBatch:
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.domains = np.asarray(self.domains, dtype=np.int64)
-
-
-def _require_unit_rows(data, name):
-    norms = np.sqrt(np.sum(data * data, axis=1))
-    off = np.abs(norms - 1.0)
-    if (off > _UNIT_NORM_TOL).any():
-        row = int(np.argmax(off))
-        raise LossConfigError(f"{name} row {row} is not unit-norm (norm {norms[row]:.6g})")
-
-
-def erm_loss(logits, labels):
-    """Mean negative log-likelihood under softmax over the class axis."""
-    if logits.ndim != 2:
-        raise ad.ShapeError(f"logits must be rank 2, got shape {logits.shape}")
-    n, n_classes = logits.shape
-    if n_classes < 2:
-        raise LossConfigError("need at least 2 classes")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,):
-        raise ad.ShapeError(f"expected {n} labels, got shape {labels.shape}")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise LossConfigError(
-            f"label out of range: saw {int(labels.min())}..{int(labels.max())} "
-            f"for {n_classes} classes"
-        )
-    return ad.softmax_cross_entropy(logits, labels)
 
 
 def sample_positives_cdc(labels, domains, rng):
@@ -160,8 +128,6 @@ def mix_anchor_positives(assignment, pma_probability, rng):
     a sample's resolved positive becomes ANCHOR_POSITIVE; the choice is
     recorded per sample in the returned assignment.
     """
-    if not 0.0 <= pma_probability <= 1.0:
-        raise ValueError(f"pma_probability must lie in [0, 1], got {pma_probability}")
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     use_anchor = rng.random(len(assignment)) < pma_probability
     assignment[use_anchor] = ANCHOR_POSITIVE
@@ -175,30 +141,8 @@ def infonce_loss(batch, cfg):
     denominator sums exp(z.z-/tau) over the sample's negative pool,
     plus the positive term itself in "standard-infonce" mode.
     """
-    if batch.z_alt is None or batch.positive_assignment is None:
-        raise LossConfigError("contrastive loss needs z_alt and a positive assignment")
-    z, z_alt = batch.z, batch.z_alt
-    n, _ = z.shape
-    if n < 2:
-        raise LossConfigError("empty negative pool: need at least 2 samples")
-    _require_unit_rows(z.data, "z")
-    _require_unit_rows(z_alt.data, "z_alt")
-    assignment = np.asarray(batch.positive_assignment, dtype=np.int64)
-    anchor_rows = assignment == ANCHOR_POSITIVE
-    indexed = ~anchor_rows
-    if indexed.any():
-        idx = assignment[indexed]
-        if idx.min() < 0 or idx.max() >= n:
-            raise LossConfigError("positive assignment index out of range")
-        if (batch.labels[idx] != batch.labels[indexed]).any():
-            bad = int(np.nonzero(batch.labels[idx] != batch.labels[indexed])[0][0])
-            raise LossConfigError(f"cross-class positive for batch row {bad}")
-    if anchor_rows.any() or cfg.anchor_negatives:
-        if batch.z_pre is None:
-            raise LossConfigError("anchor embeddings required but z_pre is absent")
-        _require_unit_rows(np.asarray(batch.z_pre, dtype=np.float64), "z_pre")
-    return ad.contrastive_term(z, z_alt, assignment, batch.z_pre, cfg.temperature,
-                               anchor_negatives=cfg.anchor_negatives,
+    return ad.contrastive_term(batch.z, batch.z_alt, batch.positive_assignment, batch.z_pre,
+                               cfg.temperature, anchor_negatives=cfg.anchor_negatives,
                                standard=cfg.denominator_mode == STANDARD_INFONCE)
 
 
@@ -231,7 +175,7 @@ class LossBreakdown:
 def total_loss(batch, logits, cfg, gen=None, noise=None):
     """Combined objective: ERM + lambda * contrast + beta * generative.
     `gen` holds the generator's tensors, as for `gen_loss`."""
-    total = erm_loss(logits, batch.labels)
+    total = ad.softmax_cross_entropy(logits, batch.labels)
     erm_value = total.item()
     contrast_contrib = 0.0
     gen_contrib = 0.0
@@ -240,12 +184,6 @@ def total_loss(batch, logits, cfg, gen=None, noise=None):
         contrast_contrib = weighted.item()
         total = total + weighted
     if cfg.gt_enabled:
-        if gen is None:
-            raise LossConfigError("gt_enabled requires a generative transformer")
-        if batch.z_pre is None:
-            raise LossConfigError("gt_enabled requires anchor embeddings z_pre")
-        if noise is None:
-            raise LossConfigError("gt_enabled requires an injected noise draw")
         weighted = gen_loss(gen, batch.z, batch.z_pre, noise) * cfg.gen_weight
         gen_contrib = weighted.item()
         total = total + weighted

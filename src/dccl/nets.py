@@ -21,7 +21,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .optim import Adam
 from .options import check_ranges, fmt, option
+from .synthdata import make_batches
 
 SOFTPLUS_INV_ONE = math.log(math.e - 1.0)  # softplus(x) == 1
 BN_MOMENTUM = 0.1  # the share of each training batch in the running statistics
@@ -257,9 +259,6 @@ def build_anchor(dataset, anchor_cfg, spec, seed):
     Provenance records the seed, a dataset hash, and the accuracy on a
     pooled validation split of a fifth of the data.
     """
-    from .losses import erm_loss
-    from .optim import Adam
-
     if len(dataset) == 0:
         raise ValueError("cannot build an anchor from an empty dataset")
     val_idx, train, batches = anchor_split(dataset, anchor_cfg, seed)
@@ -272,7 +271,7 @@ def build_anchor(dataset, anchor_cfg, spec, seed):
         with ad.Tape() as tape:
             model.watch(tape)
             logits = model.logits(model.embed(train.X[idx], training=True))
-            loss = erm_loss(logits, train.labels[idx])
+            loss = ad.softmax_cross_entropy(logits, train.labels[idx])
         if not np.isfinite(loss.item()):
             raise TrainingDiverged(step, loss.item(), what="anchor loss")
         adam.step(params, tape.gradients(loss))
@@ -286,8 +285,6 @@ def build_anchor(dataset, anchor_cfg, spec, seed):
 def anchor_split(dataset, anchor_cfg, seed):
     """The pooled validation rows, training set and batch stream of the
     anchor of `seed`, which raises on a domain too small for its share."""
-    from .synthdata import make_batches
-
     _, split_s, batch_s = (int(s) for s in np.random.SeedSequence(seed).generate_state(3))
     order = np.random.default_rng(split_s).permutation(len(dataset))
     n_val = max(1, int(round(0.2 * len(dataset))))

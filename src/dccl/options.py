@@ -68,11 +68,11 @@ def check_value(key, f, value, name=str, error=ValueError):
             raise error(f"{name(key)} must {need}, got {item}")
 
 
-def check_ranges(obj, name=str, error=ValueError):
+def check_ranges(obj, name=str):
     """`check_value` of each `option` value of a config dataclass, nested
     blocks included."""
     for key, f, value in _option_values(obj):
-        check_value(key, f, value, name, error)
+        check_value(key, f, value, name)
 
 
 class TextError(ValueError, argparse.ArgumentTypeError):

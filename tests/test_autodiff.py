@@ -173,6 +173,9 @@ def test_normalize_degenerate_rejected():
         el.l2_normalize(Tensor([[0.0, 0.0]]))
     with pytest.raises(ad.DegenerateInputError):
         el.l2_normalize(Tensor([[1.0, 0.0], [1e-13, 0.0]]))
+    with pytest.raises(ad.DegenerateInputError, match="row 1 with norm overflowing float64"):
+        with np.errstate(over="ignore"):
+            el.l2_normalize(Tensor([[1.0, 0.0], [1e160, 0.0]]))
     with pytest.raises(ad.ShapeError):
         el.l2_normalize(Tensor([3.0, 4.0]))
 

@@ -345,6 +345,18 @@ def test_train_with_diverging_anchor_is_runtime_failure(tmp_path, capsys):
     assert "runtime failure: non-finite anchor loss" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", ["loss.cdc = true\n", ""], ids=["cdc", "erm"])
+@pytest.mark.parametrize("batchnorm", ["false", "true"])
+def test_overflowing_embedding_norm_is_runtime_failure(tmp_path, capsys, extra, batchnorm):
+    # separation this large overflows the sum of squares of an embedding row
+    path = write_config(tmp_path, "dataset.class_separation = 1e160\noptim.steps = 4\n"
+                                  f"model.batchnorm = {batchnorm}\n{extra}")
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(path)]) == 2
+    assert re.search(r"runtime failure: cannot normalize row \d+ with norm overflowing float64\n",
+                     capsys.readouterr().err)
+
+
 def test_degenerate_input_during_training_is_runtime_failure(tmp_path, capsys, monkeypatch):
     from dccl import cli
     from dccl.autodiff import DegenerateInputError

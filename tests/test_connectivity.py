@@ -133,7 +133,7 @@ def test_kernels_hold_no_dense_distance_array():
     pts = np.random.default_rng(0).standard_normal((k, d))
     # numpy reports its buffers to tracemalloc; a k x k x d array would
     # take k * k * d * 8 = 512 MB
-    bounds = {cn.connecting_threshold: 4 * k * d * 8,
+    bounds = {cn.connecting_threshold: 3 * 4 * k * k,
               cn.pairwise_stats: 3 * 4 * k * k}
     tracemalloc.start()
     try:

@@ -3,9 +3,10 @@
 The engine is a flat gradient tape: every op applied to a watched tensor
 appends (output id, input ids, backward rule) to the active tape, and one
 reverse sweep propagates adjoints back to all watched leaves.  Values are
-numpy float64 arrays of rank <= 2, which is all the MLPs and losses in
-this package need; every backward rule is checked against central finite
-differences.
+numpy float64 arrays of rank <= 3: the MLPs and losses need rank 2, and
+the fused ops also take a stack of R runs' operands on a leading run
+axis, so that one op serves the R runs of a lockstep grid cell.  Every
+backward rule is checked against central finite differences.
 
 The package has seven ops: `add` and `mul` (through `Tensor.__add__` and
 `__mul__`) and the fused `affine`, `embed_views`, `softmax_cross_entropy`,
@@ -24,6 +25,13 @@ would have met them, so `Tape.gradients` sums them with the same
 association; `embed_views` sums a parameter's per-view contributions
 itself, in that order.  A fused op therefore yields the same bits as its
 chain.
+
+A stack gives each run the bytes of that run's own call: each numpy
+call of a fused op acts on every run's slice as on one run's operand (a
+stacked matmul makes one BLAS call per run, in the same memory layout;
+reductions run along the same axes; gathers and scatters index each
+run's rows through one flat index), and `tests/test_lockstep.py` holds
+every op to that, slice by slice.
 """
 
 from __future__ import annotations
@@ -56,15 +64,18 @@ def normalize_rows(h):
     norms whose sum of squares overflows float64 (dividing by them would
     give all-zero rows), so every finite row of the output has unit norm:
     no loss needs to check it again.  A NaN norm passes through, for the
-    caller's divergence check.  The error names the first rejected row,
-    and its view when h is a (views, n, d) stack.
+    caller's divergence check, and an overflowing sum of squares raises
+    no numpy warning, only this error.  The error names the first
+    rejected row, and its view when h is a (views, n, d) stack, or a
+    (runs, views, n, d) stack of them.
     """
-    norms = np.sqrt(np.sum(h * h, axis=-1))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(h * h, axis=-1))
     bad = (norms < NORM_FLOOR) | (norms == np.inf)
     if bad.any():
         first = tuple(int(i) for i in np.argwhere(bad)[0])
-        *view, row = first
-        of_view = "".join(f" of view {v}" for v in view)
+        *outer, row = first
+        of_view = "".join(f" of {axis} {i}" for axis, i in zip(("view", "run"), outer[::-1]))
         why = (f"{norms[first]:g} < {NORM_FLOOR:g}" if norms[first] < NORM_FLOOR
                else "overflowing float64")
         raise DegenerateInputError(f"cannot normalize row {row}{of_view} with norm {why}")
@@ -100,7 +111,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if 0 in arr.shape:
             raise ShapeError(f"tensor dimensions must be strictly positive, got {arr.shape}")
-        if arr.ndim > 2:
+        if arr.ndim > 3:
             raise ShapeError(f"rank-{arr.ndim} tensors are not supported (shape {arr.shape})")
         self.data = arr
         self.node_id = node_id
@@ -171,8 +182,12 @@ class Tape:
         self._ops.append((key, parent_ids, backward_rule))
         return out
 
-    def gradients(self, root):
+    def gradients(self, root, stacked=False):
         """Gradients of a scalar `root` with respect to every watched leaf.
+
+        With `stacked`, `root` may instead hold one loss per run of a
+        stack, shape (R,): each is seeded with one, so each run's slice of
+        a gradient is the gradient of that run's own loss.
 
         Returns a dict keyed by node id; tensors that never touched this
         tape are simply absent.  An op with several outputs gets one
@@ -182,9 +197,11 @@ class Tape:
         """
         if root.node_id is None or root.node_id not in self._known:
             raise ValueError("root tensor was not produced under this tape")
-        if root.data.shape != ():
-            raise ShapeError(f"backward root must be scalar-shaped, got shape {root.data.shape}")
-        grads = {root.node_id: np.ones((), dtype=np.float64)}
+        if root.data.ndim > (1 if stacked else 0):
+            per_run = " or one value per run" if stacked else ""
+            raise ShapeError(f"backward root must be scalar-shaped{per_run}, "
+                             f"got shape {root.data.shape}")
+        grads = {root.node_id: np.ones(root.data.shape, dtype=np.float64)}
         for key, parent_ids, rule in reversed(self._ops):
             if key.__class__ is tuple:
                 # an op with several outputs: (node id, shape) pairs
@@ -246,10 +263,14 @@ def _check_matmul(sa, sb):
 
 
 def _check_layer(sx, sW, sb):
-    """x @ W + b for rows x of shape sx, b with one entry per column of W."""
+    """x @ W + b for rows x of shape sx, b with one entry per column of W;
+    in a stack, x, W and b lead with the same run count."""
+    runs = ()
+    if len(sW) == 3 and len(sx) == 3 and sx[0] == sW[0]:
+        runs, sx, sW = sW[:1], sx[1:], sW[1:]
     _check_matmul(sx, sW)
-    if sb != sW[1:]:
-        raise ShapeError(f"bias shape {sb} does not match weight shape {sW}")
+    if sb != runs + sW[1:]:
+        raise ShapeError(f"bias shape {sb} does not match weight shape {runs + sW}")
 
 
 def _check_log(da):
@@ -266,16 +287,20 @@ def _check_power(da, p):
         raise DegenerateInputError(f"negative power {p} of a near-zero value")
 
 
-def _check_rank2(a, opname):
-    if a.ndim != 2:
-        raise ShapeError(f"{opname} expects a rank-2 tensor, got shape {a.data.shape}")
+def _check_rows_of(a, opname):
+    """A fused op's main operand: rows, or a stack of them on a run axis."""
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"{opname} expects a rank-2 tensor or a stack of them, "
+                         f"got shape {a.data.shape}")
 
 
 def _check_cols(cols, shape, opname):
-    """One column index per row of a (n, m) operand, as an intp array."""
+    """One column index per row of a (n, m) operand, or of each run's in
+    a (R, n, m) stack, as an intp array."""
     cols = np.asarray(cols, dtype=np.intp)
-    n, m = shape
-    if cols.shape != (n,):
+    *rows, m = shape
+    if cols.shape != tuple(rows):
+        n = rows[0] if len(rows) == 1 else tuple(rows)
         raise ShapeError(f"{opname} needs {n} column indices, got shape {cols.shape}")
     if (cols < 0).any() or (cols >= m).any():
         raise IndexError(f"{opname} column index out of range [0, {m})")
@@ -285,6 +310,14 @@ def _check_cols(cols, shape, opname):
 def _check_rows(idx, n, opname):
     if (idx < 0).any() or (idx >= n).any():
         raise IndexError(f"{opname} row index out of range [0, {n})")
+
+
+def _flat_rows(idx, n):
+    """Row indices into each run's n rows, as indices into the rows of the
+    stack flattened to (R * n, ...): each run's own offset added."""
+    if idx.ndim == 1:
+        return idx
+    return (idx + n * np.arange(len(idx))[:, None]).reshape(-1)
 
 
 def add(a, b):
@@ -316,13 +349,13 @@ def _lse_rows(da, mask=None):
     """Row-wise log-sum-exp, max-stabilized, over the entries `mask` sets
     (all without one): the masked input and the result."""
     xm = da if mask is None else np.where(mask, da, -np.inf)
-    peak = xm.max(axis=1)
-    return xm, peak + np.log(np.sum(np.exp(xm - peak[:, None]), axis=1))
+    peak = xm.max(axis=-1)
+    return xm, peak + np.log(np.sum(np.exp(xm - peak[..., None]), axis=-1))
 
 
 def _lse_grad(g, xm, out):
-    weights = np.exp(xm - out[:, None])
-    return g[:, None] * weights
+    weights = np.exp(xm - out[..., None])
+    return g[..., None] * weights
 
 
 # -- fused ops ------------------------------------------------------------------
@@ -332,18 +365,25 @@ def _lse_grad(g, xm, out):
 # as a composite oracle.  The comments name the primitive each numpy line
 # stands for; the backward rule walks the chain in reverse and hands back
 # one gradient per entry of the parent tuple.  Shapes are exact, so the
-# only broadcast a rule undoes is an (m,) bias or std_bias, by an axis-0
-# sum.  A gradient spread from a scalar or a column that is summed again
-# is built with `np.broadcast_to`, as in `reduce_sum`/`reduce_mean`,
+# only broadcast a rule undoes is an (m,) bias or std_bias, by a sum over
+# the rows.  A gradient spread from a scalar or a column that is summed
+# again is built with `np.broadcast_to`, as in `reduce_sum`/`reduce_mean`,
 # because a reduction's bits depend on the strides it walks.
+#
+# Every op also takes its operands stacked on a leading run axis, R runs
+# of one shape (`embed_views` keeps its view axis in front: (views, R, n,
+# d)), and each loss op then returns one loss per run, shape (R,).  So
+# rows are axis -2 and features axis -1, a bias is broadcast over the rows
+# as b[..., None, :], and `a.swapaxes(-1, -2)` is `a.T` of each run's matrix.
 
 
 def affine(x, W, b):
     """x @ W + b for x (n, i), W (i, o), b (o,): `matmul`, broadcast `add`."""
     x, W, b = _coerce(x), _coerce(W), _coerce(b)
-    xd, Wd = x.data, W.data
-    _check_layer(xd.shape, Wd.shape, b.data.shape)
-    return _emit(xd @ Wd + b.data, (b, x, W), lambda g: (g.sum(axis=0), g @ Wd.T, xd.T @ g))
+    xd, Wd, bd = x.data, W.data, b.data
+    _check_layer(xd.shape, Wd.shape, bd.shape)
+    return _emit(xd @ Wd + bd[..., None, :], (b, x, W),
+                 lambda g: (g.sum(axis=-2), g @ Wd.swapaxes(-1, -2), xd.swapaxes(-1, -2) @ g))
 
 
 def _views_sum(parts):
@@ -357,15 +397,16 @@ def _views_sum(parts):
 
 def embed_views(views, layers, eps):
     """Training-mode embedding of a (views, n, d) stack of constant batches,
-    one output Tensor per view.
+    one output Tensor per view; or, with stacked parameters, of a (views,
+    R, n, d) stack of R runs' views, one (R, n, k) output per view.
 
     Each layer of `layers`, a (W, b, bn, relu) tuple, is `affine` with W
     and b; then, with bn a (gamma, beta) pair, batch standardization over
     each view's own rows, scaled by gamma and shifted by beta; then `relu`
     if relu is set.  Each row of the last layer's output is
     `l2_normalize`d.  Also returns, per batch-norm layer, the (views, m)
-    batch means and variances, which the caller folds into its running
-    statistics.
+    batch means and variances ((views, R, m) in a stack), which the
+    caller folds into its running statistics.
 
     The op replays one view's chain with a leading view axis: a stacked
     matmul, axis sum or mean gives the bytes of its per-view call.  Each
@@ -373,16 +414,17 @@ def embed_views(views, layers, eps):
     view first, as the reverse sweep summed the per-view chains.
     """
     xs = np.asarray(views, dtype=np.float64)
-    if xs.ndim != 3 or 0 in xs.shape:
-        raise ShapeError(f"embed_views expects a (views, n, d) stack, got shape {xs.shape}")
-    scale = 1.0 / xs.shape[1]
+    if xs.ndim not in (3, 4) or 0 in xs.shape:
+        raise ShapeError(f"embed_views expects a (views, n, d) stack or a (views, R, n, d) "
+                         f"stack of R runs' views, got shape {xs.shape}")
+    scale = 1.0 / xs.shape[-2]
     p = -0.5
     parents, saved, batch_stats = [], [], []
     h = xs
     for W, b, bn, relu in layers:
         x_in, Wd, bd = h, W.data, b.data
         _check_layer(x_in.shape[1:], Wd.shape, bd.shape)
-        h = x_in @ Wd + bd                            # matmul, add
+        h = x_in @ Wd + bd[..., None, :]              # matmul, add
         parents += [W, b]
         norm = None
         if bn is not None:
@@ -391,14 +433,15 @@ def embed_views(views, layers, eps):
             if gd.shape != bd.shape or beta.data.shape != bd.shape:
                 raise ShapeError(f"batch-norm shapes {gd.shape} and {beta.data.shape} "
                                  f"do not match width {bd.shape}")
-            mu = h.mean(axis=1)                       # reduce_mean(x, 0)
-            c = h - mu[:, None]                       # sub
-            var = (c * c).mean(axis=1)                # mul, reduce_mean(., 0)
+            mu = h.mean(axis=-2)                      # reduce_mean(x, 0)
+            c = h - mu[..., None, :]                  # sub
+            var = (c * c).mean(axis=-2)               # mul, reduce_mean(., 0)
             ve = var + eps                            # add
             _check_power(ve, p)
-            inv = (ve ** p)[:, None]                  # power
+            inv = (ve ** p)[..., None, :]             # power
             t1 = c * inv                              # mul
-            h = t1 * gd + beta.data                   # mul, add
+            gd = gd[..., None, :]
+            h = t1 * gd + beta.data[..., None, :]     # mul, add
             parents += [gamma, beta]
             batch_stats.append((mu, var))
             norm = (gd, c, ve, inv, t1)
@@ -411,7 +454,7 @@ def embed_views(views, layers, eps):
 
     def rule(gs):
         g = np.stack(gs)
-        inner = np.sum(g * out, axis=2, keepdims=True)
+        inner = np.sum(g * out, axis=-1, keepdims=True)
         g = (g - out * inner) / norms
         grads = []
         for x_in, Wd, norm, alive in reversed(saved):
@@ -419,18 +462,18 @@ def embed_views(views, layers, eps):
                 g = g * alive
             if norm is not None:
                 gd, c, ve, inv, t1 = norm
-                grads += [_views_sum(g.sum(axis=1)), _views_sum((g * t1).sum(axis=1))]
+                grads += [_views_sum(g.sum(axis=-2)), _views_sum((g * t1).sum(axis=-2))]
                 g_t1 = g * gd
                 g_c = g_t1 * inv
-                g_var = (g_t1 * c).sum(axis=1) * p * ve ** (p - 1.0)
-                g_sq = (g_var * scale)[:, None]
+                g_var = (g_t1 * c).sum(axis=-2) * p * ve ** (p - 1.0)
+                g_sq = (g_var * scale)[..., None, :]
                 g_c = g_c + g_sq * c
                 g_c = g_c + g_sq * c
-                g_mu = g_c.sum(axis=1).__neg__()
-                g = g_c + (g_mu * scale)[:, None]
-            grads += [_views_sum(g.sum(axis=1)), _views_sum(np.swapaxes(x_in, 1, 2) @ g)]
+                g_mu = g_c.sum(axis=-2).__neg__()
+                g = g_c + (g_mu * scale)[..., None, :]
+            grads += [_views_sum(g.sum(axis=-2)), _views_sum(x_in.swapaxes(-1, -2) @ g)]
             if x_in is not xs:
-                g = g @ Wd.T
+                g = g @ Wd.swapaxes(-1, -2)
         return grads[::-1]
 
     outs = _emit(list(out), parents, rule)
@@ -440,21 +483,22 @@ def embed_views(views, layers, eps):
 def softmax_cross_entropy(logits, labels):
     """Mean over rows of logsumexp(logits[i]) - logits[i, labels[i]]."""
     logits = _coerce(logits)
-    _check_rank2(logits, "softmax_cross_entropy")
+    _check_rows_of(logits, "softmax_cross_entropy")
     da = logits.data
     cols = _check_cols(labels, da.shape, "softmax_cross_entropy")
-    rows = np.arange(len(cols))
+    m = da.shape[-1]
+    rows, flat_cols = np.arange(cols.size), cols.reshape(-1)
     xm, lse = _lse_rows(da)                                      # logsumexp
-    diff = lse - da[rows, cols]                                  # gather_pairs, sub
-    scale = 1.0 / diff.size
+    diff = lse - da.reshape(-1, m)[rows, flat_cols].reshape(cols.shape)  # gather_pairs, sub
+    scale = 1.0 / diff.shape[-1]
 
     def rule(g):
-        g_diff = np.broadcast_to(g * scale, diff.shape)
+        g_diff = np.broadcast_to((g * scale)[..., None], diff.shape)
         picked = np.zeros(da.shape)
-        picked[rows, cols] = g_diff.__neg__()
+        picked.reshape(-1, m)[rows, flat_cols] = g_diff.__neg__().reshape(-1)
         return (picked, _lse_grad(g_diff, xm, lse))
 
-    return _emit(diff.mean(), (logits, logits), rule)
+    return _emit(diff.mean(axis=-1), (logits, logits), rule)
 
 
 def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=False,
@@ -466,39 +510,48 @@ def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=Fa
     over j != i; with `anchor_negatives` also exp(z_i . z_pre_j / t) over
     j != i, and with `standard` the positive term itself.  z_pre (n, d) is
     needed only when a row takes an anchor positive or anchor negatives
-    are on.
+    are on.  In a stack each run's positive indexes its own z_alt rows.
     """
     z, z_alt = _coerce(z), _coerce(z_alt)
-    _check_rank2(z, "contrastive_term")
+    _check_rows_of(z, "contrastive_term")
     zd, ad_ = z.data, z_alt.data
-    n, d = zd.shape
-    if ad_.shape != (n, d):
+    n, d = zd.shape[-2:]
+    if ad_.shape != zd.shape:
         raise ShapeError(f"z_alt shape {ad_.shape} does not match z shape {zd.shape}")
     if n < 2:
         raise DegenerateInputError("contrastive_term needs 2 rows for a negative pool")
     inv_t = 1.0 / temperature
     positive = np.asarray(positive, dtype=np.intp)
+    if positive.shape != zd.shape[:-1]:
+        raise ShapeError(f"contrastive_term needs {zd.shape[:-1]} positives, "
+                         f"got shape {positive.shape}")
     anchor_rows = positive < 0
     with_anchor = bool(anchor_rows.any())
     idx = np.where(anchor_rows, 0, positive)
     _check_rows(idx, n, "contrastive_term")
+    flat = _flat_rows(idx, n)
     if with_anchor or anchor_negatives:
         z_pre = np.asarray(z_pre, dtype=np.float64)
-        if z_pre.shape != (n, d):
+        if z_pre.shape != zd.shape:
             raise ShapeError(f"z_pre shape {z_pre.shape} does not match z shape {zd.shape}")
 
-    P = P0 = ad_[idx]                                   # index_rows
+    P = P0 = ad_.reshape(-1, d)[flat].reshape(zd.shape)   # index_rows
     if with_anchor:
-        keep = (~anchor_rows).astype(np.float64)[:, None]
+        keep = (~anchor_rows).astype(np.float64)[..., None]
         P1 = P0 * keep                                  # mul
-        P = P1 + np.where(anchor_rows[:, None], z_pre, 0.0)   # add
-    pos = (zd * P).sum(axis=1) * inv_t                  # mul, reduce_sum(., 1), mul
-    zaT = ad_.T.copy()                                  # transpose
+        fill = 0.0
+        if anchor_rows.ndim > 1:
+            # adding -0.0 changes no value, so a run of a stack without anchor
+            # rows keeps its P0 as its own call does, -0.0 entries included
+            fill = np.where(anchor_rows.any(axis=-1), 0.0, -0.0)[:, None, None]
+        P = P1 + np.where(anchor_rows[..., None], z_pre, fill)   # add
+    pos = (zd * P).sum(axis=-1) * inv_t                 # mul, reduce_sum(., 1), mul
+    zaT = ad_.swapaxes(-1, -2).copy()                   # transpose
     neg_mask = ~np.eye(n, dtype=bool)
     xm, lse = _lse_rows((zd @ zaT) * inv_t, neg_mask)   # matmul, mul, logsumexp
     denom = lse
     if anchor_negatives:
-        zpT = z_pre.T.copy()
+        zpT = z_pre.swapaxes(-1, -2).copy()
         xm_a, lse_a = _lse_rows((zd @ zpT) * inv_t, neg_mask)   # matmul, mul, logsumexp
         denom_a = denom = np.logaddexp(lse, lse_a)      # logaddexp
     if standard:
@@ -508,7 +561,7 @@ def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=Fa
     scale = 1.0 / n
 
     def rule(g):
-        g_diff = np.broadcast_to(g * scale, diff.shape)     # reduce_mean
+        g_diff = np.broadcast_to((g * scale)[..., None], diff.shape)     # reduce_mean
         g_den = g_diff                                      # sub
         g_pos = g_diff.__neg__()
         if standard:
@@ -518,22 +571,22 @@ def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=Fa
         if anchor_negatives:
             g_lse_a = g_den * np.exp(lse_a - denom_a)
             g_den = g_den * np.exp(lse - denom_a)
-            out.append((_lse_grad(g_lse_a, xm_a, lse_a) * inv_t) @ zpT.T)
+            out.append((_lse_grad(g_lse_a, xm_a, lse_a) * inv_t) @ zpT.swapaxes(-1, -2))
         g_sims = _lse_grad(g_den, xm, lse) * inv_t
-        out.append(g_sims @ zaT.T)
-        out.append((zd.T @ g_sims).T)
-        g_q = (g_pos * inv_t)[:, None]
+        out.append(g_sims @ zaT.swapaxes(-1, -2))
+        out.append((zd.swapaxes(-1, -2) @ g_sims).swapaxes(-1, -2))
+        g_q = (g_pos * inv_t)[..., None]
         out.append(g_q * P)
         g_p = g_q * zd
         if with_anchor:
             g_p = g_p * keep
-        scattered = np.zeros((n, d))
-        np.add.at(scattered, idx, g_p)
+        scattered = np.zeros(zd.shape)
+        np.add.at(scattered.reshape(-1, d), flat, g_p.reshape(-1, d))
         out.append(scattered)
         return out
 
     parents = ((z,) if anchor_negatives else ()) + (z, z_alt, z, z_alt)
-    return _emit(diff.mean(), parents, rule)
+    return _emit(diff.mean(axis=-1), parents, rule)
 
 
 def generative_term(z, z_pre, noise, std_bias, W, b):
@@ -541,44 +594,48 @@ def generative_term(z, z_pre, noise, std_bias, W, b):
 
     sigma = softplus(std_bias), z_lat = z + sigma * noise and the decoder
     psi(v) = v @ W + b; the KL is 0.5 * sum(sigma^2 + z^2 - 1 - ln sigma^2).
-    z and noise are (n, m), std_bias (m,), W (m, k), b (k,) and z_pre (n, k).
+    z and noise are (n, m), std_bias (m,), W (m, k), b (k,) and z_pre (n, k),
+    each with a leading run axis in a stack.
     """
     z, std_bias, W, b = _coerce(z), _coerce(std_bias), _coerce(W), _coerce(b)
     zd, bd, Wd = z.data, std_bias.data, W.data
     noise, z_pre = np.asarray(noise, dtype=np.float64), np.asarray(z_pre, dtype=np.float64)
-    _check_rank2(z, "generative_term")
-    (n, m), k = zd.shape, Wd.shape[-1:]
-    for name, arr, want in (("noise", noise, (n, m)), ("std_bias", bd, (m,)), ("W", Wd, (m, *k)),
-                            ("b", b.data, k), ("z_pre", z_pre, (n, *k))):
-        if arr.shape != want:
-            raise ShapeError(f"generative_term: {name} shape {arr.shape} is not {want}")
+    _check_rows_of(z, "generative_term")
+    *runs, n, m = zd.shape
+    runs, k = tuple(runs), Wd.shape[-1:]
+    for name, arr, want in (("noise", noise, (n, m)), ("std_bias", bd, (m,)),
+                            ("W", Wd, (m, *k)), ("b", b.data, k), ("z_pre", z_pre, (n, *k))):
+        if arr.shape != runs + want:
+            raise ShapeError(f"generative_term: {name} shape {arr.shape} is not {runs + want}")
     sig = np.logaddexp(0.0, bd)                 # softplus
-    sn = sig * noise                            # mul
+    sig_rows = sig[..., None, :]
+    sn = sig_rows * noise                       # mul
     zl = zd + sn                                # add
     r0 = zl @ Wd                                # matmul
-    recon = r0 + b.data                         # add
+    recon = r0 + b.data[..., None, :]           # add
     s2 = sig * sig                              # mul
     zz = zd * zd                                # mul
-    a8 = s2 + zz                                # add
+    a8 = s2[..., None, :] + zz                  # add
     a9 = a8 - 1.0                               # sub
     _check_log(s2)
     l10 = np.log(s2)                            # log
-    a11 = a9 - l10                              # sub
-    kl = a11.sum(axis=1) * 0.5                  # reduce_sum(., 1), mul
+    a11 = a9 - l10[..., None, :]                # sub
+    kl = a11.sum(axis=-1) * 0.5                 # reduce_sum(., 1), mul
     err = z_pre - recon                         # sub
-    rec = (err * err).sum(axis=1)               # mul, reduce_sum(., 1)
+    rec = (err * err).sum(axis=-1)              # mul, reduce_sum(., 1)
     tot = rec + kl                              # add
-    scale = 1.0 / tot.size
+    scale = 1.0 / n
 
     def rule(g):
-        g_tot = np.broadcast_to(g * scale, tot.shape)
-        g_recon = (g_tot[:, None] * err + g_tot[:, None] * err).__neg__()
-        g_a11 = np.broadcast_to((g_tot * 0.5)[:, None], a11.shape)
-        g_cols = g_a11.sum(axis=0)
+        g_tot = np.broadcast_to((g * scale)[..., None], tot.shape)
+        g_recon = (g_tot[..., None] * err + g_tot[..., None] * err).__neg__()
+        g_a11 = np.broadcast_to((g_tot * 0.5)[..., None], a11.shape)
+        g_cols = g_a11.sum(axis=-2)
         g_s2 = g_cols.__neg__() / s2 + g_cols
-        g_zl = g_recon @ Wd.T
-        g_sig = g_s2 * sig + g_s2 * sig + (g_zl * noise).sum(axis=0)
+        g_zl = g_recon @ Wd.swapaxes(-1, -2)
+        g_sig = g_s2 * sig + g_s2 * sig + (g_zl * noise).sum(axis=-2)
         g_z = g_a11 * zd
-        return (g_z, g_z, g_recon.sum(axis=0), zl.T @ g_recon, g_zl, g_sig * _sigmoid(bd))
+        return (g_z, g_z, g_recon.sum(axis=-2), zl.swapaxes(-1, -2) @ g_recon, g_zl,
+                g_sig * _sigmoid(bd))
 
-    return _emit(tot.mean(), (z, z, b, W, z, std_bias), rule)
+    return _emit(tot.mean(axis=-1), (z, z, b, W, z, std_bias), rule)

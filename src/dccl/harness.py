@@ -3,7 +3,9 @@
 Every run is a pure function of (config, seed): random streams for
 initialization, splitting, batching, augmentation, positive sampling and
 reparameterization noise are spawned from one seed sequence, so rerunning
-a config reproduces every emitted number bit for bit.
+a config reproduces every emitted number bit for bit.  The grid trains
+the holdouts of each (row, seed) cell in lockstep, on one stacked model,
+and each of them still gets the bytes of its own run.
 """
 
 from __future__ import annotations
@@ -227,24 +229,124 @@ def check_splits(cfg, seeds, holdouts, anchor):
 
 
 def train(cfg, anchor=None, run_dir=None):
-    """One leave-one-domain-out training run.
+    """One leave-one-domain-out training run: `train_cell` of one run.
 
     Optimizes the combined objective with adaptive-moment gradient
     descent, evaluates on the source-domain validation split at a fixed
     cadence, selects the best validation checkpoint, and measures test
     accuracy exactly once on the held-out domain with augmentation off.
     """
+    return train_cell([cfg], anchor, [run_dir])[0]
+
+
+class _Run:
+    """One run of a cell and what it does on its own: its seed streams,
+    split and batch stream, each step's batch, augmentation, positives
+    and noise, its model and `Adam`, its loss curve and its checkpoint
+    selection."""
+
+    def __init__(self, cfg, dataset):
+        self.cfg = cfg
+        init_s, _, _, _, augment_s, contrast_s, noise_s = _seed_streams(cfg.seed)
+        self.rng_augment = np.random.default_rng(augment_s)
+        self.rng_contrast = np.random.default_rng(contrast_s)
+        self.rng_noise = np.random.default_rng(noise_s)
+        # a domain too small for its share of a batch fails here, before the anchor
+        self.train_idx, self.val_idx, self.batches = train_split(cfg, dataset)
+        self.model = Model(dataset.dim, dataset.n_classes,
+                           replace(cfg.model, with_gen=cfg.loss.gt_enabled),
+                           np.random.default_rng(init_s))
+        self.adam = Adam(lr=cfg.optim.lr)
+        self.curve = []
+        self.domain_counts = np.zeros(dataset.n_domains, dtype=np.int64)
+        self.best_acc, self.best_step, self.best_state = -1.0, 0, None
+
+    def draw(self, dataset, augmentation, z_pre_all):
+        """The step's (view1, view2, labels, domains, positives, z_pre, noise),
+        None where the loss leaves a part out."""
+        cfg = self.cfg
+        orig = self.train_idx[next(self.batches)]
+        xb = dataset.X[orig]
+        yb = dataset.labels[orig]
+        db = dataset.domains[orig]
+        if (db == cfg.holdout).any():
+            raise RuntimeError(f"held-out domain {cfg.holdout} leaked into a training batch")
+        self.domain_counts += np.bincount(db, minlength=dataset.n_domains)
+
+        view1 = augment(xb, augmentation, self.rng_augment)
+        contrast_on = cfg.loss.contrast_enabled
+        view2 = augment(xb, augmentation, self.rng_augment) if contrast_on else None
+        assignment = (resolve_positives(cfg.loss, yb, db, self.rng_contrast)
+                      if contrast_on else None)
+        z_pre = z_pre_all[orig] if z_pre_all is not None else None
+        noise = (self.rng_noise.standard_normal((len(orig), self.model.embed_dim))
+                 if cfg.loss.gt_enabled else None)
+        return view1, view2, yb, db, assignment, z_pre, noise
+
+    def evaluate(self, step, dataset):
+        val_acc = self.model.accuracy(dataset.X[self.val_idx], dataset.labels[self.val_idx])
+        # ties go to the later checkpoint, so regularizers keep shaping
+        # the selected model even once validation accuracy saturates
+        if val_acc >= self.best_acc:
+            self.best_acc, self.best_step, self.best_state = val_acc, step, self.model.get_state()
+
+    def finish(self, dataset, connectivity_init, started, run_dir):
+        """Test the selected checkpoint and write the run directory."""
+        cfg, model = self.cfg, self.model
+        model.set_state(self.best_state)
+        test_idx = dataset.domain_indices(cfg.holdout)
+        test_acc = model.accuracy(dataset.X[test_idx], dataset.labels[test_idx])
+        connectivity_selected = _mean_connectivity(model, dataset)
+
+        result = RunResult(
+            seed=cfg.seed, holdout=cfg.holdout, test_accuracy=test_acc,
+            best_val_accuracy=self.best_acc, selected_step=self.best_step,
+            loss_curve=self.curve, connectivity_init=connectivity_init,
+            connectivity_selected=connectivity_selected,
+            domain_batch_counts={m: int(c) for m, c in enumerate(self.domain_counts) if c},
+            n_train=len(self.train_idx), n_val=len(self.val_idx),
+            wall_clock=time.perf_counter() - started,
+        )
+        if run_dir is not None:
+            model.provenance = {"seed": str(cfg.seed), "data_hash": dataset_hash(dataset)}
+            _write_run_dir(Path(run_dir), model, result)
+        return result
+
+
+def _stack(parts):
+    """The runs' arrays of one part of a step on a run axis, None for a
+    part the loss leaves out; np.array stacks as np.stack does, faster."""
+    return None if parts[0] is None else np.array(parts)
+
+
+def _per_run(term, runs):
+    """A loss term's value for each of `runs` runs, as floats: the entries
+    of a stack's per-run array, else its one value."""
+    return term.tolist() if getattr(term, "ndim", 0) else [float(term)] * runs
+
+
+def train_cell(cfgs, anchor=None, run_dirs=None):
+    """Leave-one-domain-out runs that differ in their holdout only, trained
+    in lockstep: one `RunResult` per config, each with the bytes that its
+    own `train` gives, and its run directory written when `run_dirs` names
+    one.
+
+    Each step draws every run's batch, augmentation, positives and noise
+    from that run's own streams, then embeds, scores and differentiates
+    all runs at once on a `Model.stack` of their models, and hands each
+    run's `Adam` its slice of the gradients.  Evaluation, checkpoint
+    selection, the test and the run directory stay per run, in config
+    order.  A failure in any run raises out of the cell; `_grid_job`
+    then replays the cell one run at a time.
+    """
     started = time.perf_counter()
-    cfg.validate()
+    cfg = cfgs[0]
+    for run_cfg in cfgs:
+        run_cfg.validate()
+        if replace(run_cfg, holdout=cfg.holdout) != cfg:
+            raise ValueError("the runs of a cell may differ in their holdout only")
     dataset = cfg.dataset.build()
-
-    init_s, _, _, _, augment_s, contrast_s, noise_s = _seed_streams(cfg.seed)
-    rng_augment = np.random.default_rng(augment_s)
-    rng_contrast = np.random.default_rng(contrast_s)
-    rng_noise = np.random.default_rng(noise_s)
-
-    # a domain too small for its share of a batch fails here, before the anchor
-    train_idx, val_idx, batches = train_split(cfg, dataset)
+    runs = [_Run(run_cfg, dataset) for run_cfg in cfgs]
 
     if cfg.needs_anchor:
         if anchor is None:
@@ -256,78 +358,41 @@ def train(cfg, anchor=None, run_dir=None):
         z_pre_all = anchor.embed(dataset.X).data
     else:
         z_pre_all = None
-
-    model = Model(dataset.dim, dataset.n_classes,
-                  replace(cfg.model, with_gen=cfg.loss.gt_enabled),
-                  np.random.default_rng(init_s))
-    params = model.parameters()
-    adam = Adam(lr=cfg.optim.lr)
     train_aug = cfg.augment.train_spec(cfg.loss.aggressive_augmentation)
-
     connectivity_init = _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False),
                                               cfg.seed)
 
-    curve = []
-    domain_counts = np.zeros(dataset.n_domains, dtype=np.int64)
-    best_acc, best_step, best_state = -1.0, 0, None
+    models = [run.model for run in runs]
+    stacked = len(runs) > 1
     for step in range(1, cfg.optim.steps + 1):
-        pos = next(batches)
-        orig = train_idx[pos]
-        xb = dataset.X[orig]
-        yb = dataset.labels[orig]
-        db = dataset.domains[orig]
-        if (db == cfg.holdout).any():
-            raise RuntimeError(f"held-out domain {cfg.holdout} leaked into a training batch")
-        domain_counts += np.bincount(db, minlength=dataset.n_domains)
-
-        view1 = augment(xb, train_aug, rng_augment)
-        contrast_on = cfg.loss.contrast_enabled
-        view2 = augment(xb, train_aug, rng_augment) if contrast_on else None
-        assignment = (resolve_positives(cfg.loss, yb, db, rng_contrast)
-                      if contrast_on else None)
-        z_pre = z_pre_all[orig] if z_pre_all is not None else None
-        noise = (rng_noise.standard_normal((len(orig), model.embed_dim))
-                 if cfg.loss.gt_enabled else None)
-
+        drawn = [run.draw(dataset, train_aug, z_pre_all) for run in runs]
+        view1, view2, yb, db, assignment, z_pre, noise = (
+            map(_stack, zip(*drawn)) if stacked else drawn[0])
+        cell = Model.stack(models)
         with ad.Tape() as tape:
-            model.watch(tape)
-            z1, *z2 = model.embed([view1, view2] if contrast_on else [view1], training=True)
-            logits = model.logits(z1)
+            cell.watch(tape)
+            z1, *z2 = cell.embed([view1] if view2 is None else [view1, view2], training=True)
+            logits = cell.logits(z1)
             batch = ContrastBatch(z=z1, labels=yb, domains=db, z_alt=z2[0] if z2 else None,
                                   z_pre=z_pre, positive_assignment=assignment)
-            breakdown = total_loss(batch, logits, cfg.loss, gen=params, noise=noise)
-        total_value = breakdown.total.item()
-        if not np.isfinite(total_value):
-            raise TrainingDiverged(step, total_value)
-        adam.step(params, tape.gradients(breakdown.total))
-        curve.append(LossRow(step, breakdown.erm, breakdown.contrast,
-                             breakdown.gen, total_value))
+            breakdown = total_loss(batch, logits, cfg.loss, gen=cell.parameters(), noise=noise)
+        values = zip(*[_per_run(term, len(runs)) for term in (
+            breakdown.erm, breakdown.contrast, breakdown.gen, breakdown.total.data)])
+        rows = [LossRow(step, *terms) for terms in values]
+        for row in rows:
+            if not math.isfinite(row.total):
+                raise TrainingDiverged(step, row.total)
+        grads = tape.gradients(breakdown.total, stacked=stacked)
+        for run, share, row in zip(runs, cell.unstack(models, grads), rows):
+            run.adam.step(run.model.parameters(), share)
+            run.curve.append(row)
 
         if step % cfg.optim.eval_every == 0 or step == cfg.optim.steps:
-            val_acc = model.accuracy(dataset.X[val_idx], dataset.labels[val_idx])
-            # ties go to the later checkpoint, so regularizers keep shaping
-            # the selected model even once validation accuracy saturates
-            if val_acc >= best_acc:
-                best_acc, best_step, best_state = val_acc, step, model.get_state()
+            for run in runs:
+                run.evaluate(step, dataset)
 
-    model.set_state(best_state)
-    test_idx = dataset.domain_indices(cfg.holdout)
-    test_acc = model.accuracy(dataset.X[test_idx], dataset.labels[test_idx])
-    connectivity_selected = _mean_connectivity(model, dataset)
-
-    result = RunResult(
-        seed=cfg.seed, holdout=cfg.holdout, test_accuracy=test_acc,
-        best_val_accuracy=best_acc, selected_step=best_step, loss_curve=curve,
-        connectivity_init=connectivity_init,
-        connectivity_selected=connectivity_selected,
-        domain_batch_counts={m: int(c) for m, c in enumerate(domain_counts) if c},
-        n_train=len(train_idx), n_val=len(val_idx),
-        wall_clock=time.perf_counter() - started,
-    )
-    if run_dir is not None:
-        model.provenance = {"seed": str(cfg.seed), "data_hash": dataset_hash(dataset)}
-        _write_run_dir(Path(run_dir), model, result)
-    return result
+    return [run.finish(dataset, connectivity_init, started, run_dir)
+            for run, run_dir in zip(runs, run_dirs or [None] * len(runs))]
 
 
 def _write_run_dir(run_dir, model, result):
@@ -432,22 +497,48 @@ def _mark_csv(v):
     return "1" if v else "0"
 
 
-def _grid_job(cfg, anchor, run_dir):
-    """One (row, seed, holdout) run of the grid.  Module-level, so a
-    process pool can pickle it by name."""
-    return train(cfg, anchor=anchor, run_dir=run_dir)
+def _grid_job(cfgs, anchor, run_dirs, keep_going):
+    """One (row, seed) cell of the grid, its holdouts trained in lockstep
+    by `train_cell`.  Module-level, so a process pool can pickle it by
+    name.
+
+    If any run of the cell fails, the cell reruns its runs one at a time
+    with `train`, in holdout order, so that it raises, and leaves written,
+    what one job per run would: the first failing run's error, after the
+    runs before it wrote their directories.  With `keep_going` (a pool,
+    where the other jobs ran on) the runs after it also run and write
+    theirs first.
+    """
+    try:
+        return train_cell(cfgs, anchor, run_dirs)
+    except Exception:
+        if len(cfgs) == 1:
+            raise
+    results, failure = [], None
+    for cfg, run_dir in zip(cfgs, run_dirs):
+        try:
+            results.append(train(cfg, anchor=anchor, run_dir=run_dir))
+        except Exception as exc:
+            if not keep_going:
+                raise
+            failure = failure or exc
+    if failure is not None:
+        raise failure
+    return results
 
 
 def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=None):
     """Leave-one-domain-out average for every ablation row and seed; the
     one runner of many holdouts (`dccl loo` is a grid of one row).
 
-    Runs are mutually independent; `workers` > 1 executes them in
-    separate processes, one run per job.  Anchors are built once per seed,
-    checkpointed under out_dir when given, and shared by every row of that
-    seed; each seed's initial connectivity is scored once, before the pool
-    starts, so forked workers inherit it.  Under out_dir the grid writes
-    `<row>/seed<s>/holdout<m>/` run directories and `anchors/`, nothing else.
+    Cells are mutually independent: a cell is one row and seed, and its
+    holdouts train in lockstep as one job (`_grid_job`).  `workers` > 1
+    executes the jobs in separate processes.  Anchors are built once per
+    seed, checkpointed under out_dir when given, and shared by every row
+    of that seed; each seed's initial connectivity is scored once, before
+    the pool starts, so forked workers inherit it.  Under out_dir the grid
+    writes `<row>/seed<s>/holdout<m>/` run directories and `anchors/`,
+    nothing else.
     """
     n_domains = cfg.dataset.domain_count
     if n_domains < 2:
@@ -470,21 +561,23 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
     for seed in seeds:
         _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False), seed)
 
+    holdouts = range(n_domains)
     jobs = {}
     for row in rows:
         for seed in seeds:
-            for m in range(n_domains):
-                run_dir = (None if out_root is None
-                           else out_root / row.name / f"seed{seed}" / f"holdout{m}")
-                jobs[row.name, seed, m] = (row.apply(replace(cfg, seed=seed, holdout=m)),
-                                           anchors.get(seed), run_dir)
+            run_dirs = [None if out_root is None
+                        else out_root / row.name / f"seed{seed}" / f"holdout{m}" for m in holdouts]
+            cfgs = [row.apply(replace(cfg, seed=seed, holdout=m)) for m in holdouts]
+            jobs[row.name, seed] = (cfgs, anchors.get(seed), run_dirs, workers > 1)
 
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {key: pool.submit(_grid_job, *job) for key, job in jobs.items()}
-            runs = {key: future.result() for key, future in futures.items()}
+            cells = {key: future.result() for key, future in futures.items()}
     else:
-        runs = {key: _grid_job(*job) for key, job in jobs.items()}
+        cells = {key: _grid_job(*job) for key, job in jobs.items()}
+    runs = {(name, seed, m): result for (name, seed), results in cells.items()
+            for m, result in zip(holdouts, results)}
     return GridResult(rows=tuple(rows), seeds=tuple(seeds), n_domains=n_domains, runs=runs)

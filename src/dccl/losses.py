@@ -160,32 +160,35 @@ def gen_loss(gen, z, z_pre, noise):
 
 @dataclass
 class LossBreakdown:
-    """Total objective and the weighted contribution of each term.
+    """Total objective and the weighted contribution of each term, each a
+    scalar array, or one value per run for a stacked batch; a term that
+    is off contributes 0.0.
 
     erm + contrast + gen equals total (same floating-point products, so
     the identity holds to the last bit).
     """
 
     total: Tensor
-    erm: float
-    contrast: float = 0.0
-    gen: float = 0.0
+    erm: np.ndarray
+    contrast: np.ndarray | float = 0.0
+    gen: np.ndarray | float = 0.0
 
 
 def total_loss(batch, logits, cfg, gen=None, noise=None):
     """Combined objective: ERM + lambda * contrast + beta * generative.
-    `gen` holds the generator's tensors, as for `gen_loss`."""
+    `gen` holds the generator's tensors, as for `gen_loss`.  A batch
+    stacked on a run axis gives one objective per run."""
     total = ad.softmax_cross_entropy(logits, batch.labels)
-    erm_value = total.item()
+    erm_value = total.data
     contrast_contrib = 0.0
     gen_contrib = 0.0
     if cfg.contrast_enabled:
         weighted = infonce_loss(batch, cfg) * cfg.contrast_weight
-        contrast_contrib = weighted.item()
+        contrast_contrib = weighted.data
         total = total + weighted
     if cfg.gt_enabled:
         weighted = gen_loss(gen, batch.z, batch.z_pre, noise) * cfg.gen_weight
-        gen_contrib = weighted.item()
+        gen_contrib = weighted.data
         total = total + weighted
     return LossBreakdown(total=total, erm=erm_value,
                          contrast=contrast_contrib, gen=gen_contrib)

@@ -8,11 +8,14 @@ statistics in one statistics table, keyed by their checkpoint names;
 the forward pass, the optimizer, checkpoints and checksums all read
 those tables.  The anchor is a `Model` of kind "anchor", trained on
 pooled all-domain data and never trained again; its embeddings stand in
-for a large pre-trained model's representation space.
+for a large pre-trained model's representation space.  `Model.stack`
+lays the tables of R runs side by side, so that one forward pass, loss
+and reverse sweep serve a lockstep grid cell.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from dataclasses import dataclass
@@ -97,7 +100,8 @@ class Model:
     `head.bn.{gamma,beta}`, `head.l2.{W,b}`, `cls.{W,b}`, then the
     `gen.*` entries of `generator`; `head.bn.{running_mean,running_var}`.
     `kind` is "model" for a trained run and "anchor" for a frozen anchor;
-    `provenance` is free-form text, key -> value, that checkpoints keep."""
+    `provenance` is free-form text, key -> value, that checkpoints keep.
+    A stack made by `stack` holds every entry with a leading run axis."""
 
     def __init__(self, input_dim, n_classes, spec, rng):
         self.kind = "model"
@@ -152,7 +156,8 @@ class Model:
         views of one step; a list of Tensors comes back, one per view.  All
         views are embedded as one tape op, `ad.embed_views`: batch norm
         uses each view's batch statistics and moves the running ones
-        (momentum `BN_MOMENTUM`) view by view, in view order.  Evaluation
+        (momentum `BN_MOMENTUM`) view by view, in view order.  A stack
+        takes each view as one (R, n, d) batch per run.  Evaluation
         mode is a plain numpy walk over the same layers, with batch norm
         from the running statistics and rows normalized by
         `ad.normalize_rows`.  It records nothing, even under an active
@@ -163,9 +168,9 @@ class Model:
         views = [np.atleast_2d(np.asarray(v.data if isinstance(v, Tensor) else v,
                                           dtype=np.float64)) for v in views]
         for v in views:
-            if v.shape[1] != self.input_dim:
+            if v.shape[-1] != self.input_dim:
                 raise ad.ShapeError(
-                    f"batch width {v.shape[1]} does not match encoder input width "
+                    f"batch width {v.shape[-1]} does not match encoder input width "
                     f"{self.input_dim}")
         if training:
             zs, batch_stats = ad.embed_views(np.stack(views), self._layers(), BN_EPS)
@@ -195,6 +200,45 @@ class Model:
     def accuracy(self, x, labels):
         predicted = np.argmax(self.logits(self.embed(x)).data, axis=1)
         return float(np.mean(predicted == np.asarray(labels)))
+
+    @classmethod
+    def stack(cls, models):
+        """R runs of one spec laid side by side: a Model whose parameters
+        and running statistics stack the runs' own on a leading run axis,
+        so that one `embed`, `logits` and loss serve all R.  One run needs
+        no run axis: `stack([model])` is `model` itself.
+
+        The stack copies the runs' current values; `unstack` hands each
+        run its share of a step.  Each run's parameters get node ids, if
+        they had none, by which `unstack` keys that run's gradients."""
+        if len(models) == 1:
+            return models[0]
+        naming = ad.Tape()
+        for model in models:
+            for tensor in model._params.values():
+                if tensor.node_id is None:
+                    naming.watch(tensor)
+        cell = copy.copy(models[0])
+        # np.array stacks equal-shape arrays as np.stack does, in less time
+        cell._params = {name: Tensor(np.array([m._params[name].data for m in models]))
+                        for name in cell._params}
+        cell._stats = {name: np.array([m._stats[name] for m in models]) for name in cell._stats}
+        return cell
+
+    def unstack(self, models, grads):
+        """Each run's share of a training step of `self = stack(models)`:
+        moves each run's slice of the running statistics into its own
+        table and returns, per run, its slice of `grads` keyed by that
+        run's parameters, as `Adam.step` takes them."""
+        if len(models) == 1:
+            return [grads]
+        shares = []
+        for r, model in enumerate(models):
+            for name, arr in self._stats.items():
+                model._stats[name] = arr[r]
+            shares.append({model._params[name].node_id: grads[t.node_id][r]
+                           for name, t in self._params.items() if t.node_id in grads})
+        return shares
 
     def parameters(self):
         """The live parameter table, name -> Tensor."""

@@ -19,9 +19,13 @@ embedding; it is kept as an oracle of the batch-norm step of that op.
 import numpy as np
 
 from dccl.autodiff import (DegenerateInputError, ShapeError, _check_cols, _check_log,
-                           _check_matmul, _check_power, _check_rank2, _check_rows,
-                           _check_shapes, _coerce, _emit, _lse_grad, _lse_rows, _sigmoid,
-                           _unbroadcast, normalize_rows)
+                           _check_matmul, _check_power, _check_rows, _check_shapes, _coerce,
+                           _emit, _lse_grad, _lse_rows, _sigmoid, _unbroadcast, normalize_rows)
+
+
+def _check_rank2(a, opname):
+    if a.ndim != 2:
+        raise ShapeError(f"{opname} expects a rank-2 tensor, got shape {a.data.shape}")
 
 
 def sub(a, b):

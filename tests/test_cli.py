@@ -351,10 +351,12 @@ def test_overflowing_embedding_norm_is_runtime_failure(tmp_path, capsys, extra, 
     # separation this large overflows the sum of squares of an embedding row
     path = write_config(tmp_path, "dataset.class_separation = 1e160\noptim.steps = 4\n"
                                   f"model.batchnorm = {batchnorm}\n{extra}")
-    with np.errstate(all="ignore"):
+    # a numpy overflow warning would raise here, not reach stderr beside the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["train", "--config", str(path)]) == 2
-    assert re.search(r"runtime failure: cannot normalize row \d+ with norm overflowing float64\n",
-                     capsys.readouterr().err)
+    assert re.fullmatch(r"runtime failure: cannot normalize row \d+ with norm overflowing "
+                        r"float64\n", capsys.readouterr().err)
 
 
 def test_degenerate_input_during_training_is_runtime_failure(tmp_path, capsys, monkeypatch):

@@ -252,6 +252,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

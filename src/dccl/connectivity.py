@@ -184,20 +184,27 @@ def pairwise_stats(points, dists=None):
     it every bit, is fixed.  The std takes numpy's own `_var` steps
     (keepdims sum, divide, subtract, square, sum, divide, sqrt), but in
     place instead of allocating a second vector for the deviations.
+    Without `dists`, a mean or std that is not finite raises ValueError
+    and no numpy warning; a caller that fills `dists` checks them itself.
     """
     points = np.asarray(points, dtype=np.float64)
     k = len(points)
     if k < 2:
         raise ValueError("pairwise_stats needs at least 2 points")
-    if dists is None:
-        dists = condensed_distances(points)
-    count = len(dists)
-    mean = np.add.reduce(dists, axis=None, keepdims=True)
-    np.true_divide(mean, count, out=mean)
-    np.subtract(dists, mean, out=dists)
-    np.square(dists, out=dists)
-    var = np.add.reduce(dists, axis=None) / count
-    return float(mean[0]), float(np.sqrt(var)), count
+    check = dists is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if check:
+            dists = condensed_distances(points)
+        count = len(dists)
+        mean = np.add.reduce(dists, axis=None, keepdims=True)
+        np.true_divide(mean, count, out=mean)
+        np.subtract(dists, mean, out=dists)
+        np.square(dists, out=dists)
+        var = np.add.reduce(dists, axis=None) / count
+        mu, sigma = float(mean[0]), float(np.sqrt(var))
+    if check and not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise ValueError(f"pairwise distances are not finite in float64 (mu={mu} sigma={sigma})")
+    return mu, sigma, count
 
 
 def connecting_threshold(points, dists=None):
@@ -211,13 +218,17 @@ def connecting_threshold(points, dists=None):
     in the sign of each coordinate difference before it is squared.  Time
     is O(k^2) after the O(k^2 d) fill, and ties may pick a different tree
     than a dense scan would, but every MST has the same largest edge.
+    Without `dists`, a threshold that is not finite raises ValueError and
+    no numpy warning; a caller that fills `dists` checks it itself.
     """
     points = np.asarray(points, dtype=np.float64)
     k = len(points)
     if k < 2:
         raise ValueError("connecting_threshold needs at least 2 points")
-    if dists is None:
-        dists = condensed_distances(points)
+    check = dists is None
+    if check:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dists = condensed_distances(points)
     starts = _row_starts(k)
     col = starts - np.arange(k)     # d(q, p), q < p: dists[p - 1 + col[q]]
     # best[q] is q's distance to the tree, held at +inf once q has joined:
@@ -236,6 +247,8 @@ def connecting_threshold(points, dists=None):
         np.maximum(best, joined, out=best)
         p = int(np.argmin(best))
         tau = max(tau, float(best[p]))
+    if check and not math.isfinite(tau):
+        raise ValueError(f"pairwise distances are not finite in float64 (tau={tau})")
     return tau
 
 

@@ -242,8 +242,7 @@ def train(cfg, anchor=None, run_dir=None):
 class _Run:
     """One run of a cell and what it does on its own: its seed streams,
     split and batch stream, each step's batch, augmentation, positives
-    and noise, its model and `Adam`, its loss curve and its checkpoint
-    selection."""
+    and noise, its model, its loss curve and its checkpoint selection."""
 
     def __init__(self, cfg, dataset):
         self.cfg = cfg
@@ -256,7 +255,6 @@ class _Run:
         self.model = Model(dataset.dim, dataset.n_classes,
                            replace(cfg.model, with_gen=cfg.loss.gt_enabled),
                            np.random.default_rng(init_s))
-        self.adam = Adam(lr=cfg.optim.lr)
         self.curve = []
         self.domain_counts = np.zeros(dataset.n_domains, dtype=np.int64)
         self.best_acc, self.best_step, self.best_state = -1.0, 0, None
@@ -333,10 +331,11 @@ def train_cell(cfgs, anchor=None, run_dirs=None):
 
     Each step draws every run's batch, augmentation, positives and noise
     from that run's own streams, then embeds, scores and differentiates
-    all runs at once on a `Model.stack` of their models, and hands each
-    run's `Adam` its slice of the gradients.  Evaluation, checkpoint
-    selection, the test and the run directory stay per run, in config
-    order.  A failure in any run raises out of the cell; `_grid_job`
+    all runs at once on a `Model.lockstep` cell, whose (R, N) array holds
+    one run's parameters per row, and each run's `Adam` steps its row.
+    Each run's model views its row again before evaluation, which, with
+    checkpoint selection, the test and the run directory, stays per run,
+    in config order.  A failure in any run raises out of the cell; `_grid_job`
     then replays the cell one run at a time.
     """
     started = time.perf_counter()
@@ -363,12 +362,13 @@ def train_cell(cfgs, anchor=None, run_dirs=None):
                                               cfg.seed)
 
     models = [run.model for run in runs]
+    adams = [Adam(lr=cfg.optim.lr) for _ in runs]
     stacked = len(runs) > 1
+    cell, flat = Model.lockstep(models)
     for step in range(1, cfg.optim.steps + 1):
         drawn = [run.draw(dataset, train_aug, z_pre_all) for run in runs]
         view1, view2, yb, db, assignment, z_pre, noise = (
             map(_stack, zip(*drawn)) if stacked else drawn[0])
-        cell = Model.stack(models)
         with ad.Tape() as tape:
             cell.watch(tape)
             z1, *z2 = cell.embed([view1] if view2 is None else [view1, view2], training=True)
@@ -382,12 +382,12 @@ def train_cell(cfgs, anchor=None, run_dirs=None):
         for row in rows:
             if not math.isfinite(row.total):
                 raise TrainingDiverged(step, row.total)
-        grads = tape.gradients(breakdown.total, stacked=stacked)
-        for run, share, row in zip(runs, cell.unstack(models, grads), rows):
-            run.adam.step(run.model.parameters(), share)
+        flat = cell.descend(adams, flat, tape.gradients(breakdown.total, stacked=stacked))
+        for run, row in zip(runs, rows):
             run.curve.append(row)
 
         if step % cfg.optim.eval_every == 0 or step == cfg.optim.steps:
+            cell.point_runs(models, flat)
             for run in runs:
                 run.evaluate(step, dataset)
 

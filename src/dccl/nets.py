@@ -8,9 +8,10 @@ statistics in one statistics table, keyed by their checkpoint names;
 the forward pass, the optimizer, checkpoints and checksums all read
 those tables.  The anchor is a `Model` of kind "anchor", trained on
 pooled all-domain data and never trained again; its embeddings stand in
-for a large pre-trained model's representation space.  `Model.stack`
-lays the tables of R runs side by side, so that one forward pass, loss
-and reverse sweep serve a lockstep grid cell.
+for a large pre-trained model's representation space.  Training steps
+R runs' parameters as the rows of one flat array, which a
+`Model.lockstep` cell views, so that one forward pass, loss and reverse
+sweep serve a lockstep grid cell.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class Model:
     `gen.*` entries of `generator`; `head.bn.{running_mean,running_var}`.
     `kind` is "model" for a trained run and "anchor" for a frozen anchor;
     `provenance` is free-form text, key -> value, that checkpoints keep.
-    A stack made by `stack` holds every entry with a leading run axis."""
+    A cell made by `lockstep` holds every entry with a leading run axis."""
 
     def __init__(self, input_dim, n_classes, spec, rng):
         self.kind = "model"
@@ -136,6 +137,9 @@ class Model:
             params.update(generator(self.embed_dim))
         self._params = {name: Tensor(arr) for name, arr in params.items()}
         self._stats = stats
+        ends = np.cumsum([0] + [arr.size for arr in params.values()]).tolist()
+        self._spans = tuple((slice(a, b), arr.shape)
+                            for a, b, arr in zip(ends, ends[1:], params.values()))
 
     def _layers(self):
         """The embedding's layers as `ad.embed_views` takes them: (W, b,
@@ -156,7 +160,7 @@ class Model:
         views of one step; a list of Tensors comes back, one per view.  All
         views are embedded as one tape op, `ad.embed_views`: batch norm
         uses each view's batch statistics and moves the running ones
-        (momentum `BN_MOMENTUM`) view by view, in view order.  A stack
+        (momentum `BN_MOMENTUM`) view by view, in view order.  A cell
         takes each view as one (R, n, d) batch per run.  Evaluation
         mode is a plain numpy walk over the same layers, with batch norm
         from the running statistics and rows normalized by
@@ -201,44 +205,58 @@ class Model:
         predicted = np.argmax(self.logits(self.embed(x)).data, axis=1)
         return float(np.mean(predicted == np.asarray(labels)))
 
+    def point(self, flat):
+        """Make each parameter a view of its span of `flat`, spans end to
+        end in table order; the run axis of a cell's (R, N) array leads
+        every view."""
+        for tensor, (span, shape) in zip(self._params.values(), self._spans):
+            tensor.data = flat[..., span].reshape(flat.shape[:-1] + shape)
+
     @classmethod
-    def stack(cls, models):
-        """R runs of one spec laid side by side: a Model whose parameters
-        and running statistics stack the runs' own on a leading run axis,
-        so that one `embed`, `logits` and loss serve all R.  One run needs
-        no run axis: `stack([model])` is `model` itself.
-
-        The stack copies the runs' current values; `unstack` hands each
-        run its share of a step.  Each run's parameters get node ids, if
-        they had none, by which `unstack` keys that run's gradients."""
+    def lockstep(cls, models):
+        """The cell that trains R runs of one spec in lockstep, and the
+        (R, N) array whose rows lay out their parameters for `point`.  The
+        cell views that array and stacks the runs' running statistics, so
+        that one `embed`, `logits` and loss serve all R.  A cell of one run
+        is its model, without a run axis."""
+        flat = np.array([np.concatenate([t.data.reshape(-1) for t in m._params.values()])
+                         for m in models])
         if len(models) == 1:
-            return models[0]
-        naming = ad.Tape()
-        for model in models:
-            for tensor in model._params.values():
-                if tensor.node_id is None:
-                    naming.watch(tensor)
+            models[0].point(flat[0])
+            return models[0], flat
         cell = copy.copy(models[0])
-        # np.array stacks equal-shape arrays as np.stack does, in less time
-        cell._params = {name: Tensor(np.array([m._params[name].data for m in models]))
-                        for name in cell._params}
+        cell._params = {name: Tensor(t.data) for name, t in cell._params.items()}
         cell._stats = {name: np.array([m._stats[name] for m in models]) for name in cell._stats}
-        return cell
+        cell.point(flat)
+        return cell, flat
 
-    def unstack(self, models, grads):
-        """Each run's share of a training step of `self = stack(models)`:
-        moves each run's slice of the running statistics into its own
-        table and returns, per run, its slice of `grads` keyed by that
-        run's parameters, as `Adam.step` takes them."""
-        if len(models) == 1:
-            return [grads]
-        shares = []
+    def descend(self, adams, flat, grads):
+        """Run r's `adams[r].step` from its row of `flat` and of `grads`
+        (node id -> array, keyed by this cell's parameters) to its row of
+        a new (R, N) array, which the cell then views and which is
+        returned.  A parameter without a gradient keeps its value and its
+        moments."""
+        runs = len(flat)
+        parts = [grads.get(t.node_id) for t in self._params.values()]
+        live = None
+        if any(g is None for g in parts):
+            sizes = [span.stop - span.start for span, _ in self._spans]
+            live = np.repeat([g is not None for g in parts], sizes)
+            parts = [np.zeros((runs, size)) if g is None else g for g, size in zip(parts, sizes)]
+        grad = np.concatenate([g.reshape(runs, -1) for g in parts], axis=1)
+        following = np.empty_like(flat)
+        for adam, row, g, out in zip(adams, flat, grad, following):
+            adam.step(row, g, out, live)
+        self.point(following if runs > 1 else following[0])
+        return following
+
+    def point_runs(self, models, flat):
+        """Point each run of this cell at its row of `flat` and of the
+        cell's running statistics."""
         for r, model in enumerate(models):
-            for name, arr in self._stats.items():
-                model._stats[name] = arr[r]
-            shares.append({model._params[name].node_id: grads[t.node_id][r]
-                           for name, t in self._params.items() if t.node_id in grads})
-        return shares
+            model.point(flat[r])
+            if model is not self:
+                model._stats = {name: arr[r] for name, arr in self._stats.items()}
 
     def parameters(self):
         """The live parameter table, name -> Tensor."""
@@ -308,8 +326,8 @@ def build_anchor(dataset, anchor_cfg, spec, seed):
     val_idx, train, batches = anchor_split(dataset, anchor_cfg, seed)
     init_s = int(np.random.SeedSequence(seed).generate_state(3)[0])
     model = Model(dataset.dim, dataset.n_classes, spec, np.random.default_rng(init_s))
-    params = model.parameters()
-    adam = Adam(lr=anchor_cfg.lr)
+    model, flat = Model.lockstep([model])
+    adams = [Adam(lr=anchor_cfg.lr)]
     for step in range(1, anchor_cfg.steps + 1):
         idx = next(batches)
         with ad.Tape() as tape:
@@ -318,7 +336,7 @@ def build_anchor(dataset, anchor_cfg, spec, seed):
             loss = ad.softmax_cross_entropy(logits, train.labels[idx])
         if not np.isfinite(loss.item()):
             raise TrainingDiverged(step, loss.item(), what="anchor loss")
-        adam.step(params, tape.gradients(loss))
+        flat = model.descend(adams, flat, tape.gradients(loss))
     val_acc = model.accuracy(dataset.X[val_idx], dataset.labels[val_idx])
     model.kind = "anchor"
     model.provenance = {"seed": str(seed), "data_hash": dataset_hash(dataset),

@@ -305,8 +305,8 @@ def test_criterion_6_intra_class_variance_vanishes():
     rng_aug = np.random.default_rng(1)
     rng_pos = np.random.default_rng(2)
     batches = make_batches(dataset, 24, seed=3)
-    adam = Adam(lr=1e-3)
-    params = model.parameters()
+    adams = [Adam(lr=1e-3)]
+    model, flat = Model.lockstep([model])
 
     var_init = intra_class_variance(model.embed(dataset.X).data, dataset.labels)
     curve = []
@@ -323,7 +323,7 @@ def test_criterion_6_intra_class_variance_vanishes():
             loss = infonce_loss(ContrastBatch(z=z1, labels=yb, domains=db, z_alt=z2,
                                               positive_assignment=assignment), cfg)
         curve.append(loss.item())
-        adam.step(params, tape.gradients(loss))
+        flat = model.descend(adams, flat, tape.gradients(loss))
 
     var_final = intra_class_variance(model.embed(dataset.X).data, dataset.labels)
     elapsed = time.perf_counter() - started

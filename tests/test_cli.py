@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dccl import autodiff as ad
 from dccl.cli import main
 from dccl.config import (SCHEMA, ConfigError, experiment_config, load_config,
                          parse_config_text)
@@ -369,6 +370,26 @@ def test_degenerate_input_during_training_is_runtime_failure(tmp_path, capsys, m
     monkeypatch.setattr(cli, "train", degenerate)
     assert main(["train", "--config", str(write_config(tmp_path))]) == 2
     assert "runtime failure: cannot normalize" in capsys.readouterr().err
+
+
+def leak():
+    raise RuntimeError("held-out domain 1 leaked into a training batch")
+
+
+@pytest.mark.parametrize("fail, message", [
+    (leak, "held-out domain 1 leaked into a training batch"),
+    (lambda: ad._check_cols([3], (1, 3), "softmax_cross_entropy"),
+     "softmax_cross_entropy column index out of range [0, 3)"),
+    (lambda: ad._check_rows(np.array([8]), 8, "contrastive_term"),
+     "contrastive_term row index out of range [0, 8)"),
+], ids=["leak", "cols", "rows"])
+def test_other_failure_during_training_is_one_runtime_failure_line(tmp_path, capsys,
+                                                                   monkeypatch, fail, message):
+    from dccl import cli
+
+    monkeypatch.setattr(cli, "train", lambda cfg, run_dir=None: fail())
+    assert main(["train", "--config", str(write_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == f"runtime failure: {message}\n"
 
 
 def test_ablate_divergence_in_a_worker_is_runtime_failure(tmp_path, capsys):

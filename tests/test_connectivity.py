@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,22 @@ def test_pairwise_stats_keeps_one_condensed_vector():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * condensed, f"peaked at {peak / condensed:.2f} condensed vectors"
+
+
+@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "threaded"])
+def test_overflowing_distances_raise_without_warning(monkeypatch, threads):
+    # finite points whose distances overflow float64, each kernel on its own fill
+    monkeypatch.setattr(cn, "THREAD_PAIRS", 1)
+    monkeypatch.setattr(cn, "_cpu_count", lambda: threads)
+    pts = np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^pairwise distances are not finite in float64 "
+                                             r"\(mu=inf sigma=nan\)$"):
+            cn.pairwise_stats(pts)
+        with pytest.raises(ValueError, match=r"^pairwise distances are not finite in float64 "
+                                             r"\(tau=inf\)$"):
+            cn.connecting_threshold(pts)
 
 
 def score_of(pts):

@@ -2,8 +2,8 @@
 
 Each fused op, called on R operand sets stacked on a leading run axis,
 must give slice by slice the bytes of R separate calls, for its value and
-for every gradient its backward rule hands back.  A `Model.stack` step
-must give each run the step it takes alone.  The grid trains each
+for every gradient its backward rule hands back.  A `Model.lockstep`
+step must give each run the step it takes alone.  The grid trains each
 (row, seed) cell in lockstep, so its files must equal per-run `train`
 calls, also under an OpenBLAS kernel other than the golden hashes'; and a
 failing run must fail the grid as a job per run would.
@@ -205,15 +205,15 @@ def test_stacked_root_is_opt_in():
         tape.gradients(out, stacked=True)
 
 
-# -- Model.stack ----------------------------------------------------------------------
+# -- Model.lockstep --------------------------------------------------------------
 
 def model_steps(models, runs_views, labels, positives, z_pre, noise, cfg, steps):
     """`steps` Adam steps of `models` in lockstep; each step's per-run
     totals, and every model's parameters and running statistics after."""
     adams = [Adam(lr=0.05) for _ in models]
     totals = []
+    cell, flat = Model.lockstep(models)
     for _ in range(steps):
-        cell = Model.stack(models)
         stack = (lambda parts: parts[0]) if len(models) == 1 else np.array
         with Tape() as tape:
             cell.watch(tape)
@@ -223,9 +223,8 @@ def model_steps(models, runs_views, labels, positives, z_pre, noise, cfg, steps)
             breakdown = total_loss(batch, cell.logits(z1), cfg, gen=cell.parameters(),
                                    noise=stack(noise))
         totals.append(np.atleast_1d(breakdown.total.data))
-        grads = tape.gradients(breakdown.total, stacked=len(models) > 1)
-        for model, adam, share in zip(models, adams, cell.unstack(models, grads)):
-            adam.step(model.parameters(), share)
+        flat = cell.descend(adams, flat, tape.gradients(breakdown.total, stacked=len(models) > 1))
+    cell.point_runs(models, flat)
     return totals, [model.get_state() for model in models]
 
 
@@ -282,6 +281,66 @@ def test_grid_trains_each_cell_in_lockstep(monkeypatch):
     grid = ablation_grid(cell_config(), rows=rows, seeds=(0, 1))
     assert sorted(grid.runs) == [(name, s, m) for name in ("erm", "full")
                                  for s in (0, 1) for m in range(4)]
+
+
+FULL = LossConfig(cdc_enabled=True, pma_enabled=True, gt_enabled=True)
+
+
+def test_each_run_model_after_a_cell_equals_its_own_train(monkeypatch):
+    """Each run's model, which views its row of the cell's array, ends
+    with the parameters and running statistics of its own `train`."""
+    finals = []
+    finish = harness._Run.finish
+
+    def recording(run, *args):
+        finals.append(run.model.get_state())
+        return finish(run, *args)
+
+    monkeypatch.setattr(harness._Run, "finish", recording)
+    cfgs = [replace(cell_config(loss=FULL), holdout=m) for m in range(4)]
+    train_cell(cfgs)
+    in_cell = finals[:]
+    finals.clear()
+    for cfg in cfgs:
+        harness.train(cfg)
+    assert len(in_cell) == len(finals) == 4
+    for m, (state, alone) in enumerate(zip(in_cell, finals)):
+        assert state.keys() == alone.keys()
+        for name in alone:
+            assert same_bytes(state[name], alone[name]), (m, name)
+
+
+def test_a_cell_steps_each_runs_adam_once_per_step(monkeypatch):
+    """perfbench's speed gauge polls at every `optim.Adam.step` call, and
+    its tracer opens a step span at each batch draw and closes it at the
+    next `Adam.step`: both count on one draw and one `Adam.step` per run
+    per step, and one `Adam.step` per anchor step."""
+    from dccl import optim
+
+    adam_calls, draws = [], []
+    step, make_batches = optim.Adam.step, harness.make_batches
+
+    def counted_step(adam, *args):
+        adam_calls.append(adam)
+        return step(adam, *args)
+
+    def counted_batches(*args, **kwargs):
+        stream, r = make_batches(*args, **kwargs), len(draws)
+        draws.append(0)
+        for batch in stream:
+            draws[r] += 1
+            yield batch
+
+    monkeypatch.setattr(optim.Adam, "step", counted_step)
+    monkeypatch.setattr(harness, "make_batches", counted_batches)
+    cfg = cell_config(loss=FULL)
+    runs, steps, anchor_steps = 4, cfg.optim.steps, cfg.anchor.steps
+    train_cell([replace(cfg, holdout=m) for m in range(runs)])
+    per_adam = sorted(adam_calls.count(a) for a in set(adam_calls))
+    assert (per_adam, draws) == ([anchor_steps] + [steps] * runs, [steps] * runs), (
+        "perfbench's speed gauge and step spans need one optim.Adam.step call and one "
+        "batch draw per run per step, and one optim.Adam.step per anchor step: a stacked "
+        "Adam must change perfbench first")
 
 
 def test_a_cell_takes_runs_that_differ_in_holdout_only():

@@ -191,7 +191,7 @@ def test_anchor_checksum_survives_unrelated_training(pooled_dataset, anchor):
         model.watch(tape)
         logits = model.logits(model.embed(pooled_dataset.X[:8, :2], training=True))
         loss = softmax_cross_entropy(logits, np.zeros(8, dtype=int))
-    Adam().step(model.parameters(), tape.gradients(loss))
+    model.descend([Adam()], nets.Model.lockstep([model])[1], tape.gradients(loss))
     assert anchor.checksum() == checksum
 
 
@@ -199,6 +199,44 @@ def test_build_anchor_rejects_empty():
     empty = gen_rotated_gaussians(2, 2, 1, 0.3, 3.0, 0.3).subset([])
     with pytest.raises(ValueError):
         nets.build_anchor(empty, nets.AnchorConfig(steps=1), nets.ModelSpec(), 0)
+
+
+# --- the flat layout ---------------------------------------------------------
+
+@pytest.mark.parametrize("batchnorm", [True, False])
+def test_flat_layout_round_trips_every_parameter(batchnorm):
+    """Table -> flat row -> views gives back every parameter bit for bit,
+    each a view of its span of the row, spans in table order; a lockstep
+    cell views the rows of R runs, and `point_runs` gives each run its own."""
+    models = [small_model(seed=s, with_gen=True, batchnorm=batchnorm) for s in range(3)]
+    for s, model in enumerate(models):
+        model.embed(np.random.default_rng(s).standard_normal((8, 2)), training=True)
+    tables = [model.get_state() for model in models]
+    names = list(models[0].parameters())
+    cell, flat = nets.Model.lockstep(models)
+    for r, table in enumerate(tables):
+        assert flat[r].tobytes() == np.concatenate([table[n].reshape(-1) for n in names]).tobytes()
+        for name, t in cell.parameters().items():
+            assert t.data[r].tobytes() == table[name].tobytes(), name
+            assert np.shares_memory(t.data, flat)
+        for name, arr in cell.stats().items():
+            assert arr[r].tobytes() == table[name].tobytes(), name
+
+    fresh = flat * 1.0
+    cell.point_runs(models, fresh)
+    for r, (model, table) in enumerate(zip(models, tables)):
+        assert model.get_state().keys() == table.keys()
+        for name, arr in model.get_state().items():
+            assert arr.shape == table[name].shape and arr.tobytes() == table[name].tobytes()
+        for t in model.parameters().values():
+            assert np.shares_memory(t.data, fresh[r])
+
+    alone = models[0]
+    cell, flat = nets.Model.lockstep([alone])
+    assert cell is alone and flat.tobytes() == fresh[:1].tobytes()
+    for name, t in alone.parameters().items():
+        assert t.data.shape == tables[0][name].shape
+        assert np.shares_memory(t.data, flat)
 
 
 # --- checkpoints -------------------------------------------------------------

@@ -527,40 +527,54 @@ def _grid_job(cfgs, anchor, run_dirs, keep_going):
     return results
 
 
+def _cost(row):
+    """How many of a row's costly loss terms are on: the rank of its
+    cells' training time, which a pool takes costliest first."""
+    return row.cdc + row.pma + row.gt + row.self_contrast
+
+
+def _grid_anchors(cfg, seeds, out_root):
+    """Build each seed's anchor, in seed order, and yield (seed, anchor).
+    Under out_root the anchor is checkpointed and yielded as read back,
+    so a grid cell can be rerun from its checkpoint alone."""
+    dataset = cfg.dataset.build()
+    for seed in seeds:
+        anchor = build_run_anchor(replace(cfg, seed=seed), dataset)
+        if out_root is not None:
+            anchor_dir = out_root / "anchors"
+            anchor_dir.mkdir(parents=True, exist_ok=True)
+            path = anchor_dir / f"anchor_seed{seed}.txt"
+            save_checkpoint(anchor, path)
+            anchor = formats.load_checkpoint(path)
+        yield seed, anchor
+
+
 def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=None):
     """Leave-one-domain-out average for every ablation row and seed; the
     one runner of many holdouts (`dccl loo` is a grid of one row).
 
     Cells are mutually independent: a cell is one row and seed, and its
-    holdouts train in lockstep as one job (`_grid_job`).  `workers` > 1
-    executes the jobs in separate processes.  Anchors are built once per
-    seed, checkpointed under out_dir when given, and shared by every row
-    of that seed; each seed's initial connectivity is scored once, before
-    the pool starts, so forked workers inherit it.  Under out_dir the grid
-    writes `<row>/seed<s>/holdout<m>/` run directories and `anchors/`,
-    nothing else.
+    holdouts train in lockstep as one job (`_grid_job`).  The parent builds
+    each seed's anchor once, checkpoints it under out_dir when given, and
+    hands every row of that seed the anchor as read back.  It scores each
+    seed's initial connectivity once.
+
+    One worker builds the anchors, then runs the cells in row order.
+    `workers` > 1 scores the initial connectivity first, so forked workers
+    inherit it, and runs the cells in a pool of at most one process per
+    cell: first the cells whose row needs no anchor, then, as the parent
+    reads back each seed's anchor, that seed's other cells, each group
+    costliest row first (`_cost`).  An anchor that fails cancels the cells
+    not yet started and raises once the running ones finish.  Either way
+    the results are read in (row, seed) order, so the grid raises the
+    first failing cell in that order.  Under out_dir the grid writes
+    `<row>/seed<s>/holdout<m>/` run directories and `anchors/`, nothing
+    else.
     """
     n_domains = cfg.dataset.domain_count
     if n_domains < 2:
         raise ValueError("leave-one-domain-out needs at least 2 domains")
     out_root = None if out_dir is None else Path(out_dir)
-    anchors = {}
-    if any(row.apply(cfg).needs_anchor for row in rows):
-        dataset = cfg.dataset.build()
-        for seed in seeds:
-            anchor = build_run_anchor(replace(cfg, seed=seed), dataset)
-            if out_root is not None:
-                anchor_dir = out_root / "anchors"
-                anchor_dir.mkdir(parents=True, exist_ok=True)
-                path = anchor_dir / f"anchor_seed{seed}.txt"
-                save_checkpoint(anchor, path)
-                # every row runs on the anchor as saved, so a grid cell can
-                # be rerun from its checkpoint alone
-                anchor = formats.load_checkpoint(path)
-            anchors[seed] = anchor
-    for seed in seeds:
-        _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False), seed)
-
     holdouts = range(n_domains)
     jobs = {}
     for row in rows:
@@ -568,16 +582,38 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
             run_dirs = [None if out_root is None
                         else out_root / row.name / f"seed{seed}" / f"holdout{m}" for m in holdouts]
             cfgs = [row.apply(replace(cfg, seed=seed, holdout=m)) for m in holdouts]
-            jobs[row.name, seed] = (cfgs, anchors.get(seed), run_dirs, workers > 1)
+            jobs[row.name, seed] = (row, cfgs, run_dirs)
+    anchored = {key for key, (_, cfgs, _) in jobs.items() if cfgs[0].needs_anchor}
+    anchors = _grid_anchors(cfg, seeds, out_root) if anchored else ()
+
+    def score_initial_connectivity():
+        for seed in seeds:
+            _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False), seed)
 
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {key: pool.submit(_grid_job, *job) for key, job in jobs.items()}
-            cells = {key: future.result() for key, future in futures.items()}
+        score_initial_connectivity()
+        futures = {}
+        with ProcessPoolExecutor(max_workers=max(1, min(workers, len(jobs)))) as pool:
+            def submit(keys, anchor):
+                for key in sorted(keys, key=lambda k: -_cost(jobs[k][0])):
+                    _, cfgs, run_dirs = jobs[key]
+                    futures[key] = pool.submit(_grid_job, cfgs, anchor, run_dirs, True)
+
+            submit([key for key in jobs if key not in anchored], None)
+            try:
+                for seed, anchor in anchors:
+                    submit([key for key in jobs if key in anchored and key[1] == seed], anchor)
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+            cells = {key: futures[key].result() for key in jobs}
     else:
-        cells = {key: _grid_job(*job) for key, job in jobs.items()}
+        anchors = dict(anchors)
+        score_initial_connectivity()
+        cells = {key: _grid_job(cfgs, anchors.get(key[1]), run_dirs, False)
+                 for key, (_, cfgs, run_dirs) in jobs.items()}
     runs = {(name, seed, m): result for (name, seed), results in cells.items()
             for m, result in zip(holdouts, results)}
     return GridResult(rows=tuple(rows), seeds=tuple(seeds), n_domains=n_domains, runs=runs)

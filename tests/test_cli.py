@@ -399,6 +399,20 @@ def test_ablate_divergence_in_a_worker_is_runtime_failure(tmp_path, capsys):
     assert "runtime failure: non-finite loss" in capsys.readouterr().err
 
 
+def test_ablate_anchor_divergence_beside_the_pool_is_runtime_failure(tmp_path, capsys):
+    # the anchor-free rows run in the pool while the parent builds seed 0's
+    # anchor; its failure cancels the cells that have not started
+    path = write_config(tmp_path, "experiment = grid\nseeds = 0,1\nanchor.lr = 1e200\n")
+    with np.errstate(all="ignore"):
+        assert main(["ablate", "--config", str(path), "--workers", "2"]) == 2
+    assert re.fullmatch(r"runtime failure: non-finite anchor loss .*\n", capsys.readouterr().err)
+    grid = tmp_path / "runs" / "grid"
+    for run_dir in grid.glob("*/seed*/holdout*"):
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "checkpoint.txt", "losses.csv", "result.csv"]
+    assert {p.name for p in grid.iterdir() if p.is_dir()} <= {"erm", "self_contrast", "cdc"}
+
+
 def test_domain_smaller_than_its_batch_share_is_user_error(tmp_path, capsys, monkeypatch):
     from dccl import harness
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -224,6 +225,78 @@ def test_grid_needs_two_domains_before_any_work(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="leave-one-domain-out needs at least 2 domains"):
         ablation_grid(cfg, out_dir=tmp_path / "grid")
     assert not (tmp_path / "grid").exists()
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stand in for the process pool and log, in order, its size
+    ("pool", max_workers), each job it is handed ("cell", row, seed,
+    anchored, keep_going), which it runs at once in this process, and each
+    anchor build ("anchor", seed)."""
+    log = []
+    names = {row.apply(micro_config()).loss: row.name for row in DEFAULT_ROWS}
+
+    class RecordingPool(concurrent.futures.Executor):
+        def __init__(self, max_workers):
+            log.append(("pool", max_workers))
+
+        def submit(self, fn, cfgs, anchor, run_dirs, keep_going):
+            log.append(("cell", names[cfgs[0].loss], cfgs[0].seed, anchor is not None,
+                        keep_going))
+            future = concurrent.futures.Future()
+            future.set_result(fn(cfgs, anchor, run_dirs, keep_going))
+            return future
+
+    def recorded_anchor(cfg, dataset):
+        log.append(("anchor", cfg.seed))
+        return build(cfg, dataset)
+
+    build = harness.build_run_anchor
+    monkeypatch.setattr(harness, "build_run_anchor", recorded_anchor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return log
+
+
+def short_grid_config():
+    return micro_config(optim=OptimConfig(lr=1e-3, steps=2, batch_size=8, eval_every=2),
+                        anchor=AnchorConfig(steps=2, batch_size=12))
+
+
+@pytest.mark.parametrize("workers, rows, seeds", [
+    (64, ("erm",), (0,)), (2, ("erm",), (0,)), (3, ("erm", "pma"), (0, 1)),
+    (64, ("erm", "pma"), (0, 1)),
+])
+def test_grid_pool_has_at_most_one_process_per_cell(recording_pool, workers, rows, seeds):
+    ablation_grid(short_grid_config(), rows=tuple(r for r in DEFAULT_ROWS if r.name in rows),
+                  seeds=seeds, workers=workers)
+    assert [e for e in recording_pool if e[0] == "pool"] == [
+        ("pool", min(workers, len(rows) * len(seeds)))]
+    cells = [e for e in recording_pool if e[0] == "cell"]
+    assert len(cells) == len(rows) * len(seeds)
+    assert all(keep_going for *_, keep_going in cells)
+
+
+def test_grid_pool_takes_anchor_free_cells_first_and_costliest_first(recording_pool, tmp_path):
+    grid = ablation_grid(short_grid_config(), seeds=(0, 1), workers=2, out_dir=tmp_path)
+    anchored = ["full_no_aggressive", "full", "pma_gt", "cdc_pma", "cdc_gt", "pma", "gt"]
+    assert recording_pool == [("pool", 2)] + [
+        ("cell", name, seed, False, True)
+        for name in ("self_contrast", "cdc", "erm") for seed in (0, 1)
+    ] + [("anchor", 0)] + [("cell", name, 0, True, True) for name in anchored] + [
+        ("anchor", 1)] + [("cell", name, 1, True, True) for name in anchored]
+    assert list(grid.runs) == [(row.name, seed, m) for row in DEFAULT_ROWS
+                               for seed in (0, 1) for m in range(3)]
+
+
+def test_one_worker_builds_every_anchor_before_the_first_cell(recording_pool, monkeypatch):
+    def counted_job(*args):
+        recording_pool.append(("job",))
+        return job(*args)
+
+    job = harness._grid_job
+    monkeypatch.setattr(harness, "_grid_job", counted_job)
+    ablation_grid(short_grid_config(), seeds=(0, 1), workers=1)
+    assert recording_pool == [("anchor", 0), ("anchor", 1)] + [("job",)] * 20
 
 
 def _fresh_initial_connectivity(cfg):

@@ -302,20 +302,3 @@ def connectivity_report(records, mode="pooled"):
     max_score = float(np.max(defined)) if defined else None
     return ConnectivityReport(mode=mode, rows=tuple(rows),
                               mean_score=mean_score, max_score=max_score)
-
-
-def intra_class_variance(vectors, class_ids):
-    """Mean over classes of the total within-class variance (trace of the
-    class covariance); the quantity contrastive alignment should shrink."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    class_ids = np.asarray(class_ids)
-    variances = []
-    for c in np.unique(class_ids):
-        pts = vectors[class_ids == c]
-        if len(pts) < 2:
-            continue
-        centered = pts - pts.mean(axis=0)
-        variances.append(float(np.mean(np.sum(centered * centered, axis=1))))
-    if not variances:
-        raise ValueError("no class with at least 2 samples")
-    return float(np.mean(variances))

@@ -4,8 +4,10 @@ Every run is a pure function of (config, seed): random streams for
 initialization, splitting, batching, augmentation, positive sampling and
 reparameterization noise are spawned from one seed sequence, so rerunning
 a config reproduces every emitted number bit for bit.  The grid trains
-the holdouts of each (row, seed) cell in lockstep, on one stacked model,
-and each of them still gets the bytes of its own run.
+the runs of each cell in lockstep, on one stacked model: runs of one loss
+structure (`CELL_KEY`), which may differ in their holdout and in the
+toggles that change only what each run draws (`RUN_OWN`).  Each of them
+still gets the bytes of its own run.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +255,7 @@ class _Run:
         self.rng_noise = np.random.default_rng(noise_s)
         # a domain too small for its share of a batch fails here, before the anchor
         self.train_idx, self.val_idx, self.batches = train_split(cfg, dataset)
+        self.augmentation = cfg.augment.train_spec(cfg.loss.aggressive_augmentation)
         self.model = Model(dataset.dim, dataset.n_classes,
                            replace(cfg.model, with_gen=cfg.loss.gt_enabled),
                            np.random.default_rng(init_s))
@@ -259,7 +263,7 @@ class _Run:
         self.domain_counts = np.zeros(dataset.n_domains, dtype=np.int64)
         self.best_acc, self.best_step, self.best_state = -1.0, 0, None
 
-    def draw(self, dataset, augmentation, z_pre_all):
+    def draw(self, dataset, z_pre_all):
         """The step's (view1, view2, labels, domains, positives, z_pre, noise),
         None where the loss leaves a part out."""
         cfg = self.cfg
@@ -271,9 +275,9 @@ class _Run:
             raise RuntimeError(f"held-out domain {cfg.holdout} leaked into a training batch")
         self.domain_counts += np.bincount(db, minlength=dataset.n_domains)
 
-        view1 = augment(xb, augmentation, self.rng_augment)
+        view1 = augment(xb, self.augmentation, self.rng_augment)
         contrast_on = cfg.loss.contrast_enabled
-        view2 = augment(xb, augmentation, self.rng_augment) if contrast_on else None
+        view2 = augment(xb, self.augmentation, self.rng_augment) if contrast_on else None
         assignment = (resolve_positives(cfg.loss, yb, db, self.rng_contrast)
                       if contrast_on else None)
         z_pre = z_pre_all[orig] if z_pre_all is not None else None
@@ -323,27 +327,59 @@ def _per_run(term, runs):
     return term.tolist() if getattr(term, "ndim", 0) else [float(term)] * runs
 
 
+# A cell's loss structure: runs that agree in these, and in every config
+# field but their `RUN_OWN` ones, step through the same ops on tensors of
+# the same shapes, and need the same seed's anchor and initial connectivity.
+CELL_KEY = ("seed", "loss.contrast_enabled", "loss.gt_enabled", "needs_anchor")
+# The fields in which the runs of a cell may differ: each changes only what
+# a run draws, its batches, augmentation intensity and positives.
+RUN_OWN = ("holdout", "loss.cdc_enabled", "loss.pma_enabled", "loss.self_contrast_only",
+           "loss.aggressive_augmentation")
+
+
+def _field_names(cfg, prefix=""):
+    """The dotted name of each field of a config, a nested block's fields
+    in place of the block."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            yield from _field_names(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def _cell_mismatch(cfg, other):
+    """The first field, dotted, that keeps `other` out of `cfg`'s cell, or None."""
+    names = [name for name in (*CELL_KEY, *_field_names(cfg)) if name not in RUN_OWN]
+    return next((name for name in names if attrgetter(name)(cfg) != attrgetter(name)(other)),
+                None)
+
+
 def train_cell(cfgs, anchor=None, run_dirs=None):
-    """Leave-one-domain-out runs that differ in their holdout only, trained
-    in lockstep: one `RunResult` per config, each with the bytes that its
-    own `train` gives, and its run directory written when `run_dirs` names
-    one.
+    """Leave-one-domain-out runs of one loss structure, trained in lockstep:
+    one `RunResult` per config, each with the bytes that its own `train`
+    gives, and its run directory written when `run_dirs` names one.  The
+    runs may differ in their `RUN_OWN` fields only: holdout, CDC, PMA,
+    self-contrast and aggressive augmentation.
 
     Each step draws every run's batch, augmentation, positives and noise
-    from that run's own streams, then embeds, scores and differentiates
-    all runs at once on a `Model.lockstep` cell, whose (R, N) array holds
-    one run's parameters per row, and each run's `Adam` steps its row.
-    Each run's model views its row again before evaluation, which, with
-    checkpoint selection, the test and the run directory, stays per run,
-    in config order.  A failure in any run raises out of the cell; `_grid_job`
-    then replays the cell one run at a time.
+    from that run's own streams and under its own toggles, then embeds,
+    scores and differentiates all runs at once on a `Model.lockstep`
+    cell, whose (R, N) array holds one run's parameters per row, and each
+    run's `Adam` steps its row.  Each run's model views its row again
+    before evaluation, which, with checkpoint selection, the test and the
+    run directory, stays per run, in config order.  A failure in any run
+    raises out of the cell; `_grid_job` then replays the cell one run at a
+    time.
     """
     started = time.perf_counter()
     cfg = cfgs[0]
     for run_cfg in cfgs:
         run_cfg.validate()
-        if replace(run_cfg, holdout=cfg.holdout) != cfg:
-            raise ValueError("the runs of a cell may differ in their holdout only")
+    for run_cfg in cfgs[1:]:
+        differs = _cell_mismatch(cfg, run_cfg)
+        if differs:
+            raise ValueError(f"the runs of a cell must agree in {differs}")
     dataset = cfg.dataset.build()
     runs = [_Run(run_cfg, dataset) for run_cfg in cfgs]
 
@@ -357,7 +393,6 @@ def train_cell(cfgs, anchor=None, run_dirs=None):
         z_pre_all = anchor.embed(dataset.X).data
     else:
         z_pre_all = None
-    train_aug = cfg.augment.train_spec(cfg.loss.aggressive_augmentation)
     connectivity_init = _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False),
                                               cfg.seed)
 
@@ -366,7 +401,7 @@ def train_cell(cfgs, anchor=None, run_dirs=None):
     stacked = len(runs) > 1
     cell, flat = Model.lockstep(models)
     for step in range(1, cfg.optim.steps + 1):
-        drawn = [run.draw(dataset, train_aug, z_pre_all) for run in runs]
+        drawn = [run.draw(dataset, z_pre_all) for run in runs]
         view1, view2, yb, db, assignment, z_pre, noise = (
             map(_stack, zip(*drawn)) if stacked else drawn[0])
         with ad.Tape() as tape:
@@ -497,40 +532,42 @@ def _mark_csv(v):
     return "1" if v else "0"
 
 
-def _grid_job(cfgs, anchor, run_dirs, keep_going):
-    """One (row, seed) cell of the grid, its holdouts trained in lockstep
-    by `train_cell`.  Module-level, so a process pool can pickle it by
-    name.
+def _grid_job(cfgs, anchor, run_dirs):
+    """One cell of the grid, its runs trained in lockstep by `train_cell`:
+    each run's `RunResult`, or the exception it raised.  Module-level, so a
+    process pool can pickle it by name.
 
     If any run of the cell fails, the cell reruns its runs one at a time
-    with `train`, in holdout order, so that it raises, and leaves written,
-    what one job per run would: the first failing run's error, after the
-    runs before it wrote their directories.  With `keep_going` (a pool,
-    where the other jobs ran on) the runs after it also run and write
-    theirs first.
+    with `train`, in config order, so that each run ends, and leaves
+    written, as a job of its own would: with its directory, or with its
+    own error.
     """
     try:
         return train_cell(cfgs, anchor, run_dirs)
-    except Exception:
+    except Exception as exc:
         if len(cfgs) == 1:
-            raise
-    results, failure = [], None
+            return [exc]
+    results = []
     for cfg, run_dir in zip(cfgs, run_dirs):
         try:
             results.append(train(cfg, anchor=anchor, run_dir=run_dir))
         except Exception as exc:
-            if not keep_going:
-                raise
-            failure = failure or exc
-    if failure is not None:
-        raise failure
+            results.append(exc)
     return results
 
 
-def _cost(row):
-    """How many of a row's costly loss terms are on: the rank of its
-    cells' training time, which a pool takes costliest first."""
-    return row.cdc + row.pma + row.gt + row.self_contrast
+# The most runs that one grid cell stacks.  On 2 CPUs, perfbench's
+# grid-short ran no faster with cells of 16 runs than with cells of 8, and
+# its peak memory rose about 5 % more.
+CELL_RUNS = 8
+
+
+def _cost(cfgs):
+    """How many costly loss terms a cell's runs have on, summed over its
+    runs: the rank of the cell's training time, which a pool takes
+    costliest first."""
+    return sum(c.loss.cdc_enabled + c.loss.pma_enabled + c.loss.gt_enabled
+               + c.loss.self_contrast_only for c in cfgs)
 
 
 def _grid_anchors(cfg, seeds, out_root):
@@ -553,38 +590,56 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
     """Leave-one-domain-out average for every ablation row and seed; the
     one runner of many holdouts (`dccl loo` is a grid of one row).
 
-    Cells are mutually independent: a cell is one row and seed, and its
-    holdouts train in lockstep as one job (`_grid_job`).  The parent builds
-    each seed's anchor once, checkpoints it under out_dir when given, and
-    hands every row of that seed the anchor as read back.  It scores each
-    seed's initial connectivity once.
+    Cells are mutually independent.  A cell is one seed's runs of rows
+    that share a loss structure (`CELL_KEY`), trained in lockstep as one
+    job (`_grid_job`).  Rows stay whole: a cell takes the rows of its
+    structure in row order while it holds at most `CELL_RUNS` runs, and a
+    row of more runs is a cell alone.  The default rows on 4 domains give
+    six cells per seed: ERM; self-contrast and CDC; PMA and CDC+PMA; GT;
+    PMA+GT and CDC+GT; the full method without and with aggressive
+    augmentation.  The parent builds each seed's anchor once, checkpoints
+    it under out_dir when given, and hands every cell of that seed the
+    anchor as read back.  It scores each seed's initial connectivity once.
 
-    One worker builds the anchors, then runs the cells in row order.
+    One worker builds the anchors, then runs the cells in order.
     `workers` > 1 scores the initial connectivity first, so forked workers
     inherit it, and runs the cells in a pool of at most one process per
-    cell: first the cells whose row needs no anchor, then, as the parent
-    reads back each seed's anchor, that seed's other cells, each group
-    costliest row first (`_cost`).  An anchor that fails cancels the cells
-    not yet started and raises once the running ones finish.  Either way
-    the results are read in (row, seed) order, so the grid raises the
-    first failing cell in that order.  Under out_dir the grid writes
-    `<row>/seed<s>/holdout<m>/` run directories and `anchors/`, nothing
-    else.
+    cell: first the cells that need no anchor, then, as the parent reads
+    back each seed's anchor, that seed's other cells, each group costliest
+    first (`_cost`).  An anchor that fails cancels the cells not yet
+    started and raises once the running ones finish.  Otherwise every
+    cell runs to its end, for any worker count, and the grid raises the
+    error of the first failing run in (row, seed, holdout) order, after
+    every run that did not fail wrote its directory.  Under out_dir the
+    grid writes `<row>/seed<s>/holdout<m>/` run directories and
+    `anchors/`, nothing else.
     """
     n_domains = cfg.dataset.domain_count
     if n_domains < 2:
         raise ValueError("leave-one-domain-out needs at least 2 domains")
+    if not rows or not seeds:
+        raise ValueError("an ablation grid needs at least one row and one seed")
     out_root = None if out_dir is None else Path(out_dir)
     holdouts = range(n_domains)
-    jobs = {}
+    groups, open_group = [], {}
     for row in rows:
+        key = attrgetter(*CELL_KEY)(row.apply(cfg))
+        if key not in open_group or (len(open_group[key]) + 1) * n_domains > CELL_RUNS:
+            open_group[key] = []
+            groups.append(open_group[key])
+        open_group[key].append(row)
+    cells = []  # (the cell's runs as (row name, seed, holdout), their configs, their dirs)
+    for group in groups:
         for seed in seeds:
+            keys = [(row.name, seed, m) for row in group for m in holdouts]
+            cfgs = [row.apply(replace(cfg, seed=seed, holdout=m))
+                    for row in group for m in holdouts]
             run_dirs = [None if out_root is None
-                        else out_root / row.name / f"seed{seed}" / f"holdout{m}" for m in holdouts]
-            cfgs = [row.apply(replace(cfg, seed=seed, holdout=m)) for m in holdouts]
-            jobs[row.name, seed] = (row, cfgs, run_dirs)
-    anchored = {key for key, (_, cfgs, _) in jobs.items() if cfgs[0].needs_anchor}
-    anchors = _grid_anchors(cfg, seeds, out_root) if anchored else ()
+                        else out_root / name / f"seed{seed}" / f"holdout{m}"
+                        for name, _, m in keys]
+            cells.append((keys, cfgs, run_dirs))
+    anchored = [cfgs[0].needs_anchor for _, cfgs, _ in cells]
+    anchors = _grid_anchors(cfg, seeds, out_root) if any(anchored) else ()
 
     def score_initial_connectivity():
         for seed in seeds:
@@ -595,25 +650,31 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
 
         score_initial_connectivity()
         futures = {}
-        with ProcessPoolExecutor(max_workers=max(1, min(workers, len(jobs)))) as pool:
-            def submit(keys, anchor):
-                for key in sorted(keys, key=lambda k: -_cost(jobs[k][0])):
-                    _, cfgs, run_dirs = jobs[key]
-                    futures[key] = pool.submit(_grid_job, cfgs, anchor, run_dirs, True)
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+            def submit(picked, anchor):
+                for i in sorted(picked, key=lambda i: -_cost(cells[i][1])):
+                    _, cfgs, run_dirs = cells[i]
+                    futures[i] = pool.submit(_grid_job, cfgs, anchor, run_dirs)
 
-            submit([key for key in jobs if key not in anchored], None)
+            submit([i for i, a in enumerate(anchored) if not a], None)
             try:
                 for seed, anchor in anchors:
-                    submit([key for key in jobs if key in anchored and key[1] == seed], anchor)
+                    submit([i for i, (_, cfgs, _) in enumerate(cells)
+                            if anchored[i] and cfgs[0].seed == seed], anchor)
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
-            cells = {key: futures[key].result() for key in jobs}
+            outcomes = [futures[i].result() for i in range(len(cells))]
     else:
         anchors = dict(anchors)
         score_initial_connectivity()
-        cells = {key: _grid_job(cfgs, anchors.get(key[1]), run_dirs, False)
-                 for key, (_, cfgs, run_dirs) in jobs.items()}
-    runs = {(name, seed, m): result for (name, seed), results in cells.items()
-            for m, result in zip(holdouts, results)}
+        outcomes = [_grid_job(cfgs, anchors.get(cfgs[0].seed), run_dirs)
+                    for _, cfgs, run_dirs in cells]
+    done = {key: outcome for (keys, _, _), results in zip(cells, outcomes)
+            for key, outcome in zip(keys, results)}
+    runs = {(row.name, seed, m): done[row.name, seed, m]
+            for row in rows for seed in seeds for m in holdouts}
+    failure = next((r for r in runs.values() if isinstance(r, Exception)), None)
+    if failure is not None:
+        raise failure
     return GridResult(rows=tuple(rows), seeds=tuple(seeds), n_domains=n_domains, runs=runs)

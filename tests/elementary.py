@@ -14,6 +14,7 @@ keeps only `+` and `*`.
 `batchnorm_train` at the end is the one-view batch-norm op that the
 package recorded before `autodiff.embed_views` took in the whole
 embedding; it is kept as an oracle of the batch-norm step of that op.
+`intra_class_variance` is a measure of embeddings that only tests read.
 """
 
 import numpy as np
@@ -240,3 +241,20 @@ def batchnorm_train(x, gamma, beta, eps):
                 np.broadcast_to((g_mu * scale)[None, :], xd.shape))
 
     return _emit(out, (beta, gamma, x, x), rule), mu, var
+
+
+def intra_class_variance(vectors, class_ids):
+    """Mean over classes of the total within-class variance (trace of the
+    class covariance); the quantity contrastive alignment should shrink."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    class_ids = np.asarray(class_ids)
+    variances = []
+    for c in np.unique(class_ids):
+        pts = vectors[class_ids == c]
+        if len(pts) < 2:
+            continue
+        centered = pts - pts.mean(axis=0)
+        variances.append(float(np.mean(np.sum(centered * centered, axis=1))))
+    if not variances:
+        raise ValueError("no class with at least 2 samples")
+    return float(np.mean(variances))

@@ -13,8 +13,7 @@ import pytest
 
 from dccl.autodiff import Tape, Tensor
 from dccl.cli import main
-from dccl.connectivity import (connecting_threshold, connectivity_report,
-                               intra_class_variance, pairwise_stats)
+from dccl.connectivity import connecting_threshold, connectivity_report, pairwise_stats
 from dccl.harness import (AnchorConfig, AugmentConfig, DatasetSpec,
                           ExperimentConfig, OptimConfig, ablation_grid,
                           build_run_anchor, collect_embeddings, train)
@@ -26,7 +25,7 @@ from dccl.synthdata import (ADDITIVE, AugmentationSpec, augment,
                             gen_example31_both, make_batches)
 
 from conftest import brute_force_threshold, max_rel_err, numerical_gradient
-from elementary import l2_normalize
+from elementary import intra_class_variance, l2_normalize
 
 SEEDS = (0, 1, 2)
 

@@ -15,6 +15,7 @@ from scipy.spatial.distance import pdist, squareform
 from dccl import connectivity as cn
 
 from conftest import brute_force_threshold, dense_pairwise_stats, dense_threshold
+from elementary import intra_class_variance
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -422,6 +423,6 @@ def test_intra_class_variance():
     vectors = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
     labels = np.array([0, 0, 1, 1])
     # class 0: mean (1,0), squared distances 1,1 -> 1; class 1: mean (1,0) -> 1
-    assert cn.intra_class_variance(vectors, labels) == pytest.approx(1.0)
+    assert intra_class_variance(vectors, labels) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        cn.intra_class_variance(vectors[:1], labels[:1])
+        intra_class_variance(vectors[:1], labels[:1])

@@ -227,12 +227,23 @@ def test_grid_needs_two_domains_before_any_work(tmp_path, monkeypatch):
     assert not (tmp_path / "grid").exists()
 
 
+@pytest.mark.parametrize("rows, seeds", [((), (0,)), (DEFAULT_ROWS, ())], ids=["rows", "seeds"])
+def test_grid_needs_a_row_and_a_seed_before_any_work(tmp_path, monkeypatch, rows, seeds):
+    def no_anchor(*args, **kwargs):
+        raise AssertionError("anchor built")
+
+    monkeypatch.setattr(harness, "build_anchor", no_anchor)
+    with pytest.raises(ValueError, match="an ablation grid needs at least one row and one seed"):
+        ablation_grid(micro_config(), rows=rows, seeds=seeds, out_dir=tmp_path / "grid")
+    assert not (tmp_path / "grid").exists()
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Stand in for the process pool and log, in order, its size
-    ("pool", max_workers), each job it is handed ("cell", row, seed,
-    anchored, keep_going), which it runs at once in this process, and each
-    anchor build ("anchor", seed)."""
+    ("pool", max_workers), each job it is handed ("cell", its rows, seed,
+    anchored), which it runs at once in this process, and each anchor
+    build ("anchor", seed)."""
     log = []
     names = {row.apply(micro_config()).loss: row.name for row in DEFAULT_ROWS}
 
@@ -240,11 +251,11 @@ def recording_pool(monkeypatch):
         def __init__(self, max_workers):
             log.append(("pool", max_workers))
 
-        def submit(self, fn, cfgs, anchor, run_dirs, keep_going):
-            log.append(("cell", names[cfgs[0].loss], cfgs[0].seed, anchor is not None,
-                        keep_going))
+        def submit(self, fn, cfgs, anchor, run_dirs):
+            rows = tuple(dict.fromkeys(names[cfg.loss] for cfg in cfgs))
+            log.append(("cell", rows, cfgs[0].seed, anchor is not None))
             future = concurrent.futures.Future()
-            future.set_result(fn(cfgs, anchor, run_dirs, keep_going))
+            future.set_result(fn(cfgs, anchor, run_dirs))
             return future
 
     def recorded_anchor(cfg, dataset):
@@ -264,26 +275,28 @@ def short_grid_config():
 
 @pytest.mark.parametrize("workers, rows, seeds", [
     (64, ("erm",), (0,)), (2, ("erm",), (0,)), (3, ("erm", "pma"), (0, 1)),
-    (64, ("erm", "pma"), (0, 1)),
+    (64, ("erm", "pma"), (0, 1)), (64, ("self_contrast", "cdc"), (0, 1)),
 ])
 def test_grid_pool_has_at_most_one_process_per_cell(recording_pool, workers, rows, seeds):
     ablation_grid(short_grid_config(), rows=tuple(r for r in DEFAULT_ROWS if r.name in rows),
                   seeds=seeds, workers=workers)
-    assert [e for e in recording_pool if e[0] == "pool"] == [
-        ("pool", min(workers, len(rows) * len(seeds)))]
     cells = [e for e in recording_pool if e[0] == "cell"]
-    assert len(cells) == len(rows) * len(seeds)
-    assert all(keep_going for *_, keep_going in cells)
+    assert [e for e in recording_pool if e[0] == "pool"] == [("pool", min(workers, len(cells)))]
+    assert sorted((name, seed) for _, names, seed, _ in cells for name in names) == sorted(
+        (name, seed) for name in rows for seed in seeds)
 
 
 def test_grid_pool_takes_anchor_free_cells_first_and_costliest_first(recording_pool, tmp_path):
+    """A cell is one seed's rows of one loss structure, at most 8 runs:
+    two rows of 3 holdouts each."""
     grid = ablation_grid(short_grid_config(), seeds=(0, 1), workers=2, out_dir=tmp_path)
-    anchored = ["full_no_aggressive", "full", "pma_gt", "cdc_pma", "cdc_gt", "pma", "gt"]
+    anchored = [("full_no_aggressive", "full"), ("pma_gt", "cdc_gt"), ("pma", "cdc_pma"),
+                ("gt",)]
     assert recording_pool == [("pool", 2)] + [
-        ("cell", name, seed, False, True)
-        for name in ("self_contrast", "cdc", "erm") for seed in (0, 1)
-    ] + [("anchor", 0)] + [("cell", name, 0, True, True) for name in anchored] + [
-        ("anchor", 1)] + [("cell", name, 1, True, True) for name in anchored]
+        ("cell", rows, seed, False)
+        for rows in (("self_contrast", "cdc"), ("erm",)) for seed in (0, 1)
+    ] + [("anchor", 0)] + [("cell", rows, 0, True) for rows in anchored] + [
+        ("anchor", 1)] + [("cell", rows, 1, True) for rows in anchored]
     assert list(grid.runs) == [(row.name, seed, m) for row in DEFAULT_ROWS
                                for seed in (0, 1) for m in range(3)]
 
@@ -296,7 +309,7 @@ def test_one_worker_builds_every_anchor_before_the_first_cell(recording_pool, mo
     job = harness._grid_job
     monkeypatch.setattr(harness, "_grid_job", counted_job)
     ablation_grid(short_grid_config(), seeds=(0, 1), workers=1)
-    assert recording_pool == [("anchor", 0), ("anchor", 1)] + [("job",)] * 20
+    assert recording_pool == [("anchor", 0), ("anchor", 1)] + [("job",)] * 12
 
 
 def _fresh_initial_connectivity(cfg):

@@ -3,10 +3,11 @@
 Each fused op, called on R operand sets stacked on a leading run axis,
 must give slice by slice the bytes of R separate calls, for its value and
 for every gradient its backward rule hands back.  A `Model.lockstep`
-step must give each run the step it takes alone.  The grid trains each
-(row, seed) cell in lockstep, so its files must equal per-run `train`
-calls, also under an OpenBLAS kernel other than the golden hashes'; and a
-failing run must fail the grid as a job per run would.
+step must give each run the step it takes alone.  The grid trains the
+runs of each cell, one seed's rows of one loss structure, in lockstep, so
+its files must equal per-run `train` calls, also under an OpenBLAS kernel
+other than the golden hashes'; and a failing run must fail the grid as a
+job per run would.
 """
 
 import os
@@ -24,8 +25,8 @@ import dccl
 from dccl import autodiff as ad
 from dccl import harness
 from dccl.autodiff import Tape, Tensor
-from dccl.harness import (AblationRow, DatasetSpec, ExperimentConfig, OptimConfig,
-                          TrainingDiverged, ablation_grid, train_cell)
+from dccl.harness import (DEFAULT_ROWS, AblationRow, DatasetSpec, ExperimentConfig,
+                          OptimConfig, TrainingDiverged, ablation_grid, train_cell)
 from dccl.losses import ContrastBatch, LossConfig, total_loss
 from dccl.nets import AnchorConfig, Model, ModelSpec
 from dccl.optim import Adam
@@ -283,12 +284,19 @@ def test_grid_trains_each_cell_in_lockstep(monkeypatch):
                                  for s in (0, 1) for m in range(4)]
 
 
-FULL = LossConfig(cdc_enabled=True, pma_enabled=True, gt_enabled=True)
+ROWS = {row.name: row for row in DEFAULT_ROWS}
+
+
+def row_cell(*names, cfg=None):
+    """The configs of a grid cell of the named rows, each over 4 holdouts."""
+    cfg = cfg or cell_config()
+    return [ROWS[name].apply(replace(cfg, holdout=m)) for name in names for m in range(4)]
 
 
 def test_each_run_model_after_a_cell_equals_its_own_train(monkeypatch):
     """Each run's model, which views its row of the cell's array, ends
-    with the parameters and running statistics of its own `train`."""
+    with the parameters and running statistics of its own `train`; the
+    cell's runs differ in holdout, in PMA and in augmentation intensity."""
     finals = []
     finish = harness._Run.finish
 
@@ -297,13 +305,13 @@ def test_each_run_model_after_a_cell_equals_its_own_train(monkeypatch):
         return finish(run, *args)
 
     monkeypatch.setattr(harness._Run, "finish", recording)
-    cfgs = [replace(cell_config(loss=FULL), holdout=m) for m in range(4)]
+    cfgs = row_cell("cdc_gt", "full_no_aggressive")
     train_cell(cfgs)
     in_cell = finals[:]
     finals.clear()
     for cfg in cfgs:
         harness.train(cfg)
-    assert len(in_cell) == len(finals) == 4
+    assert len(in_cell) == len(finals) == 8
     for m, (state, alone) in enumerate(zip(in_cell, finals)):
         assert state.keys() == alone.keys()
         for name in alone:
@@ -333,9 +341,9 @@ def test_a_cell_steps_each_runs_adam_once_per_step(monkeypatch):
 
     monkeypatch.setattr(optim.Adam, "step", counted_step)
     monkeypatch.setattr(harness, "make_batches", counted_batches)
-    cfg = cell_config(loss=FULL)
-    runs, steps, anchor_steps = 4, cfg.optim.steps, cfg.anchor.steps
-    train_cell([replace(cfg, holdout=m) for m in range(runs)])
+    cfg = cell_config()
+    runs, steps, anchor_steps = 8, cfg.optim.steps, cfg.anchor.steps
+    train_cell(row_cell("pma", "cdc_pma", cfg=cfg))
     per_adam = sorted(adam_calls.count(a) for a in set(adam_calls))
     assert (per_adam, draws) == ([anchor_steps] + [steps] * runs, [steps] * runs), (
         "perfbench's speed gauge and step spans need one optim.Adam.step call and one "
@@ -343,61 +351,73 @@ def test_a_cell_steps_each_runs_adam_once_per_step(monkeypatch):
         "Adam must change perfbench first")
 
 
-def test_a_cell_takes_runs_that_differ_in_holdout_only():
-    cfg = cell_config()
-    with pytest.raises(ValueError, match="differ in their holdout only"):
-        train_cell([cfg, replace(cfg, holdout=1, seed=1)])
+def test_a_cell_takes_runs_of_one_loss_structure():
+    """A cell's runs may differ in holdout, CDC, self-contrast and
+    aggressive augmentation (and PMA, in the tests above)."""
+    contrast, cdc = (ROWS[name].apply(cell_config()) for name in ("self_contrast", "cdc"))
+    calm = replace(cdc, loss=replace(cdc.loss, aggressive_augmentation=False))
+    results = train_cell([contrast, replace(cdc, holdout=1), replace(calm, holdout=2)])
+    assert [r.holdout for r in results] == [0, 1, 2]
 
 
-# holdout -> the step at which its total turns NaN
-DIVERGE = {2: 3, 1: 5}
+@pytest.mark.parametrize("first, other, field", [
+    ("erm", replace(cell_config(), seed=1), "seed"),
+    ("erm", ROWS["cdc"].apply(cell_config()), "loss.contrast_enabled"),
+    ("erm", ROWS["gt"].apply(cell_config()), "loss.gt_enabled"),
+    ("cdc", ROWS["cdc_pma"].apply(cell_config()), "needs_anchor"),
+    ("erm", cell_config(optim=OptimConfig(lr=2e-3, steps=12, batch_size=9, eval_every=4)),
+     "optim.lr"),
+], ids=["seed", "contrast", "gt", "anchor", "lr"])
+def test_a_cell_rejects_runs_of_another_loss_structure(first, other, field):
+    with pytest.raises(ValueError, match=f"the runs of a cell must agree in {field}$"):
+        train_cell([ROWS[first].apply(cell_config()), replace(other, holdout=1)])
+
+
+# (row, holdout) -> the step at which its total turns NaN
+DIVERGE = {("cdc", 0): 3, ("self_contrast", 2): 5}
 
 
 def inject_divergence(monkeypatch):
     """Make each run's total NaN at its DIVERGE step, wherever and however
-    its steps run: a run is known by the domain its batches leave out,
-    and its step by the batches drawn from its own stream."""
-    drawn = {}
-    make_batches, objective = harness.make_batches, harness.total_loss
+    its steps run: a run is known by its config, and its step by the
+    batches it has drawn."""
+    fails = []
+    draw, objective = harness._Run.draw, harness.total_loss
 
-    def counted_batches(dataset, *args, **kwargs):
-        stream = make_batches(dataset, *args, **kwargs)
-        (holdout,) = set(range(4)) - set(dataset.domains.tolist())
-
-        def batches():
-            drawn[holdout] = 0
-            for batch in stream:
-                drawn[holdout] += 1
-                yield batch
-        return batches()
+    def counted_draw(run, *args):
+        run.drawn = getattr(run, "drawn", 0) + 1
+        row = "cdc" if run.cfg.loss.cdc_enabled else "self_contrast"
+        fails.append(DIVERGE.get((row, run.cfg.holdout)) == run.drawn)
+        return draw(run, *args)
 
     def diverging(batch, *args, **kwargs):
         breakdown = objective(batch, *args, **kwargs)
-        holdouts = [min(set(range(4)) - set(row.tolist()))
-                    for row in np.reshape(batch.domains, (-1, batch.domains.shape[-1]))]
-        mask = [np.nan if DIVERGE.get(m) == drawn[m] else 1.0 for m in holdouts]
+        mask = [np.nan if fail else 1.0 for fail in fails]
+        fails.clear()
         breakdown.total = breakdown.total * Tensor(np.reshape(mask, breakdown.total.shape))
         return breakdown
 
-    monkeypatch.setattr(harness, "make_batches", counted_batches)
+    monkeypatch.setattr(harness._Run, "draw", counted_draw)
     monkeypatch.setattr(harness, "total_loss", diverging)
 
 
-@pytest.mark.parametrize("workers, written", [(1, [0]), (2, [0, 3])])
-def test_a_failing_cell_fails_as_its_first_failing_run(tmp_path, monkeypatch, workers, written):
-    """Holdout 2 diverges first in lockstep (step 3), but holdout 1 comes
-    first in job order (step 5): the grid raises holdout 1's divergence.
-    One worker stops there, after holdout 0 wrote its directory; a pool
-    also finishes the runs after it, as it finished later jobs."""
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_cell_fails_as_its_first_failing_run(tmp_path, monkeypatch, workers):
+    """Self-contrast and CDC share one cell.  CDC's holdout 0 diverges
+    first in lockstep (step 3), but self-contrast's holdout 2 comes first
+    in (row, seed, holdout) order (step 5): the grid raises that one's
+    divergence, for any worker count, after every other run wrote its
+    directory."""
     inject_divergence(monkeypatch)
     with pytest.raises(TrainingDiverged) as caught:
-        ablation_grid(cell_config(), rows=(AblationRow("erm", "ERM"),), seeds=(0,),
+        ablation_grid(cell_config(), rows=(ROWS["self_contrast"], ROWS["cdc"]), seeds=(0,),
                       workers=workers, out_dir=tmp_path)
-    assert caught.value.step == DIVERGE[1]
-    seed_dir = tmp_path / "erm" / "seed0"
-    assert sorted(p.name for p in seed_dir.iterdir()) == [f"holdout{m}" for m in written]
-    for m in written:
-        assert (seed_dir / f"holdout{m}" / "result.csv").exists()
+    assert caught.value.step == DIVERGE["self_contrast", 2]
+    for row, written in (("self_contrast", [0, 1, 3]), ("cdc", [1, 2, 3])):
+        seed_dir = tmp_path / row / "seed0"
+        assert sorted(p.name for p in seed_dir.iterdir()) == [f"holdout{m}" for m in written]
+        for m in written:
+            assert (seed_dir / f"holdout{m}" / "result.csv").exists()
 
 
 LOCKSTEP_AGAINST_RUNS = """

@@ -32,10 +32,21 @@ stacked matmul makes one BLAS call per run, in the same memory layout;
 reductions run along the same axes; gathers and scatters index each
 run's rows through one flat index), and `tests/test_lockstep.py` holds
 every op to that, slice by slice.
+
+At a batch of n = 24 rows the Python cost of a numpy call exceeds its
+arithmetic, so the per-step path calls ufuncs directly: reductions go
+through ufunc methods (`np.add.reduce`, `np.maximum.reduce`,
+`np.logical_or.reduce`) rather than `ndarray.sum`, `np.sum` or
+`ndarray.any`, which wrap them in Python; a mean is such a sum divided
+by its count, the division `ndarray.mean` makes, so the bits are its
+own; stacks are `np.array` of a list; and a constant built per shape,
+such as `off_diagonal`, is cached read-only, so no op can change it for
+a later step.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 
@@ -66,16 +77,17 @@ def normalize_rows(h):
     no loss needs to check it again.  A NaN norm passes through, for the
     caller's divergence check, and an overflowing sum of squares raises
     no numpy warning, only this error.  The error names the first
-    rejected row, and its view when h is a (views, n, d) stack, or a
-    (runs, views, n, d) stack of them.
+    rejected row, its view when h is a (views, n, d) stack, and its view
+    and run when h is a (views, runs, n, d) stack, as `embed_views`
+    passes for a lockstep cell.
     """
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.sum(h * h, axis=-1))
+        norms = np.sqrt(np.add.reduce(h * h, -1))
     bad = (norms < NORM_FLOOR) | (norms == np.inf)
-    if bad.any():
+    if np.logical_or.reduce(bad, None):
         first = tuple(int(i) for i in np.argwhere(bad)[0])
         *outer, row = first
-        of_view = "".join(f" of {axis} {i}" for axis, i in zip(("view", "run"), outer[::-1]))
+        of_view = "".join(f" of {axis} {i}" for axis, i in zip(("view", "run"), outer))
         why = (f"{norms[first]:g} < {NORM_FLOOR:g}" if norms[first] < NORM_FLOOR
                else "overflowing float64")
         raise DegenerateInputError(f"cannot normalize row {row}{of_view} with norm {why}")
@@ -178,7 +190,10 @@ class Tape:
             out = Tensor(out_data, next(_node_ids))
             known.add(out.node_id)
             key = out.node_id
-        parent_ids = tuple(p.node_id if p.node_id in known else None for p in parents)
+        parent_ids = []
+        for p in parents:
+            pid = p.node_id
+            parent_ids.append(pid if pid in known else None)
         self._ops.append((key, parent_ids, backward_rule))
         return out
 
@@ -242,10 +257,10 @@ def _unbroadcast(grad, shape):
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, tuple(range(extra)))
     axes = tuple(i for i, (gs, ss) in enumerate(zip(grad.shape, shape)) if ss == 1 and gs != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axes, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -274,16 +289,16 @@ def _check_layer(sx, sW, sb):
 
 
 def _check_log(da):
-    if (da <= NORM_FLOOR).any():
+    if np.logical_or.reduce(da <= NORM_FLOOR, None):
         raise DegenerateInputError(
             f"log of value <= {NORM_FLOOR:g} is rejected as degenerate (min {da.min():g})"
         )
 
 
 def _check_power(da, p):
-    if p != int(p) and (da < 0.0).any():
+    if p != int(p) and np.logical_or.reduce(da < 0.0, None):
         raise DegenerateInputError(f"fractional power {p} of a negative value")
-    if p < 0 and (np.abs(da) <= NORM_FLOOR).any():
+    if p < 0 and np.logical_or.reduce(np.abs(da) <= NORM_FLOOR, None):
         raise DegenerateInputError(f"negative power {p} of a near-zero value")
 
 
@@ -302,14 +317,23 @@ def _check_cols(cols, shape, opname):
     if cols.shape != tuple(rows):
         n = rows[0] if len(rows) == 1 else tuple(rows)
         raise ShapeError(f"{opname} needs {n} column indices, got shape {cols.shape}")
-    if (cols < 0).any() or (cols >= m).any():
+    if np.logical_or.reduce(cols < 0, None) or np.logical_or.reduce(cols >= m, None):
         raise IndexError(f"{opname} column index out of range [0, {m})")
     return cols
 
 
 def _check_rows(idx, n, opname):
-    if (idx < 0).any() or (idx >= n).any():
+    if np.logical_or.reduce(idx < 0, None) or np.logical_or.reduce(idx >= n, None):
         raise IndexError(f"{opname} row index out of range [0, {n})")
+
+
+@functools.cache
+def off_diagonal(n):
+    """The (n, n) boolean mask that is set off the diagonal: one array per
+    n, read-only, shared by every call."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _flat_rows(idx, n):
@@ -349,8 +373,8 @@ def _lse_rows(da, mask=None):
     """Row-wise log-sum-exp, max-stabilized, over the entries `mask` sets
     (all without one): the masked input and the result."""
     xm = da if mask is None else np.where(mask, da, -np.inf)
-    peak = xm.max(axis=-1)
-    return xm, peak + np.log(np.sum(np.exp(xm - peak[..., None]), axis=-1))
+    peak = np.maximum.reduce(xm, -1)
+    return xm, peak + np.log(np.add.reduce(np.exp(xm - peak[..., None]), -1))
 
 
 def _lse_grad(g, xm, out):
@@ -383,7 +407,8 @@ def affine(x, W, b):
     xd, Wd, bd = x.data, W.data, b.data
     _check_layer(xd.shape, Wd.shape, bd.shape)
     return _emit(xd @ Wd + bd[..., None, :], (b, x, W),
-                 lambda g: (g.sum(axis=-2), g @ Wd.swapaxes(-1, -2), xd.swapaxes(-1, -2) @ g))
+                 lambda g: (np.add.reduce(g, -2), g @ Wd.swapaxes(-1, -2),
+                            xd.swapaxes(-1, -2) @ g))
 
 
 def _views_sum(parts):
@@ -417,7 +442,8 @@ def embed_views(views, layers, eps):
     if xs.ndim not in (3, 4) or 0 in xs.shape:
         raise ShapeError(f"embed_views expects a (views, n, d) stack or a (views, R, n, d) "
                          f"stack of R runs' views, got shape {xs.shape}")
-    scale = 1.0 / xs.shape[-2]
+    rows = xs.shape[-2]
+    scale = 1.0 / rows
     p = -0.5
     parents, saved, batch_stats = [], [], []
     h = xs
@@ -433,9 +459,9 @@ def embed_views(views, layers, eps):
             if gd.shape != bd.shape or beta.data.shape != bd.shape:
                 raise ShapeError(f"batch-norm shapes {gd.shape} and {beta.data.shape} "
                                  f"do not match width {bd.shape}")
-            mu = h.mean(axis=-2)                      # reduce_mean(x, 0)
+            mu = np.add.reduce(h, -2) / rows          # reduce_mean(x, 0)
             c = h - mu[..., None, :]                  # sub
-            var = (c * c).mean(axis=-2)               # mul, reduce_mean(., 0)
+            var = np.add.reduce(c * c, -2) / rows     # mul, reduce_mean(., 0)
             ve = var + eps                            # add
             _check_power(ve, p)
             inv = (ve ** p)[..., None, :]             # power
@@ -453,8 +479,8 @@ def embed_views(views, layers, eps):
     out, norms = normalize_rows(h)                    # l2_normalize
 
     def rule(gs):
-        g = np.stack(gs)
-        inner = np.sum(g * out, axis=-1, keepdims=True)
+        g = np.array(gs)
+        inner = np.add.reduce(g * out, -1, keepdims=True)
         g = (g - out * inner) / norms
         grads = []
         for x_in, Wd, norm, alive in reversed(saved):
@@ -462,16 +488,17 @@ def embed_views(views, layers, eps):
                 g = g * alive
             if norm is not None:
                 gd, c, ve, inv, t1 = norm
-                grads += [_views_sum(g.sum(axis=-2)), _views_sum((g * t1).sum(axis=-2))]
+                grads += [_views_sum(np.add.reduce(g, -2)),
+                          _views_sum(np.add.reduce(g * t1, -2))]
                 g_t1 = g * gd
                 g_c = g_t1 * inv
-                g_var = (g_t1 * c).sum(axis=-2) * p * ve ** (p - 1.0)
+                g_var = np.add.reduce(g_t1 * c, -2) * p * ve ** (p - 1.0)
                 g_sq = (g_var * scale)[..., None, :]
                 g_c = g_c + g_sq * c
                 g_c = g_c + g_sq * c
-                g_mu = g_c.sum(axis=-2).__neg__()
+                g_mu = np.add.reduce(g_c, -2).__neg__()
                 g = g_c + (g_mu * scale)[..., None, :]
-            grads += [_views_sum(g.sum(axis=-2)), _views_sum(x_in.swapaxes(-1, -2) @ g)]
+            grads += [_views_sum(np.add.reduce(g, -2)), _views_sum(x_in.swapaxes(-1, -2) @ g)]
             if x_in is not xs:
                 g = g @ Wd.swapaxes(-1, -2)
         return grads[::-1]
@@ -498,7 +525,7 @@ def softmax_cross_entropy(logits, labels):
         picked.reshape(-1, m)[rows, flat_cols] = g_diff.__neg__().reshape(-1)
         return (picked, _lse_grad(g_diff, xm, lse))
 
-    return _emit(diff.mean(axis=-1), (logits, logits), rule)
+    return _emit(np.add.reduce(diff, -1) / diff.shape[-1], (logits, logits), rule)
 
 
 def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=False,
@@ -526,7 +553,7 @@ def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=Fa
         raise ShapeError(f"contrastive_term needs {zd.shape[:-1]} positives, "
                          f"got shape {positive.shape}")
     anchor_rows = positive < 0
-    with_anchor = bool(anchor_rows.any())
+    with_anchor = bool(np.logical_or.reduce(anchor_rows, None))
     idx = np.where(anchor_rows, 0, positive)
     _check_rows(idx, n, "contrastive_term")
     flat = _flat_rows(idx, n)
@@ -543,11 +570,11 @@ def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=Fa
         if anchor_rows.ndim > 1:
             # adding -0.0 changes no value, so a run of a stack without anchor
             # rows keeps its P0 as its own call does, -0.0 entries included
-            fill = np.where(anchor_rows.any(axis=-1), 0.0, -0.0)[:, None, None]
+            fill = np.where(np.logical_or.reduce(anchor_rows, -1), 0.0, -0.0)[:, None, None]
         P = P1 + np.where(anchor_rows[..., None], z_pre, fill)   # add
-    pos = (zd * P).sum(axis=-1) * inv_t                 # mul, reduce_sum(., 1), mul
+    pos = np.add.reduce(zd * P, -1) * inv_t             # mul, reduce_sum(., 1), mul
     zaT = ad_.swapaxes(-1, -2).copy()                   # transpose
-    neg_mask = ~np.eye(n, dtype=bool)
+    neg_mask = off_diagonal(n)
     xm, lse = _lse_rows((zd @ zaT) * inv_t, neg_mask)   # matmul, mul, logsumexp
     denom = lse
     if anchor_negatives:
@@ -586,7 +613,7 @@ def contrastive_term(z, z_alt, positive, z_pre, temperature, anchor_negatives=Fa
         return out
 
     parents = ((z,) if anchor_negatives else ()) + (z, z_alt, z, z_alt)
-    return _emit(diff.mean(axis=-1), parents, rule)
+    return _emit(np.add.reduce(diff, -1) / n, parents, rule)
 
 
 def generative_term(z, z_pre, noise, std_bias, W, b):
@@ -620,9 +647,9 @@ def generative_term(z, z_pre, noise, std_bias, W, b):
     _check_log(s2)
     l10 = np.log(s2)                            # log
     a11 = a9 - l10[..., None, :]                # sub
-    kl = a11.sum(axis=-1) * 0.5                 # reduce_sum(., 1), mul
+    kl = np.add.reduce(a11, -1) * 0.5           # reduce_sum(., 1), mul
     err = z_pre - recon                         # sub
-    rec = (err * err).sum(axis=-1)              # mul, reduce_sum(., 1)
+    rec = np.add.reduce(err * err, -1)          # mul, reduce_sum(., 1)
     tot = rec + kl                              # add
     scale = 1.0 / n
 
@@ -630,12 +657,12 @@ def generative_term(z, z_pre, noise, std_bias, W, b):
         g_tot = np.broadcast_to((g * scale)[..., None], tot.shape)
         g_recon = (g_tot[..., None] * err + g_tot[..., None] * err).__neg__()
         g_a11 = np.broadcast_to((g_tot * 0.5)[..., None], a11.shape)
-        g_cols = g_a11.sum(axis=-2)
+        g_cols = np.add.reduce(g_a11, -2)
         g_s2 = g_cols.__neg__() / s2 + g_cols
         g_zl = g_recon @ Wd.swapaxes(-1, -2)
-        g_sig = g_s2 * sig + g_s2 * sig + (g_zl * noise).sum(axis=-2)
+        g_sig = g_s2 * sig + g_s2 * sig + np.add.reduce(g_zl * noise, -2)
         g_z = g_a11 * zd
-        return (g_z, g_z, g_recon.sum(axis=-2), zl.swapaxes(-1, -2) @ g_recon, g_zl,
+        return (g_z, g_z, np.add.reduce(g_recon, -2), zl.swapaxes(-1, -2) @ g_recon, g_zl,
                 g_sig * _sigmoid(bd))
 
-    return _emit(tot.mean(axis=-1), (z, z, b, W, z, std_bias), rule)
+    return _emit(np.add.reduce(tot, -1) / n, (z, z, b, W, z, std_bias), rule)

@@ -54,8 +54,9 @@ def _key_values(parts):
 
 
 def _write_table(path, header, ids, X):
-    """The rows `_read_table` reads: integer ids, then coordinates."""
-    rows = (",".join([*map(str, i), *map(fmt, x)]) for i, x in zip(ids, X))
+    """The rows `_read_table` reads: integer ids, then the coordinates of
+    the float64 array X, formatted from its one `.tolist()`."""
+    rows = (",".join([*map(str, i), *map(fmt, x)]) for i, x in zip(ids, X.tolist()))
     write_text(path, "\n".join([header, *rows]) + "\n")
 
 
@@ -163,7 +164,7 @@ def write_embeddings(records, path, n_classes, n_domains):
     _write_table(path, f"{DUMP_MAGIC} dim={len(records[0].vector)} classes={n_classes} "
                        f"domains={n_domains}",
                  ((r.sample_id, r.domain_id, r.class_id) for r in records),
-                 (r.vector for r in records))
+                 np.array([r.vector for r in records], dtype=np.float64))
 
 
 def read_embeddings(path):
@@ -184,7 +185,7 @@ def read_embeddings(path):
 def _write_array(lines, key, arr):
     arr = np.asarray(arr, dtype=np.float64)
     lines.append(f"array.{key}.shape = {render(arr.shape)}")
-    lines.append(f"array.{key}.data = {','.join(fmt(v) for v in arr.reshape(-1))}")
+    lines.append(f"array.{key}.data = {','.join(map(fmt, arr.reshape(-1).tolist()))}")
 
 
 def save_checkpoint(model, path):

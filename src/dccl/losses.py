@@ -84,10 +84,6 @@ class ContrastBatch:
     z_pre: np.ndarray | None = None
     positive_assignment: np.ndarray | None = None
 
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.domains = np.asarray(self.domains, dtype=np.int64)
-
 
 def sample_positives_cdc(labels, domains, rng):
     """Draw each sample's positive uniformly from same-class batch members.
@@ -102,17 +98,16 @@ def sample_positives_cdc(labels, domains, rng):
     if labels.shape != domains.shape:
         raise ValueError("labels and domains must have the same length")
     n = len(labels)
-    same = labels[:, None] == labels
-    np.fill_diagonal(same, False)
-    others = same.sum(axis=1)
+    same = (labels[:, None] == labels) & ad.off_diagonal(n)
+    others = np.add.reduce(same, 1)
     drawn = others > 0
     counts = others[drawn]
     # one draw per non-singleton, in index order: the values and the
     # generator state of one rng.integers(k) call per sample
     pick = rng.integers(counts)
-    eligible = np.nonzero(same[drawn])[1]  # each drawn row's candidates, row by row
+    eligible = same[drawn].nonzero()[1]  # each drawn row's candidates, row by row
     assignment = np.arange(n, dtype=np.int64)
-    assignment[drawn] = eligible[np.cumsum(counts) - counts + pick]
+    assignment[drawn] = eligible[np.add.accumulate(counts) - counts + pick]
     return assignment
 
 

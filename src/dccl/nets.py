@@ -136,15 +136,18 @@ class Model:
         if spec.with_gen:
             params.update(generator(self.embed_dim))
         self._params = {name: Tensor(arr) for name, arr in params.items()}
+        self._layers = self._layers_of(self._params)
         self._stats = stats
         ends = np.cumsum([0] + [arr.size for arr in params.values()]).tolist()
         self._spans = tuple((slice(a, b), arr.shape)
                             for a, b, arr in zip(ends, ends[1:], params.values()))
 
-    def _layers(self):
-        """The embedding's layers as `ad.embed_views` takes them: (W, b,
-        (gamma, beta) or None, relu after) each."""
-        p, spec = self._params, self.spec
+    def _layers_of(self, p):
+        """The embedding's layers over parameter table `p`, as
+        `ad.embed_views` takes them: (W, b, (gamma, beta) or None, relu
+        after) each.  They hold the table's Tensors, whose data `point`
+        and `set_state` replace, so they are built once per table."""
+        spec = self.spec
         last = len(spec.encoder_hidden) - 1
         layers = [(p[f"enc.{i}.W"], p[f"enc.{i}.b"], None, i < last) for i in range(last + 1)]
         if spec.head_hidden > 0:
@@ -169,15 +172,14 @@ class Model:
         it.  The package embeds in that mode for the anchor's embeddings,
         validation and test accuracy, and connectivity."""
         views = x if isinstance(x, list) else [x]
-        views = [np.atleast_2d(np.asarray(v.data if isinstance(v, Tensor) else v,
-                                          dtype=np.float64)) for v in views]
-        for v in views:
-            if v.shape[-1] != self.input_dim:
-                raise ad.ShapeError(
-                    f"batch width {v.shape[-1]} does not match encoder input width "
-                    f"{self.input_dim}")
         if training:
-            zs, batch_stats = ad.embed_views(np.stack(views), self._layers(), BN_EPS)
+            # the views stacked, each at least 2-d
+            xs = np.array([v.data if isinstance(v, Tensor) else v for v in views],
+                          dtype=np.float64)
+            if xs.ndim < 3:
+                xs = xs.reshape(len(views), 1, -1)
+            self._check_width(xs)
+            zs, batch_stats = ad.embed_views(xs, self._layers, BN_EPS)
             stats, m = self._stats, BN_MOMENTUM
             for mu, var in batch_stats:
                 for v in range(len(views)):
@@ -187,8 +189,10 @@ class Model:
                                                     + m * var[v])
             return zs if isinstance(x, list) else zs[0]
         (h,) = views
+        h = np.atleast_2d(np.asarray(h.data if isinstance(h, Tensor) else h, dtype=np.float64))
+        self._check_width(h)
         stats = self._stats
-        for W, b, bn, relu in self._layers():
+        for W, b, bn, relu in self._layers:
             h = h @ W.data + b.data
             if bn is not None:
                 gamma, beta = bn
@@ -197,6 +201,11 @@ class Model:
             if relu:
                 h = np.maximum(h, 0.0)
         return Tensor(ad.normalize_rows(h)[0])
+
+    def _check_width(self, x):
+        if x.shape[-1] != self.input_dim:
+            raise ad.ShapeError(f"batch width {x.shape[-1]} does not match encoder input "
+                                f"width {self.input_dim}")
 
     def logits(self, z):
         return ad.affine(z, self._params["cls.W"], self._params["cls.b"])
@@ -226,6 +235,7 @@ class Model:
             return models[0], flat
         cell = copy.copy(models[0])
         cell._params = {name: Tensor(t.data) for name, t in cell._params.items()}
+        cell._layers = cell._layers_of(cell._params)
         cell._stats = {name: np.array([m._stats[name] for m in models]) for name in cell._stats}
         cell.point(flat)
         return cell, flat

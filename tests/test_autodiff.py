@@ -180,6 +180,19 @@ def test_normalize_degenerate_rejected():
         el.l2_normalize(Tensor([3.0, 4.0]))
 
 
+def test_cached_masks_are_read_only():
+    """The off-diagonal mask is built once per n and shared by every step,
+    so a write to it must raise rather than change a later step's mask."""
+    mask = ad.off_diagonal(4)
+    assert mask is ad.off_diagonal(4)
+    assert np.array_equal(mask, ~np.eye(4, dtype=bool))
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 1] = False
+    with pytest.raises(ValueError, match="read-only"):
+        np.logical_not(mask, out=mask)
+    assert np.array_equal(ad.off_diagonal(4), ~np.eye(4, dtype=bool))
+
+
 def test_log_degenerate_rejected():
     with pytest.raises(ad.DegenerateInputError):
         el.log(Tensor([1.0, 0.0]))
@@ -200,8 +213,9 @@ def test_empty_pool_rejected():
 
 def test_no_dead_tape_surface(monkeypatch):
     """Every public op that records on the tape is recorded by one
-    full-method (CDC+PMA+GT) training step, and nothing else records
-    there; `Tensor` keeps no operator but `+` and `*`."""
+    full-method (CDC+PMA+GT) training step, which records 9 ops, and
+    nothing else records there; `Tensor` keeps no operator but `+` and
+    `*`."""
     emitters = {name for name, fn in vars(ad).items()
                 if callable(fn) and not name.startswith("_")
                 and getattr(fn, "__module__", None) == ad.__name__
@@ -213,17 +227,18 @@ def test_no_dead_tape_surface(monkeypatch):
         anchor=AnchorConfig(steps=1, batch_size=12))
     cfg = next(row for row in DEFAULT_ROWS if row.name == "full").apply(cfg)
     anchor = build_run_anchor(cfg, cfg.dataset.build())
-    recorded = set()
+    recorded = []
     record = Tape._record
 
     def recording(tape, *args):
         # the op called `_emit`, which called `_record`
-        recorded.add(sys._getframe(2).f_code.co_name)
+        recorded.append(sys._getframe(2).f_code.co_name)
         return record(tape, *args)
 
     monkeypatch.setattr(Tape, "_record", recording)
     train(cfg, anchor=anchor)
-    assert sorted(recorded) == sorted(emitters)
+    assert sorted(set(recorded)) == sorted(emitters)
+    assert len(recorded) == 9, recorded
     operators = {name for name, fn in vars(Tensor).items()
                  if name.startswith("__") and callable(fn) and name not in ("__init__", "__repr__")}
     assert operators == {"__add__", "__mul__"}

@@ -353,6 +353,12 @@ def test_fused_ops_keep_shape_and_domain_guards():
     views[1, 2] = 0.0
     with pytest.raises(ad.DegenerateInputError, match="row 2 of view 1 "):
         ad.embed_views(views, [(*eye, None, False)], 1e-5)
+    # a lockstep cell's (views, runs, n, d) stack names the view, then the run
+    views = np.ones((2, 3, 4, 5))
+    views[1, 2, 0] = 0.0
+    stacked = (Tensor(np.array([np.eye(5)] * 3)), Tensor(np.zeros((3, 5))))
+    with pytest.raises(ad.DegenerateInputError, match="row 0 of view 1 of run 2 "):
+        ad.embed_views(views, [(*stacked, None, False)], 1e-5)
     with pytest.raises(IndexError):
         ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
     with pytest.raises(ad.ShapeError):

@@ -322,11 +322,33 @@ def test_a_cell_steps_each_runs_adam_once_per_step(monkeypatch):
     """perfbench's speed gauge polls at every `optim.Adam.step` call, and
     its tracer opens a step span at each batch draw and closes it at the
     next `Adam.step`: both count on one draw and one `Adam.step` per run
-    per step, and one `Adam.step` per anchor step."""
-    from dccl import optim
+    per step, and one `Adam.step` per anchor step.  The tracer also spans
+    `harness.augment`, `harness.resolve_positives`, `harness.total_loss`
+    and `nets.Model.embed`, whose per-step counts are pinned here: one
+    augmentation per view of each run, one positive resolution per
+    contrastive run, and one objective and one training-mode embedding
+    per cell step (and per anchor step, for the embedding)."""
+    from dccl import nets, optim
 
     adam_calls, draws = [], []
     step, make_batches = optim.Adam.step, harness.make_batches
+    hooks = {"augment": 0, "resolve_positives": 0, "total_loss": 0, "embed": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            hooks[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    embed = nets.Model.embed
+
+    def counted_embed(model, x, training=False):
+        hooks["embed"] += training
+        return embed(model, x, training=training)
+
+    for name in ("augment", "resolve_positives", "total_loss"):
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    monkeypatch.setattr(nets.Model, "embed", counted_embed)
 
     def counted_step(adam, *args):
         adam_calls.append(adam)
@@ -349,6 +371,11 @@ def test_a_cell_steps_each_runs_adam_once_per_step(monkeypatch):
         "perfbench's speed gauge and step spans need one optim.Adam.step call and one "
         "batch draw per run per step, and one optim.Adam.step per anchor step: a stacked "
         "Adam must change perfbench first")
+    views = 2  # both rows contrast, so each run augments two views a step
+    assert hooks == {"augment": steps * runs * views, "resolve_positives": steps * runs,
+                     "total_loss": steps, "embed": steps + anchor_steps}, (
+        "perfbench's tracer spans these hooks per step: changing their counts must change "
+        "perfbench first")
 
 
 def test_a_cell_takes_runs_of_one_loss_structure():

@@ -173,12 +173,13 @@ class Model:
         validation and test accuracy, and connectivity."""
         views = x if isinstance(x, list) else [x]
         if training:
+            xs = [v.data if isinstance(v, Tensor) else v for v in views]
+            for v in xs:
+                self._check_width(np.shape(v))
             # the views stacked, each at least 2-d
-            xs = np.array([v.data if isinstance(v, Tensor) else v for v in views],
-                          dtype=np.float64)
+            xs = np.array(xs, dtype=np.float64)
             if xs.ndim < 3:
                 xs = xs.reshape(len(views), 1, -1)
-            self._check_width(xs)
             zs, batch_stats = ad.embed_views(xs, self._layers, BN_EPS)
             stats, m = self._stats, BN_MOMENTUM
             for mu, var in batch_stats:
@@ -190,7 +191,7 @@ class Model:
             return zs if isinstance(x, list) else zs[0]
         (h,) = views
         h = np.atleast_2d(np.asarray(h.data if isinstance(h, Tensor) else h, dtype=np.float64))
-        self._check_width(h)
+        self._check_width(h.shape)
         stats = self._stats
         for W, b, bn, relu in self._layers:
             h = h @ W.data + b.data
@@ -202,9 +203,10 @@ class Model:
                 h = np.maximum(h, 0.0)
         return Tensor(ad.normalize_rows(h)[0])
 
-    def _check_width(self, x):
-        if x.shape[-1] != self.input_dim:
-            raise ad.ShapeError(f"batch width {x.shape[-1]} does not match encoder input "
+    def _check_width(self, shape):
+        width = shape[-1] if shape else 1  # a scalar is one row of width 1
+        if width != self.input_dim:
+            raise ad.ShapeError(f"batch width {width} does not match encoder input "
                                 f"width {self.input_dim}")
 
     def logits(self, z):

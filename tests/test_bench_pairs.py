@@ -19,8 +19,9 @@ def test_compare_counts_pairs_won_and_takes_inclusive_quartiles():
     assert m["parent"] == {"runs": [10.0, 12.0, 11.0, 13.0, 9.0],
                            "median": 11.0, "q1": 10.0, "q3": 12.0}
     assert (m["change"]["median"], m["change"]["q1"], m["change"]["q3"]) == (14.0, 13.0, 15.0)
-    # won 5 of 5 and the median gap of 3 exceeds the parent's IQR of 2
-    assert (m["won"], m["lost"], m["gain"]) == (5, 0, True)
+    # won 5 of 5 and the median gap of 3 exceeds the parent's IQR of 2, but
+    # 5 pairs are too few to claim a gain
+    assert (m["won"], m["lost"], m["gain"]) == (5, 0, False)
 
 
 def test_compare_reads_lower_as_better_and_ties_count_for_neither():
@@ -39,6 +40,8 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
     assert (m["won"], m["gain"]) == (8, False)           # 8 of 10 pairs
     m = bench_pairs.compare(parent, [p + 100.0 for p in parent], "higher")
     assert (m["won"], m["gain"]) == (10, True)
+    m = bench_pairs.compare(parent[:6], [p + 100.0 for p in parent[:6]], "higher")
+    assert (m["won"], m["gain"]) == (6, False)           # 6 pairs, fewer than 10
 
 
 def test_one_run_is_its_own_median_and_quartiles():
@@ -64,8 +67,9 @@ def test_pairs_alternate_which_side_goes_first(monkeypatch):
     out = bench_pairs.report(results, first, spec, {"workload": "w"})
     assert out["checks"]["change"] == [{"correct": True, "attempted": 4, "failed": 0}] * 3
     assert out["metrics"]["items_per_s"]["change"]["runs"] == [2.0] * 3
+    # 3 of 3 won, too few pairs for a gain
     assert (out["metrics"]["items_per_s"]["won"], out["metrics"]["items_per_s"]["gain"]) == (
-        3, True)
+        3, False)
 
 
 def test_worktree_is_removed_when_the_run_fails(tmp_path):

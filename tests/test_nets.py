@@ -43,6 +43,12 @@ def test_embed_rejects_width_mismatch():
     with pytest.raises(ad.ShapeError) as err:
         model.embed(np.ones((4, 3)))
     assert "3" in str(err.value) and "2" in str(err.value)
+    # in training mode each view is checked before the views are stacked
+    with pytest.raises(ad.ShapeError, match="^batch width 3 does not match encoder input "
+                                            "width 2$"):
+        model.embed([np.ones((4, 2)), np.ones((4, 3))], training=True)
+    with pytest.raises(ad.ShapeError, match="^batch width 3 "):
+        model.embed(np.ones(3), training=True)
 
 
 def test_embed_rows_are_unit_norm():

@@ -3,17 +3,16 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --workload loo-full --seed 11 --pairs 10
 
 Checks the parent out with `git worktree add --detach` into a temporary
-directory, or takes the checkout that `--parent-tree` names instead, and
-runs `python3 perfbench/run.py --workload W --seed S --trace 0` in both
+directory and runs `python3 perfbench/run.py --workload W --seed S --trace 0` in both
 trees, one pair at a time, switching from pair to pair which side goes
 first.  The worktree is removed on every exit path, SIGTERM included.
 
 Writes BENCH_<workload>.json at the root of this tree.  For each
 end-to-end metric of BENCHMARK.json it holds each side's runs, median and
 quartiles, the pairs the change won and lost (ties count for neither),
-and `gain`: whether the change won at least nine tenths of the pairs and
-its median beats the parent's by more than the parent's interquartile
-range.  Each run's `correct`, `attempted` and `failed` counts are kept
+and `gain`: whether, over at least `MIN_PAIRS` pairs, the change won at
+least nine tenths of them and its median beats the parent's by more than
+the parent's interquartile range.  Each run's `correct`, `attempted` and `failed` counts are kept
 beside them.  Quartiles are `statistics.quantiles(..., method="inclusive")`.
 """
 
@@ -32,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+MIN_PAIRS = 10  # fewer pairs never claim a gain
 
 
 def side_summary(runs):
@@ -50,7 +50,8 @@ def compare(parent, change, better):
     p, c = side_summary(parent), side_summary(change)
     gap = sign * (c["median"] - p["median"])
     return {"parent": p, "change": c, "won": won, "lost": lost,
-            "gain": won >= 0.9 * len(parent) and gap > p["q3"] - p["q1"]}
+            "gain": (len(parent) >= MIN_PAIRS and won >= 0.9 * len(parent)
+                     and gap > p["q3"] - p["q1"])}
 
 
 def git(*args, cwd=ROOT):
@@ -115,8 +116,6 @@ def parse_args(argv=None):
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--parent-tree", type=Path, default=None,
-                   help="an existing checkout of the parent, in place of a worktree")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -131,11 +130,10 @@ def main(argv=None):
     seconds = bench["run_seconds"]
     meta = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
             "seconds": seconds,
-            "parent": {"ref": args.parent, "commit": git("rev-parse", args.parent)},
             "change": {"commit": git("rev-parse", "HEAD"),
                        "uncommitted_changes": bool(git("status", "--porcelain"))}}
-    with (contextlib.nullcontext(args.parent_tree) if args.parent_tree
-          else worktree(args.parent)) as parent_tree:
+    with worktree(args.parent) as parent_tree:
+        meta["parent"] = {"ref": args.parent, "commit": git("rev-parse", "HEAD", cwd=parent_tree)}
         results, first = run_pairs({"parent": parent_tree, "change": ROOT}, args.workload,
                                    args.seed, seconds, args.pairs)
     out = report(results, first, bench["end_to_end"], meta)

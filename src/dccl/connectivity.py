@@ -22,9 +22,7 @@ thread is joined before the fill returns.  Smaller groups, such as the
 Prim's MST then reads its rows from the vector: per step one gather for
 the joining point's column, one slice for its row, and a minimum, a
 maximum and an argmin over all k points.  mu and sigma then reduce the
-whole vector in place, which is what fixes their last bits.  Called on
-points alone, `connecting_threshold` and `pairwise_stats` each fill their
-own vector.
+whole vector in place, which is what fixes their last bits.
 """
 
 from __future__ import annotations
@@ -175,60 +173,42 @@ def condensed_distances(points):
     return dists
 
 
-def pairwise_stats(points, dists=None):
-    """Mean and population std of the k(k-1)/2 pairwise Euclidean distances.
+def pairwise_stats(points, dists):
+    """Mean and population std of the k(k-1)/2 pairwise Euclidean distances
+    of `points`, which `dists` holds as `condensed_distances(points)` and
+    which this overwrites.
 
-    The distances fill one condensed vector (`condensed_distances`), unless
-    `dists` already holds that vector; either way the vector is overwritten.
-    The mean and std reduce it whole, so their summation order, and with
-    it every bit, is fixed.  The std takes numpy's own `_var` steps
-    (keepdims sum, divide, subtract, square, sum, divide, sqrt), but in
-    place instead of allocating a second vector for the deviations.
-    Without `dists`, a mean or std that is not finite raises ValueError
-    and no numpy warning; a caller that fills `dists` checks them itself.
+    The mean and std reduce the vector whole, so their summation order,
+    and with it every bit, is fixed.  The std takes numpy's own `_var`
+    steps (keepdims sum, divide, subtract, square, sum, divide, sqrt), but
+    in place instead of allocating a second vector for the deviations.
     """
-    points = np.asarray(points, dtype=np.float64)
-    k = len(points)
-    if k < 2:
+    if len(points) < 2:
         raise ValueError("pairwise_stats needs at least 2 points")
-    check = dists is None
-    with np.errstate(over="ignore", invalid="ignore"):
-        if check:
-            dists = condensed_distances(points)
-        count = len(dists)
-        mean = np.add.reduce(dists, axis=None, keepdims=True)
-        np.true_divide(mean, count, out=mean)
-        np.subtract(dists, mean, out=dists)
-        np.square(dists, out=dists)
-        var = np.add.reduce(dists, axis=None) / count
-        mu, sigma = float(mean[0]), float(np.sqrt(var))
-    if check and not (math.isfinite(mu) and math.isfinite(sigma)):
-        raise ValueError(f"pairwise distances are not finite in float64 (mu={mu} sigma={sigma})")
-    return mu, sigma, count
+    count = len(dists)
+    mean = np.add.reduce(dists, axis=None, keepdims=True)
+    np.true_divide(mean, count, out=mean)
+    np.subtract(dists, mean, out=dists)
+    np.square(dists, out=dists)
+    var = np.add.reduce(dists, axis=None) / count
+    return float(mean[0]), float(np.sqrt(var)), count
 
 
-def connecting_threshold(points, dists=None):
+def connecting_threshold(points, dists):
     """Smallest threshold connecting the proximity graph (edges at distance
     <= threshold), computed as the maximum edge of the Euclidean MST.
 
     Prim's algorithm, reading one row of distances per step, from the
-    point that just joined the tree, out of the condensed vector of
-    `condensed_distances(points)`: `dists` if given, else a fresh fill.
-    Reading d(q, p) for d(p, q) gives the same bits, since they differ only
-    in the sign of each coordinate difference before it is squared.  Time
-    is O(k^2) after the O(k^2 d) fill, and ties may pick a different tree
-    than a dense scan would, but every MST has the same largest edge.
-    Without `dists`, a threshold that is not finite raises ValueError and
-    no numpy warning; a caller that fills `dists` checks it itself.
+    point that just joined the tree, out of `dists`, the condensed vector
+    `condensed_distances(points)`.  Reading d(q, p) for d(p, q) gives the
+    same bits, since they differ only in the sign of each coordinate
+    difference before it is squared.  Time is O(k^2) after the O(k^2 d)
+    fill, and ties may pick a different tree than a dense scan would, but
+    every MST has the same largest edge.
     """
-    points = np.asarray(points, dtype=np.float64)
     k = len(points)
     if k < 2:
         raise ValueError("connecting_threshold needs at least 2 points")
-    check = dists is None
-    if check:
-        with np.errstate(over="ignore", invalid="ignore"):
-            dists = condensed_distances(points)
     starts = _row_starts(k)
     col = starts - np.arange(k)     # d(q, p), q < p: dists[p - 1 + col[q]]
     # best[q] is q's distance to the tree, held at +inf once q has joined:
@@ -247,8 +227,6 @@ def connecting_threshold(points, dists=None):
         np.maximum(best, joined, out=best)
         p = int(np.argmin(best))
         tau = max(tau, float(best[p]))
-    if check and not math.isfinite(tau):
-        raise ValueError(f"pairwise distances are not finite in float64 (tau={tau})")
     return tau
 
 

@@ -264,7 +264,7 @@ class _Run:
         self.best_acc, self.best_step, self.best_state = -1.0, 0, None
 
     def draw(self, dataset, z_pre_all):
-        """The step's (view1, view2, labels, domains, positives, z_pre, noise),
+        """The step's (view1, view2, labels, positives, z_pre, noise),
         None where the loss leaves a part out."""
         cfg = self.cfg
         orig = self.train_idx[next(self.batches)]
@@ -278,12 +278,12 @@ class _Run:
         view1 = augment(xb, self.augmentation, self.rng_augment)
         contrast_on = cfg.loss.contrast_enabled
         view2 = augment(xb, self.augmentation, self.rng_augment) if contrast_on else None
-        assignment = (resolve_positives(cfg.loss, yb, db, self.rng_contrast)
+        assignment = (resolve_positives(cfg.loss, yb, self.rng_contrast)
                       if contrast_on else None)
         z_pre = z_pre_all[orig] if z_pre_all is not None else None
         noise = (self.rng_noise.standard_normal((len(orig), self.model.embed_dim))
                  if cfg.loss.gt_enabled else None)
-        return view1, view2, yb, db, assignment, z_pre, noise
+        return view1, view2, yb, assignment, z_pre, noise
 
     def evaluate(self, step, dataset):
         val_acc = self.model.accuracy(dataset.X[self.val_idx], dataset.labels[self.val_idx])
@@ -402,13 +402,13 @@ def train_cell(cfgs, anchor=None, run_dirs=None):
     cell, flat = Model.lockstep(models)
     for step in range(1, cfg.optim.steps + 1):
         drawn = [run.draw(dataset, z_pre_all) for run in runs]
-        view1, view2, yb, db, assignment, z_pre, noise = (
+        view1, view2, yb, assignment, z_pre, noise = (
             map(_stack, zip(*drawn)) if stacked else drawn[0])
         with ad.Tape() as tape:
             cell.watch(tape)
             z1, *z2 = cell.embed([view1] if view2 is None else [view1, view2], training=True)
             logits = cell.logits(z1)
-            batch = ContrastBatch(z=z1, labels=yb, domains=db, z_alt=z2[0] if z2 else None,
+            batch = ContrastBatch(z=z1, labels=yb, z_alt=z2[0] if z2 else None,
                                   z_pre=z_pre, positive_assignment=assignment)
             breakdown = total_loss(batch, logits, cfg.loss, gen=cell.parameters(), noise=noise)
         values = zip(*[_per_run(term, len(runs)) for term in (

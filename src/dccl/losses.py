@@ -79,13 +79,12 @@ class ContrastBatch:
 
     z: Tensor
     labels: np.ndarray
-    domains: np.ndarray
     z_alt: Tensor | None = None
     z_pre: np.ndarray | None = None
     positive_assignment: np.ndarray | None = None
 
 
-def sample_positives_cdc(labels, domains, rng):
+def sample_positives_cdc(labels, rng):
     """Draw each sample's positive uniformly from same-class batch members.
 
     Eligible positives are all other samples with the same class label,
@@ -94,9 +93,6 @@ def sample_positives_cdc(labels, domains, rng):
     that sample).
     """
     labels = np.asarray(labels)
-    domains = np.asarray(domains)
-    if labels.shape != domains.shape:
-        raise ValueError("labels and domains must have the same length")
     n = len(labels)
     same = (labels[:, None] == labels) & ad.off_diagonal(n)
     others = np.add.reduce(same, 1)
@@ -189,11 +185,11 @@ def total_loss(batch, logits, cfg, gen=None, noise=None):
                          contrast=contrast_contrib, gen=gen_contrib)
 
 
-def resolve_positives(cfg, labels, domains, rng):
+def resolve_positives(cfg, labels, rng):
     """Positive assignment for a batch under the configured flags."""
     n = len(labels)
     if cfg.cdc_enabled:
-        assignment = sample_positives_cdc(labels, domains, rng)
+        assignment = sample_positives_cdc(labels, rng)
     else:
         assignment = self_positives(n)
     if cfg.pma_enabled:

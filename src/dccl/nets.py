@@ -244,21 +244,15 @@ class Model:
 
     def descend(self, adams, flat, grads):
         """Run r's `adams[r].step` from its row of `flat` and of `grads`
-        (node id -> array, keyed by this cell's parameters) to its row of
-        a new (R, N) array, which the cell then views and which is
-        returned.  A parameter without a gradient keeps its value and its
-        moments."""
+        (node id -> array, with an entry for every parameter of this cell)
+        to its row of a new (R, N) array, which the cell then views and
+        which is returned."""
         runs = len(flat)
-        parts = [grads.get(t.node_id) for t in self._params.values()]
-        live = None
-        if any(g is None for g in parts):
-            sizes = [span.stop - span.start for span, _ in self._spans]
-            live = np.repeat([g is not None for g in parts], sizes)
-            parts = [np.zeros((runs, size)) if g is None else g for g, size in zip(parts, sizes)]
-        grad = np.concatenate([g.reshape(runs, -1) for g in parts], axis=1)
+        grad = np.concatenate([grads[t.node_id].reshape(runs, -1)
+                               for t in self._params.values()], axis=1)
         following = np.empty_like(flat)
         for adam, row, g, out in zip(adams, flat, grad, following):
-            adam.step(row, g, out, live)
+            adam.step(row, g, out)
         self.point(following if runs > 1 else following[0])
         return following
 

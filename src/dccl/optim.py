@@ -23,11 +23,9 @@ class Adam:
         self.t = 0
         self.m = self.v = None
 
-    def step(self, flat, grad, out, live=None):
+    def step(self, flat, grad, out):
         """Write into `out` the update of the parameter vector `flat` by
-        its gradient `grad`, all three of one length.  Where the boolean
-        mask `live` is False an entry got no gradient: it keeps its value
-        and its moments."""
+        its gradient `grad`, all three of one length."""
         if self.m is None:
             self.m, self.v = np.zeros(flat.size), np.zeros(flat.size)
         self.t += 1
@@ -37,9 +35,4 @@ class Adam:
         m = b1 * self.m + (1.0 - b1) * grad
         v = b2 * self.v + (1.0 - b2) * (grad * grad)
         np.subtract(flat, self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps), out=out)
-        if live is None:
-            self.m, self.v = m, v
-        else:
-            np.copyto(self.m, m, where=live)
-            np.copyto(self.v, v, where=live)
-            np.copyto(out, flat, where=~live)
+        self.m, self.v = m, v

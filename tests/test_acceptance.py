@@ -13,7 +13,8 @@ import pytest
 
 from dccl.autodiff import Tape, Tensor
 from dccl.cli import main
-from dccl.connectivity import connecting_threshold, connectivity_report, pairwise_stats
+from dccl.connectivity import (condensed_distances, connecting_threshold, connectivity_report,
+                               pairwise_stats)
 from dccl.harness import (AnchorConfig, AugmentConfig, DatasetSpec,
                           ExperimentConfig, OptimConfig, ablation_grid,
                           build_run_anchor, collect_embeddings, train)
@@ -118,8 +119,8 @@ def test_criterion_2_gradient_oracle():
     def self_contrast(z, z_alt, rng):
         n = z.shape[0]
         labels = np.arange(n) % 2
-        batch = ContrastBatch(z=z, labels=labels, domains=np.zeros(n, dtype=int),
-                              z_alt=z_alt, positive_assignment=np.arange(n))
+        batch = ContrastBatch(z=z, labels=labels, z_alt=z_alt,
+                              positive_assignment=np.arange(n))
         return infonce_loss(batch, LossConfig(temperature=0.2, self_contrast_only=True))
 
     worst["self-contrast"] = max(
@@ -129,10 +130,8 @@ def test_criterion_2_gradient_oracle():
     def cdc(z, z_alt, rng):
         n = z.shape[0]
         labels = np.array([0, 0, 1, 1, 0, 1])[:n]
-        domains = np.array([0, 1, 0, 1, 2, 2])[:n]
-        assignment = sample_positives_cdc(labels, domains, rng)
-        batch = ContrastBatch(z=z, labels=labels, domains=domains,
-                              z_alt=z_alt, positive_assignment=assignment)
+        assignment = sample_positives_cdc(labels, rng)
+        batch = ContrastBatch(z=z, labels=labels, z_alt=z_alt, positive_assignment=assignment)
         return infonce_loss(batch, LossConfig(temperature=0.2, cdc_enabled=True))
 
     worst["cross-domain"] = max(
@@ -142,13 +141,11 @@ def test_criterion_2_gradient_oracle():
     def anchored(z, z_alt, rng):
         n = z.shape[0]
         labels = np.array([0, 0, 1, 1, 0, 1])[:n]
-        domains = np.array([0, 1, 0, 1, 2, 2])[:n]
-        assignment = mix_anchor_positives(
-            sample_positives_cdc(labels, domains, rng), 0.5, rng)
+        assignment = mix_anchor_positives(sample_positives_cdc(labels, rng), 0.5, rng)
         z_pre_raw = rng.standard_normal((n, z.shape[1]))
         z_pre = z_pre_raw / np.linalg.norm(z_pre_raw, axis=1, keepdims=True)
-        batch = ContrastBatch(z=z, labels=labels, domains=domains, z_alt=z_alt,
-                              z_pre=z_pre, positive_assignment=assignment)
+        batch = ContrastBatch(z=z, labels=labels, z_alt=z_alt, z_pre=z_pre,
+                              positive_assignment=assignment)
         return infonce_loss(batch, LossConfig(temperature=0.2, cdc_enabled=True,
                                               pma_enabled=True))
 
@@ -191,9 +188,7 @@ def test_criterion_2_gradient_oracle():
         xb = rng.standard_normal((4, 2))
         x2 = rng.standard_normal((4, 2))
         labels = rng.integers(0, 2, 4)
-        domains = np.array([0, 1, 0, 1])
-        assignment = mix_anchor_positives(
-            sample_positives_cdc(labels, domains, rng), 0.5, rng)
+        assignment = mix_anchor_positives(sample_positives_cdc(labels, rng), 0.5, rng)
         z_pre_raw = rng.standard_normal((4, 4))
         z_pre = z_pre_raw / np.linalg.norm(z_pre_raw, axis=1, keepdims=True)
         noise = rng.standard_normal((4, 4))
@@ -204,7 +199,7 @@ def test_criterion_2_gradient_oracle():
             z1 = model.embed(xb, training=True)
             z2 = model.embed(x2, training=True)
             logits = model.logits(z1)
-            batch = ContrastBatch(z=z1, labels=labels, domains=domains, z_alt=z2,
+            batch = ContrastBatch(z=z1, labels=labels, z_alt=z2,
                                   z_pre=z_pre, positive_assignment=assignment)
             return total_loss(batch, logits, cfg, gen=model.parameters(), noise=noise)
 
@@ -234,12 +229,13 @@ def test_criterion_3_connectivity_oracle():
         k = int(rng.integers(2, 13))
         d = int(rng.integers(1, 6))
         pts = rng.standard_normal((k, d)) * rng.uniform(0.3, 4.0)
-        assert connecting_threshold(pts) == brute_force_threshold(pts)
+        assert connecting_threshold(pts, condensed_distances(pts)) == brute_force_threshold(pts)
     collinear = np.array([[0.0], [1.0], [3.0]])
-    mu, sigma, _ = pairwise_stats(collinear)
-    assert (connecting_threshold(collinear) - mu) / sigma == pytest.approx(0.0, abs=1e-12)
+    mu, sigma, _ = pairwise_stats(collinear, condensed_distances(collinear))
+    tau = connecting_threshold(collinear, condensed_distances(collinear))
+    assert (tau - mu) / sigma == pytest.approx(0.0, abs=1e-12)
     square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert connecting_threshold(square) == pytest.approx(1.0)
+    assert connecting_threshold(square, condensed_distances(square)) == pytest.approx(1.0)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     report(3, f"200/200 exact MST-vs-sweep agreements, fixtures match; {elapsed:.1f}s")
@@ -311,18 +307,23 @@ def test_criterion_6_intra_class_variance_vanishes():
     curve = []
     for _ in range(600):
         idx = next(batches)
-        xb, yb, db = dataset.X[idx], dataset.labels[idx], dataset.domains[idx]
+        xb, yb = dataset.X[idx], dataset.labels[idx]
         v1 = augment(xb, spec, rng_aug)
         v2 = augment(xb, spec, rng_aug)
-        assignment = sample_positives_cdc(yb, db, rng_pos)
+        assignment = sample_positives_cdc(yb, rng_pos)
         with Tape() as tape:
             model.watch(tape)
             z1 = model.embed(v1, training=True)
             z2 = model.embed(v2, training=True)
-            loss = infonce_loss(ContrastBatch(z=z1, labels=yb, domains=db, z_alt=z2,
+            loss = infonce_loss(ContrastBatch(z=z1, labels=yb, z_alt=z2,
                                               positive_assignment=assignment), cfg)
         curve.append(loss.item())
-        flat = model.descend(adams, flat, tape.gradients(loss))
+        grads = tape.gradients(loss)
+        # the classifier takes no part in this loss: a zero gradient leaves
+        # it, and its zero moments, as they are
+        for t in model.parameters().values():
+            grads.setdefault(t.node_id, np.zeros(t.data.shape))
+        flat = model.descend(adams, flat, grads)
 
     var_final = intra_class_variance(model.embed(dataset.X).data, dataset.labels)
     elapsed = time.perf_counter() - started

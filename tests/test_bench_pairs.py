@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: its summary statistics on fixed numbers, its
-alternation and its worktree cleanup, without running the benchmark."""
+alternation, its worktree cleanup and its line count, without running the
+benchmark."""
 
 import importlib.util
 import subprocess
@@ -92,3 +93,14 @@ def test_worktree_is_removed_when_the_run_fails(tmp_path):
     listed = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=repo, check=True,
                             capture_output=True, text=True).stdout
     assert listed.count("worktree ") == 1
+
+
+def test_src_lines_counts_the_lines_of_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "dccl"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\nthree\n")
+    (package / "b.py").write_text("\n\nlast line without a newline")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    # `wc -l` counts newlines: 3 + 2
+    assert bench_pairs.src_lines(tmp_path) == 5

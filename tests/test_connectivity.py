@@ -57,11 +57,11 @@ def records_from(vectors, class_ids, domain_ids=None):
 
 def test_collinear_fixture():
     pts = np.array([[0.0], [1.0], [3.0]])
-    mu, sigma, count = cn.pairwise_stats(pts)
+    mu, sigma, count = cn.pairwise_stats(pts, cn.condensed_distances(pts))
     assert count == 3
     assert mu == pytest.approx(2.0)
     assert sigma == pytest.approx(math.sqrt(2.0 / 3.0))
-    assert cn.connecting_threshold(pts) == pytest.approx(2.0)
+    assert cn.connecting_threshold(pts, cn.condensed_distances(pts)) == pytest.approx(2.0)
     # score (tau - mu) / sigma == 0 exactly
     report = cn.connectivity_report(records_from(pts, [0, 0, 0]))
     assert report.rows[0].score == pytest.approx(0.0, abs=1e-12)
@@ -69,15 +69,15 @@ def test_collinear_fixture():
 
 def test_unit_square_fixture():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    mu, sigma, count = cn.pairwise_stats(pts)
+    mu, sigma, count = cn.pairwise_stats(pts, cn.condensed_distances(pts))
     assert count == 6
     assert mu == pytest.approx((4.0 + 2.0 * math.sqrt(2.0)) / 6.0)
-    assert cn.connecting_threshold(pts) == pytest.approx(1.0)
+    assert cn.connecting_threshold(pts, cn.condensed_distances(pts)) == pytest.approx(1.0)
 
 
 def test_two_points():
     pts = np.array([[0.0, 0.0], [0.3, 0.4]])
-    assert cn.connecting_threshold(pts) == pytest.approx(0.5)
+    assert cn.connecting_threshold(pts, cn.condensed_distances(pts)) == pytest.approx(0.5)
 
 
 def test_two_identical_points_undefined_score():
@@ -92,7 +92,8 @@ def test_mst_matches_brute_force_on_random_sets(rng):
         k = int(rng.integers(2, 13))
         d = int(rng.integers(1, 5))
         pts = rng.standard_normal((k, d)) * rng.uniform(0.5, 3.0)
-        assert cn.connecting_threshold(pts) == brute_force_threshold(pts)
+        tau = cn.connecting_threshold(pts, cn.condensed_distances(pts))
+        assert tau == brute_force_threshold(pts)
 
 
 @PROPERTY
@@ -100,8 +101,8 @@ def test_mst_matches_brute_force_on_random_sets(rng):
 @example(np.array([[0.0], [1.0]]))
 @example(np.zeros((5, 3)))
 def test_kernels_match_dense_reference_bit_for_bit(pts):
-    assert cn.pairwise_stats(pts) == dense_pairwise_stats(pts)
-    assert cn.connecting_threshold(pts) == dense_threshold(pts)
+    assert cn.pairwise_stats(pts, cn.condensed_distances(pts)) == dense_pairwise_stats(pts)
+    assert cn.connecting_threshold(pts, cn.condensed_distances(pts)) == dense_threshold(pts)
 
 
 @pytest.mark.parametrize("d", [7, 8, 9, 127, 128, 129, 300])
@@ -109,15 +110,15 @@ def test_kernels_match_dense_reference_on_long_rows(rng, d):
     # rows of 8 and 128 or more values switch numpy's summation to its
     # unrolled and blocked pairwise forms
     pts = rng.standard_normal((30, d))
-    assert cn.pairwise_stats(pts) == dense_pairwise_stats(pts)
-    assert cn.connecting_threshold(pts) == dense_threshold(pts)
+    assert cn.pairwise_stats(pts, cn.condensed_distances(pts)) == dense_pairwise_stats(pts)
+    assert cn.connecting_threshold(pts, cn.condensed_distances(pts)) == dense_threshold(pts)
 
 
 @PROPERTY
 @given(point_sets(st.integers(-20, 20).map(lambda v: v / 4.0)))
 def test_kernels_agree_with_scipy(pts):
     dists = pdist(pts)
-    mu, sigma, count = cn.pairwise_stats(pts)
+    mu, sigma, count = cn.pairwise_stats(pts, cn.condensed_distances(pts))
     assert count == len(dists)
     assert mu == pytest.approx(dists.mean(), rel=1e-12, abs=1e-12)
     assert sigma == pytest.approx(dists.std(), rel=1e-12, abs=1e-12)
@@ -127,14 +128,15 @@ def test_kernels_agree_with_scipy(pts):
     want = 0.0
     if len(unique) > 1:
         want = minimum_spanning_tree(squareform(pdist(unique))).data.max()
-    assert cn.connecting_threshold(pts) == pytest.approx(want, rel=1e-12)
+    tau = cn.connecting_threshold(pts, cn.condensed_distances(pts))
+    assert tau == pytest.approx(want, rel=1e-12)
 
 
 def test_kernels_hold_no_dense_distance_array():
     k, d = 2000, 16
     pts = np.random.default_rng(0).standard_normal((k, d))
     # numpy reports its buffers to tracemalloc; a k x k x d array would
-    # take k * k * d * 8 = 512 MB
+    # take k * k * d * 8 = 512 MB.  Each peak spans the fill and the kernel.
     bounds = {cn.connecting_threshold: 3 * 4 * k * k,
               cn.pairwise_stats: 3 * 4 * k * k}
     tracemalloc.start()
@@ -142,7 +144,7 @@ def test_kernels_hold_no_dense_distance_array():
         for kernel, bound in bounds.items():
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            kernel(pts)
+            kernel(pts, cn.condensed_distances(pts))
             peak = tracemalloc.get_traced_memory()[1] - before
             assert peak <= bound, f"{kernel.__name__} peaked at {peak} bytes > {bound}"
     finally:
@@ -157,7 +159,7 @@ def test_pairwise_stats_keeps_one_condensed_vector():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cn.pairwise_stats(pts)
+        cn.pairwise_stats(pts, cn.condensed_distances(pts))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -165,19 +167,16 @@ def test_pairwise_stats_keeps_one_condensed_vector():
 
 
 @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "threaded"])
-def test_overflowing_distances_raise_without_warning(monkeypatch, threads):
-    # finite points whose distances overflow float64, each kernel on its own fill
+def test_overflowing_distances_raise_from_the_report_without_warning(monkeypatch, threads):
+    # finite points whose distances overflow float64
     monkeypatch.setattr(cn, "THREAD_PAIRS", 1)
     monkeypatch.setattr(cn, "_cpu_count", lambda: threads)
     pts = np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^pairwise distances are not finite in float64 "
-                                             r"\(mu=inf sigma=nan\)$"):
-            cn.pairwise_stats(pts)
-        with pytest.raises(ValueError, match=r"^pairwise distances are not finite in float64 "
-                                             r"\(tau=inf\)$"):
-            cn.connecting_threshold(pts)
+        with pytest.raises(ValueError, match=r"^class 0 domain all: pairwise distances are not "
+                                             r"finite in float64 \(tau=inf mu=inf sigma=nan\)$"):
+            cn.connectivity_report(records_from(pts, [0, 0, 0]))
 
 
 def score_of(pts):
@@ -186,8 +185,9 @@ def score_of(pts):
 
 
 def assert_one_fill_same_bits(pts):
-    mu, sigma, _ = cn.pairwise_stats(pts)
-    assert score_of(pts) == (cn.connecting_threshold(pts), mu, sigma)
+    tau = cn.connecting_threshold(pts, cn.condensed_distances(pts))
+    mu, sigma, _ = cn.pairwise_stats(pts, cn.condensed_distances(pts))
+    assert score_of(pts) == (tau, mu, sigma)
     mu, sigma, _ = dense_pairwise_stats(pts)
     assert score_of(pts) == (dense_threshold(pts), mu, sigma)
 
@@ -371,9 +371,9 @@ def test_score_invariant_under_isometry_and_scale(rng):
 def test_duplicate_point_never_increases_tau(rng):
     for trial in range(30):
         pts = rng.standard_normal((8, 2))
-        tau = cn.connecting_threshold(pts)
+        tau = cn.connecting_threshold(pts, cn.condensed_distances(pts))
         dup = np.vstack([pts, pts[int(rng.integers(8))]])
-        assert cn.connecting_threshold(dup) <= tau + 1e-12
+        assert cn.connecting_threshold(dup, cn.condensed_distances(dup)) <= tau + 1e-12
 
 
 def test_split_clusters_score_higher_than_single_blob(rng):

@@ -240,8 +240,8 @@ def model_step(spec_seed, batchnorm, head, flags, n, n_views):
                      anchor_negatives=anchor_negatives, temperature=0.4, gen_weight=0.3,
                      denominator_mode="standard-infonce" if standard else "negatives-only")
     labels = rng.integers(0, 3, n)
-    domains = rng.integers(0, 2, n)
-    assignment = (sample_positives_cdc(labels, domains, rng) if cdc
+    rng.integers(0, 2, n)  # unused: keeps the later draws of this stream
+    assignment = (sample_positives_cdc(labels, rng) if cdc
                   else np.arange(n, dtype=np.int64))
     if pma:
         assignment = mix_anchor_positives(assignment, 0.5, rng)
@@ -251,7 +251,7 @@ def model_step(spec_seed, batchnorm, head, flags, n, n_views):
     with Tape() as tape:
         model.watch(tape)
         zs = model.embed(views, training=True)
-        batch = ContrastBatch(z=zs[0], labels=labels, domains=domains, z_alt=zs[n_views > 1],
+        batch = ContrastBatch(z=zs[0], labels=labels, z_alt=zs[n_views > 1],
                               z_pre=z_pre, positive_assignment=assignment)
         breakdown = total_loss(batch, model.logits(zs[0]), cfg, gen=model.parameters(),
                                noise=noise)
@@ -393,7 +393,7 @@ def test_fused_ops_keep_shape_and_domain_guards():
 
 # -- array code equals the loops it replaced --------------------------------------
 
-def loop_positives_cdc(labels, domains, rng):
+def loop_positives_cdc(labels, rng):
     n = len(labels)
     assignment = np.empty(n, dtype=np.int64)
     for i in range(n):
@@ -410,10 +410,8 @@ def loop_positives_cdc(labels, domains, rng):
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.integers(0, 2**32 - 1))
 def test_cdc_sampling_matches_loop_and_generator_state(labels, seed):
     labels = np.array(labels)
-    domains = np.arange(len(labels)) % 3
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert np.array_equal(sample_positives_cdc(labels, domains, fast),
-                          loop_positives_cdc(labels, domains, slow))
+    assert np.array_equal(sample_positives_cdc(labels, fast), loop_positives_cdc(labels, slow))
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -467,10 +465,7 @@ class LoopAdam:
         b1, b2 = self.beta1, self.beta2
         bias1, bias2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for name, p in params.items():
-            g = grads.get(p.node_id)
-            if g is None:
-                continue
-            g = np.asarray(g, dtype=np.float64).reshape(p.data.shape)
+            g = np.asarray(grads[p.node_id], dtype=np.float64).reshape(p.data.shape)
             m = self.m.get(name, np.zeros_like(p.data))
             v = self.v.get(name, np.zeros_like(p.data))
             self.m[name] = m = b1 * m + (1.0 - b1) * g
@@ -479,9 +474,8 @@ class LoopAdam:
 
 
 @PROPERTY
-@given(st.integers(0, 2**32 - 1), st.lists(st.lists(st.booleans(), min_size=4, max_size=4),
-                                           min_size=1, max_size=12))
-def test_adam_matches_loop_with_missing_gradients(seed, has_grad):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_adam_matches_loop(seed, steps):
     rng = np.random.default_rng(seed)
     # four parameters: enc.0.W (3, 3), enc.0.b (3,), cls.W (3, 2), cls.b (2,)
     model = Model(3, 2, ModelSpec(encoder_hidden=(3,), head_hidden=0), rng)
@@ -491,13 +485,9 @@ def test_adam_matches_loop_with_missing_gradients(seed, has_grad):
                    for name, p in fast_params.items()}
     fast, slow = Adam(lr=0.05), LoopAdam(lr=0.05)
     model, flat = Model.lockstep([model])
-    for flags in has_grad:
-        grads = {p.node_id: rng.standard_normal(p.shape)
-                 for p, flag in zip(fast_params.values(), flags) if flag}
-        before = {name: p.data.copy() for name, p in fast_params.items()}
+    for _ in range(steps):
+        grads = {p.node_id: rng.standard_normal(p.shape) for p in fast_params.values()}
         flat = model.descend([fast], flat, grads)
         slow.step(slow_params, grads)
-        for i, name in enumerate(fast_params):
+        for name in fast_params:
             assert np.array_equal(fast_params[name].data, slow_params[name].data)
-            if not flags[i]:
-                assert np.array_equal(fast_params[name].data, before[name])

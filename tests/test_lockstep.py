@@ -219,7 +219,7 @@ def model_steps(models, runs_views, labels, positives, z_pre, noise, cfg, steps)
         with Tape() as tape:
             cell.watch(tape)
             z1, z2 = cell.embed([stack(v) for v in zip(*runs_views)], training=True)
-            batch = ContrastBatch(z=z1, labels=stack(labels), domains=stack(labels), z_alt=z2,
+            batch = ContrastBatch(z=z1, labels=stack(labels), z_alt=z2,
                                   z_pre=stack(z_pre), positive_assignment=stack(positives))
             breakdown = total_loss(batch, cell.logits(z1), cfg, gen=cell.parameters(),
                                    noise=stack(noise))
@@ -376,6 +376,34 @@ def test_a_cell_steps_each_runs_adam_once_per_step(monkeypatch):
                      "total_loss": steps, "embed": steps + anchor_steps}, (
         "perfbench's tracer spans these hooks per step: changing their counts must change "
         "perfbench first")
+
+
+@pytest.mark.parametrize("model", [
+    ModelSpec(encoder_hidden=(12,), embed_dim=6, head_hidden=12, batchnorm=True),
+    ModelSpec(encoder_hidden=(12,), embed_dim=6, head_hidden=12, batchnorm=False),
+    ModelSpec(encoder_hidden=(12,), embed_dim=6, head_hidden=0),
+], ids=["batchnorm", "no-batchnorm", "no-head"])
+def test_every_descent_has_a_gradient_for_every_parameter(monkeypatch, model):
+    """`Model.descend` reads a gradient for each parameter of its cell, so
+    every loss that trains a cell, and every anchor build, must reach every
+    parameter."""
+    from dccl import nets
+
+    descend, descents = nets.Model.descend, []
+
+    def checked(cell, adams, flat, grads):
+        missing = [name for name, t in cell.parameters().items() if t.node_id not in grads]
+        assert not missing, f"no gradient for {missing}"
+        descents.append(cell)
+        return descend(cell, adams, flat, grads)
+
+    monkeypatch.setattr(nets.Model, "descend", checked)
+    cfg = cell_config(model=model, optim=OptimConfig(lr=1e-3, steps=2, batch_size=9,
+                                                     eval_every=2),
+                      anchor=AnchorConfig(steps=2, batch_size=12))
+    ablation_grid(cfg, seeds=(0,))
+    # two anchor steps, then two steps of each of the six cells of the default rows
+    assert len(descents) == 2 + 2 * 6
 
 
 def test_a_cell_takes_runs_of_one_loss_structure():

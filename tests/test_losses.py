@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +9,8 @@ from dccl import losses
 from dccl.autodiff import (DegenerateInputError, ShapeError, Tape, Tensor,
                            softmax_cross_entropy)
 from dccl.losses import (ANCHOR_POSITIVE, ContrastBatch, LossConfig, gen_loss, infonce_loss,
-                         mix_anchor_positives, sample_positives_cdc, total_loss)
+                         mix_anchor_positives, resolve_positives, sample_positives_cdc,
+                         total_loss)
 from conftest import generator_tensors, max_rel_err, numerical_gradient
 from elementary import l2_normalize
 
@@ -16,15 +19,11 @@ def normalize_rows(x):
     return x / np.sqrt(np.sum(x * x, axis=1, keepdims=True))
 
 
-def make_batch(z_raw, z_alt_raw, labels, domains=None, assignment=None,
-               z_pre_raw=None):
-    n = len(labels)
-    domains = domains if domains is not None else np.zeros(n, dtype=int)
+def make_batch(z_raw, z_alt_raw, labels, assignment=None, z_pre_raw=None):
     return ContrastBatch(
         z=Tensor(normalize_rows(z_raw)),
         z_alt=Tensor(normalize_rows(z_alt_raw)),
         labels=np.asarray(labels),
-        domains=np.asarray(domains),
         z_pre=None if z_pre_raw is None else normalize_rows(z_pre_raw),
         positive_assignment=assignment,
     )
@@ -129,20 +128,20 @@ def test_anchor_negatives_needs_z_pre():
 
 def test_anchor_negatives_gradient_matches_fd():
     for trial in range(5):
-        z_raw, z_alt_raw, labels, domains, assignment, z_pre = random_resolved_inputs(
+        z_raw, z_alt_raw, labels, assignment, z_pre = random_resolved_inputs(
             700 + trial, n=5, d=3, with_anchor=True)
         cfg = LossConfig(temperature=0.2, cdc_enabled=True, pma_enabled=True,
                          anchor_negatives=True)
         with Tape() as tape:
             zr = tape.watch(Tensor(z_raw))
             batch = ContrastBatch(z=l2_normalize(zr), z_alt=l2_normalize(Tensor(z_alt_raw)),
-                                  labels=labels, domains=domains, z_pre=z_pre,
+                                  labels=labels, z_pre=z_pre,
                                   positive_assignment=assignment)
             loss = infonce_loss(batch, cfg)
         analytic = tape.gradients(loss)[zr.node_id]
 
         def value():
-            batch = make_batch(z_raw, z_alt_raw, labels, domains, assignment, z_pre)
+            batch = make_batch(z_raw, z_alt_raw, labels, assignment, z_pre)
             return infonce_loss(batch, cfg).item()
 
         assert max_rel_err(analytic, numerical_gradient(value, z_raw)) <= 1e-4
@@ -162,23 +161,30 @@ def test_anchor_positive_value():
 
 # --- positive sampling ---------------------------------------------------------
 
+def test_objective_takes_no_domain_labels():
+    # CDC draws a same-class positive whatever its domain, so no domain
+    # label reaches the objective: they enter training only through the
+    # per-domain batch balance, the held-out leak check and the batch counts
+    for fn in (resolve_positives, sample_positives_cdc, total_loss):
+        assert "domains" not in inspect.signature(fn).parameters, fn.__name__
+    assert "domains" not in {f.name for f in dataclasses.fields(ContrastBatch)}
+
+
 def test_cdc_two_member_class_forced():
     labels = np.array([0, 0])
-    domains = np.array([0, 1])
     rng = np.random.default_rng(0)
-    assignment = sample_positives_cdc(labels, domains, rng)
+    assignment = sample_positives_cdc(labels, rng)
     assert list(assignment) == [1, 0]
 
 
 def test_cdc_uniform_over_eligible():
     labels = np.array([0, 0, 0, 0, 0, 1, 1])
-    domains = np.array([0, 1, 2, 0, 1, 0, 1])
     rng = np.random.default_rng(42)
     counts = np.zeros(7)
     trials = 100_000
     for _ in range(trials):
         # track the draw for sample 0, a member of the 5-strong class
-        pick = sample_positives_cdc(labels, domains, rng)[0]
+        pick = sample_positives_cdc(labels, rng)[0]
         counts[pick] += 1
     freq = counts[1:5] / trials
     assert np.all(np.abs(freq - 0.25) <= 0.01)
@@ -187,8 +193,7 @@ def test_cdc_uniform_over_eligible():
 
 def test_cdc_singleton_falls_back_to_self():
     labels = np.array([0, 1, 1])
-    domains = np.array([0, 1, 0])
-    assignment = sample_positives_cdc(labels, domains, np.random.default_rng(1))
+    assignment = sample_positives_cdc(labels, np.random.default_rng(1))
     assert assignment[0] == 0
     assert assignment[1] == 2 and assignment[2] == 1
 
@@ -196,8 +201,8 @@ def test_cdc_singleton_falls_back_to_self():
 def test_cdc_never_crosses_classes(rng):
     for _ in range(50):
         labels = rng.integers(0, 4, 20)
-        domains = rng.integers(0, 3, 20)
-        assignment = sample_positives_cdc(labels, domains, rng)
+        rng.integers(0, 3, 20)  # unused: keeps the later draws of this stream
+        assignment = sample_positives_cdc(labels, rng)
         assert np.all(labels[assignment] == labels)
 
 
@@ -243,13 +248,13 @@ def random_resolved_inputs(seed, n=5, d=4, with_anchor=False):
     z_raw = rng.standard_normal((n, d)) + 0.1
     z_alt_raw = rng.standard_normal((n, d)) + 0.1
     labels = rng.integers(0, 2, n)
-    domains = rng.integers(0, 2, n)
-    assignment = sample_positives_cdc(labels, domains, rng)
+    rng.integers(0, 2, n)  # unused: keeps the later draws of this stream
+    assignment = sample_positives_cdc(labels, rng)
     z_pre = None
     if with_anchor:
         z_pre = normalize_rows(rng.standard_normal((n, d)))
         assignment = mix_anchor_positives(assignment, 0.5, rng)
-    return z_raw, z_alt_raw, labels, domains, assignment, z_pre
+    return z_raw, z_alt_raw, labels, assignment, z_pre
 
 
 def test_total_equals_erm_when_all_flags_off():
@@ -257,20 +262,20 @@ def test_total_equals_erm_when_all_flags_off():
     logits = Tensor(rng.standard_normal((6, 3)))
     labels = rng.integers(0, 3, 6)
     batch = ContrastBatch(z=Tensor(normalize_rows(rng.standard_normal((6, 4)))),
-                          labels=labels, domains=np.zeros(6, dtype=int))
+                          labels=labels)
     breakdown = total_loss(batch, logits, LossConfig())
     assert breakdown.total.item() == softmax_cross_entropy(logits, labels).item()
     assert breakdown.contrast == 0.0 and breakdown.gen == 0.0
 
 
 def test_breakdown_terms_sum_to_total():
-    z_raw, z_alt_raw, labels, domains, assignment, z_pre = random_resolved_inputs(
+    z_raw, z_alt_raw, labels, assignment, z_pre = random_resolved_inputs(
         3, with_anchor=True)
     gen = generator_tensors(4)
     rng = np.random.default_rng(5)
     logits = Tensor(rng.standard_normal((5, 2)))
     noise = rng.standard_normal((5, 4))
-    batch = make_batch(z_raw, z_alt_raw, labels, domains, assignment, z_pre)
+    batch = make_batch(z_raw, z_alt_raw, labels, assignment, z_pre)
     cfg = LossConfig(contrast_weight=1.0, gen_weight=0.05, cdc_enabled=True,
                      pma_enabled=True, gt_enabled=True)
     breakdown = total_loss(batch, logits, cfg, gen=gen, noise=noise)
@@ -285,10 +290,10 @@ def test_breakdown_terms_sum_to_total():
 
 
 def test_contrast_contribution_scales_exactly_with_lambda():
-    z_raw, z_alt_raw, labels, domains, assignment, _ = random_resolved_inputs(8)
+    z_raw, z_alt_raw, labels, assignment, _ = random_resolved_inputs(8)
     rng = np.random.default_rng(9)
     logits = Tensor(rng.standard_normal((5, 2)))
-    batch = make_batch(z_raw, z_alt_raw, labels, domains, assignment)
+    batch = make_batch(z_raw, z_alt_raw, labels, assignment)
     for scale in (2.0, 4.0, 0.5):
         low = total_loss(batch, logits, LossConfig(contrast_weight=1.0, cdc_enabled=True))
         high = total_loss(batch, logits, LossConfig(contrast_weight=scale, cdc_enabled=True))
@@ -325,8 +330,8 @@ def test_config_validation():
 
 # --- gradient oracle -----------------------------------------------------------
 
-def contrast_loss_value(z_raw, z_alt_raw, labels, domains, assignment, z_pre, cfg):
-    batch = make_batch(z_raw, z_alt_raw, labels, domains, assignment, z_pre)
+def contrast_loss_value(z_raw, z_alt_raw, labels, assignment, z_pre, cfg):
+    batch = make_batch(z_raw, z_alt_raw, labels, assignment, z_pre)
     return infonce_loss(batch, cfg)
 
 
@@ -334,7 +339,7 @@ def contrast_loss_value(z_raw, z_alt_raw, labels, domains, assignment, z_pre, cf
 @pytest.mark.parametrize("with_anchor", [False, True])
 def test_contrast_gradients_match_fd(mode, with_anchor):
     for trial in range(8):
-        z_raw, z_alt_raw, labels, domains, assignment, z_pre = random_resolved_inputs(
+        z_raw, z_alt_raw, labels, assignment, z_pre = random_resolved_inputs(
             100 + trial, n=6, d=3, with_anchor=with_anchor)
         cfg = LossConfig(temperature=0.2, cdc_enabled=True, pma_enabled=with_anchor,
                          denominator_mode=mode)
@@ -343,14 +348,14 @@ def test_contrast_gradients_match_fd(mode, with_anchor):
             za = tape.watch(Tensor(z_alt_raw))
             batch = ContrastBatch(
                 z=l2_normalize(zr), z_alt=l2_normalize(za),
-                labels=labels, domains=domains, z_pre=z_pre,
+                labels=labels, z_pre=z_pre,
                 positive_assignment=assignment)
             loss = infonce_loss(batch, cfg)
         grads = tape.gradients(loss)
 
         def value():
-            return contrast_loss_value(z_raw, z_alt_raw, labels, domains,
-                                       assignment, z_pre, cfg).item()
+            return contrast_loss_value(z_raw, z_alt_raw, labels, assignment, z_pre,
+                                       cfg).item()
 
         assert max_rel_err(grads[zr.node_id], numerical_gradient(value, z_raw)) <= 1e-4
         assert max_rel_err(grads[za.node_id], numerical_gradient(value, z_alt_raw)) <= 1e-4

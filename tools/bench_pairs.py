@@ -14,6 +14,8 @@ and `gain`: whether, over at least `MIN_PAIRS` pairs, the change won at
 least nine tenths of them and its median beats the parent's by more than
 the parent's interquartile range.  Each run's `correct`, `attempted` and `failed` counts are kept
 beside them.  Quartiles are `statistics.quantiles(..., method="inclusive")`.
+`meta.parent` and `meta.change` each record their tree's `src_lines`, the
+line count of `src/dccl/*.py`.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ def compare(parent, change, better):
     return {"parent": p, "change": c, "won": won, "lost": lost,
             "gain": (len(parent) >= MIN_PAIRS and won >= 0.9 * len(parent)
                      and gap > p["q3"] - p["q1"])}
+
+
+def src_lines(tree):
+    """The line count of `src/dccl/*.py` in `tree`, as `cat src/dccl/*.py | wc -l`
+    gives it."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "dccl").glob("*.py"))
 
 
 def git(*args, cwd=ROOT):
@@ -131,9 +139,11 @@ def main(argv=None):
     meta = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
             "seconds": seconds,
             "change": {"commit": git("rev-parse", "HEAD"),
-                       "uncommitted_changes": bool(git("status", "--porcelain"))}}
+                       "uncommitted_changes": bool(git("status", "--porcelain")),
+                       "src_lines": src_lines(ROOT)}}
     with worktree(args.parent) as parent_tree:
-        meta["parent"] = {"ref": args.parent, "commit": git("rev-parse", "HEAD", cwd=parent_tree)}
+        meta["parent"] = {"ref": args.parent, "commit": git("rev-parse", "HEAD", cwd=parent_tree),
+                          "src_lines": src_lines(parent_tree)}
         results, first = run_pairs({"parent": parent_tree, "change": ROOT}, args.workload,
                                    args.seed, seconds, args.pairs)
     out = report(results, first, bench["end_to_end"], meta)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import options
-from .autodiff import DegenerateInputError
+from .autodiff import DegenerateInputError, ShapeError
 from .config import ConfigError, config_snapshot, experiment_config, load_config
 from .connectivity import connectivity_report
 from .formats import (FormatError, load_checkpoint, read_dataset, read_embeddings,
@@ -246,7 +246,7 @@ def main(argv=None):
     except (ConfigError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingDiverged, DegenerateInputError) as exc:
+    except (TrainingDiverged, DegenerateInputError, ShapeError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -12,12 +12,13 @@ one row at a time, into one condensed k(k-1)/2 vector per group (8 bytes
 per pair, and no second copy).  A group of at least 2^19 pairs (k of
 1025 or more) is filled on one thread per available CPU
 (`os.sched_getaffinity`, else `os.cpu_count`), at most one per 2^18
-pairs: each thread fills a contiguous range of rows holding about the
-same number of pairs, into its own slice of the vector, through its own
-row buffer of at most (k-1) d floats.  Every row is the same `_distances`
-call on any thread, so the bits do not depend on the split, and every
-thread is joined before the fill returns.  Smaller groups, such as the
-160-point reports of a training run, fill on the calling thread.
+pairs: each fills a contiguous range of rows of about the same number of
+pairs, into its own slice of the vector, through its own row buffer of
+at most (k-1) d floats.  The caller fills the first range and a thread
+pool the others, in copies of the caller's context (`np.errstate`).
+Every row is the same `_distances` call on any thread, so the bits do
+not depend on the split.  Smaller groups, such as the 160-point reports
+of a training run, fill on the calling thread without loading the pool.
 
 Prim's MST then reads its rows from the vector: per step one gather for
 the joining point's column, one slice for its row, and a minimum, a
@@ -28,10 +29,8 @@ whole vector in place, which is what fixes their last bits.
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,44 +120,16 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _run_joined(tasks):
-    """Run `tasks` (no-argument callables) at once: the first on this
-    thread, each other on a thread of its own that sees this thread's
-    context variables (numpy's error state among them).  Every thread is
-    joined before this returns or raises, and the first exception a task
-    raised is re-raised."""
-    errors = []
-
-    def guarded(task):
-        try:
-            task()
-        except BaseException as exc:  # handed to the caller below
-            errors.append(exc)
-
-    threads = []
-    try:
-        for task in tasks[1:]:
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(guarded, task))
-            thread.start()
-            threads.append(thread)
-        tasks[0]()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def condensed_distances(points):
     """The k(k-1)/2 pairwise Euclidean distances of `points` in
     `np.triu_indices` row-major order, filled one row at a time.
 
     When min(available CPUs, pairs // THREAD_PAIRS) is 2 or more, the rows
     are split into that many contiguous ranges of about equal pair counts,
-    each filled on its own thread into its own slice of the vector.  Each
-    row is the same `_distances` call either way, so the bits do not
-    depend on the split."""
+    each filled into its own slice of the vector: the first on this
+    thread, the others on a pool joined before this returns or raises the
+    lowest failing range's error.  Each row is the same `_distances` call
+    either way, so the bits do not depend on the split."""
     points = np.asarray(points, dtype=np.float64)
     k = len(points)
     dists = np.empty(k * (k - 1) // 2)
@@ -166,10 +137,17 @@ def condensed_distances(points):
     if parts < 2:
         _fill_rows(points, dists, 0, k - 1)
         return dists
+    from concurrent.futures import ThreadPoolExecutor
+
     cuts = np.searchsorted(_row_starts(k), [len(dists) * j // parts for j in range(1, parts)])
     bounds = [0, *cuts.tolist(), k - 1]
-    _run_joined([functools.partial(_fill_rows, points, dists, a, b)
-                 for a, b in zip(bounds, bounds[1:])])
+    # each pool range runs in a copy of this thread's context: numpy's error state
+    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _fill_rows, points, dists, a, b)
+                   for a, b in zip(bounds[1:], bounds[2:])]
+        _fill_rows(points, dists, 0, bounds[1])
+        for future in futures:
+            future.result()
     return dists
 
 

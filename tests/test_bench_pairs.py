@@ -73,18 +73,19 @@ def test_pairs_alternate_which_side_goes_first(monkeypatch):
         3, False)
 
 
-def test_worktree_is_removed_when_the_run_fails(tmp_path):
-    repo = tmp_path / "repo"
-    repo.mkdir()
-
-    def git(*args):
-        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+def committed_repo(path, name, text):
+    """A git repository at `path` whose one commit holds the file `name`."""
+    path.mkdir()
+    (path / name).parent.mkdir(parents=True, exist_ok=True)
+    (path / name).write_text(text)
+    for args in (["init", "-q"], ["add", name], ["commit", "-q", "-m", "parent"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=path,
                        check=True, capture_output=True)
+    return path
 
-    git("init", "-q")
-    (repo / "file.txt").write_text("parent\n")
-    git("add", "file.txt")
-    git("commit", "-q", "-m", "parent")
+
+def test_worktree_is_removed_when_the_run_fails(tmp_path):
+    repo = committed_repo(tmp_path / "repo", "file.txt", "parent\n")
     with pytest.raises(RuntimeError, match="benchmark failed"):
         with bench_pairs.worktree("HEAD", repo=repo) as tree:
             assert (tree / "file.txt").read_text() == "parent\n"
@@ -104,3 +105,11 @@ def test_src_lines_counts_the_lines_of_the_package_modules(tmp_path):
     (tmp_path / "src" / "other.py").write_text("not counted\n")
     # `wc -l` counts newlines: 3 + 2
     assert bench_pairs.src_lines(tmp_path) == 5
+
+
+def test_uncommitted_changes_leave_out_the_bench_files(tmp_path):
+    repo = committed_repo(tmp_path / "repo", "src/dccl/a.py", "x = 1\n")
+    (repo / "BENCH_x.json").write_text("{}\n")
+    assert bench_pairs.uncommitted_changes(repo) is False
+    (repo / "src" / "dccl" / "a.py").write_text("x = 2\n")
+    assert bench_pairs.uncommitted_changes(repo) is True

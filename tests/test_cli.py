@@ -1,11 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dccl
 from dccl import autodiff as ad
 from dccl.cli import main
 from dccl.config import (SCHEMA, ConfigError, experiment_config, load_config,
@@ -372,6 +376,16 @@ def test_degenerate_input_during_training_is_runtime_failure(tmp_path, capsys, m
     assert "runtime failure: cannot normalize" in capsys.readouterr().err
 
 
+def test_start_up_never_loads_the_executor():
+    """`concurrent.futures` costs every command about 12 ms of imports, so
+    only the code that fans work out imports it, where it does."""
+    code = "import sys, dccl.cli; print('concurrent.futures' in sys.modules)"
+    src = str(Path(dccl.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
 def leak():
     raise RuntimeError("held-out domain 1 leaked into a training batch")
 
@@ -382,7 +396,11 @@ def leak():
      "softmax_cross_entropy column index out of range [0, 3)"),
     (lambda: ad._check_rows(np.array([8]), 8, "contrastive_term"),
      "contrastive_term row index out of range [0, 8)"),
-], ids=["leak", "cols", "rows"])
+    # a ShapeError is a ValueError, but every width a user sets is checked
+    # before the tape sees it, so one that reaches `main` is an internal fault
+    (lambda: ad.Tensor(np.zeros((2, 0))), "tensor dimensions must be strictly positive, "
+                                          "got (2, 0)"),
+], ids=["leak", "cols", "rows", "shape"])
 def test_other_failure_during_training_is_one_runtime_failure_line(tmp_path, capsys,
                                                                    monkeypatch, fail, message):
     from dccl import cli

@@ -305,28 +305,30 @@ def test_threaded_report_equals_the_serial_report(rng, monkeypatch):
     assert len(ranges) == 2 * (3 + 6)
 
 
-@pytest.mark.parametrize("part", [0, 1, 2])
+@pytest.mark.parametrize("parts", [[0], [1], [2], [1, 2]], ids=["0", "1", "2", "1-and-2"])
 def test_fill_error_in_any_thread_propagates_and_no_thread_outlives_it(rng, monkeypatch,
-                                                                       part):
+                                                                       parts):
     pts = rng.standard_normal((40, 3))
     ranges = force_fill(monkeypatch, 1, 3)
     cn.condensed_distances(pts)
-    first = sorted(ranges)[part][0]
+    firsts = [sorted(ranges)[part][0] for part in parts]
     distances, on_main = cn._distances, []
 
     def failing(point, others, buf, out):
-        if len(pts) - 1 - len(others) == first:
+        row = len(pts) - 1 - len(others)
+        if row in firsts:
             on_main.append(threading.current_thread() is threading.main_thread())
-            raise RuntimeError(f"row {first} failed")
+            raise RuntimeError(f"row {row} failed")
         return distances(point, others, buf, out)
 
     monkeypatch.setattr(cn, "_distances", failing)
     threads_before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"row {first} failed"):
+    # when several ranges fail, the lowest one's error is raised
+    with pytest.raises(RuntimeError, match=f"^row {firsts[0]} failed$"):
         cn.condensed_distances(pts)
     assert threading.active_count() == threads_before
     # the first range fills on the calling thread, the others on their own
-    assert on_main == [part == 0]
+    assert on_main == [part == 0 for part in parts]
 
 
 @pytest.mark.parametrize("mode", ["pooled", "per-domain"])

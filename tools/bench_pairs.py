@@ -15,7 +15,8 @@ least nine tenths of them and its median beats the parent's by more than
 the parent's interquartile range.  Each run's `correct`, `attempted` and `failed` counts are kept
 beside them.  Quartiles are `statistics.quantiles(..., method="inclusive")`.
 `meta.parent` and `meta.change` each record their tree's `src_lines`, the
-line count of `src/dccl/*.py`.
+line count of `src/dccl/*.py`; `meta.change.uncommitted_changes` says
+whether this tree differs from its HEAD in anything but BENCH_*.json.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ def src_lines(tree):
 def git(*args, cwd=ROOT):
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def uncommitted_changes(repo=ROOT):
+    """Whether `repo` differs from its HEAD, leaving out the BENCH_*.json
+    files this script writes at its root."""
+    return bool(git("status", "--porcelain", "--", ".", ":(exclude)BENCH_*.json", cwd=repo))
 
 
 @contextlib.contextmanager
@@ -139,7 +146,7 @@ def main(argv=None):
     meta = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
             "seconds": seconds,
             "change": {"commit": git("rev-parse", "HEAD"),
-                       "uncommitted_changes": bool(git("status", "--porcelain")),
+                       "uncommitted_changes": uncommitted_changes(),
                        "src_lines": src_lines(ROOT)}}
     with worktree(args.parent) as parent_tree:
         meta["parent"] = {"ref": args.parent, "commit": git("rev-parse", "HEAD", cwd=parent_tree),

@@ -1,10 +1,11 @@
-"""Golden SHA-256 hashes of the artifacts of five small CLI runs.
+"""Golden SHA-256 hashes of the artifacts of eight small CLI runs.
 
 A change that keeps these hashes keeps every output byte: the training
 curve, the selected checkpoint, the config snapshot (which also pins all
 config key names and defaults), the leave-one-domain-out table and run
 directories, the ablation summary, the grid anchor, and embedding dumps
-of the trained model and of the grid anchor.  The
+of the trained model and of the grid anchor, the two-domain toy dump
+and the `toy` command's output.  The
 initial-model pins fix the draws and the array order of a freshly built
 `Model`, with and without the head and the generator.  A change that
 moves them on purpose must say why and replace the hashes.
@@ -145,6 +146,14 @@ DUMP_HASH = "03a6fc399f3896f401b6f7a3083d3aa7ded5a56cbcd0604c6f48156cc59ecf80"
 
 ANCHOR_DUMP_HASH = "67fe1b51f777e4657e1a3d7e105d3d9d9c879672956f90f5c3b21d259a836a38"
 
+# the two-domain toy family: its dataset dump, and the stdout of `dccl toy`
+# per variant; no matrix product is involved, so these hold on any kernel
+EXAMPLE31_DUMP_HASH = "032e769c8e3d2c4d43d05442dec69d288bb60d24b346ed1051ebf81663dc7f9e"
+TOY_STDOUT_HASHES = {
+    "weak": "5ccfdc553166ef6b832710dc6070a190c29e1d8e1621ebebd655eab96c37863e",
+    "aggressive": "c3f1207e40f31330c5922f50db524f7c276d899a3a1de546de369316e24fa63b",
+}
+
 ENCODER = ["enc.0.W", "enc.0.b", "enc.1.W", "enc.1.b"]
 HEAD = ["head.l1.W", "head.l1.b", "head.l2.W", "head.l2.b"]
 BN = ["head.bn.gamma", "head.bn.beta"]
@@ -246,6 +255,19 @@ def test_loo_hashes(workdir, capsys):
     # the grid's anchor: same data, model and anchor settings as the ablate run
     anchor = "anchors/anchor_seed0.txt"
     assert sha256(loo_dir.parent / anchor) == ABLATE_HASHES[anchor], kernel_note()
+
+
+def test_example31_dump_hash(workdir, capsys):
+    assert main(["gen-data", "--kind", "example31", "--n-per-class", "8", "--seed", "3",
+                 "--out", "example31.txt"]) == 0
+    assert sha256(workdir / "example31.txt") == EXAMPLE31_DUMP_HASH
+
+
+@pytest.mark.parametrize("variant", sorted(TOY_STDOUT_HASHES))
+def test_toy_stdout_hashes(variant, capsys):
+    assert main(["toy", "--variant", variant, "--n", "16", "--seed", "5"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == TOY_STDOUT_HASHES[variant]
 
 
 @pytest.mark.parametrize("spec, checksum, param_names, stat_names", INITIAL_MODELS)

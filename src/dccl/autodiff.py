@@ -103,11 +103,6 @@ def _tape_stack():
     return stack
 
 
-def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
 class Tensor:
     """Dense float64 value, optionally linked into the active gradient tape.
 
@@ -240,8 +235,9 @@ def _emit(out_data, parents, backward_rule):
     """The output Tensor of an op, recorded on the active tape if a parent
     is on it.  A list of arrays is an op with one output per array: it
     returns a list of Tensors, and its rule takes a list of gradients."""
-    tape = active_tape()
-    if tape is not None:
+    stack = _tape_stack()
+    if stack:
+        tape = stack[-1]
         known = tape._known
         for p in parents:
             if p.node_id in known:

@@ -79,7 +79,8 @@ def _read_table(path, magic, what, keys, n_ids, ranges=()):
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(magic):
+    # the magic ends at a space or at the end of the line: "v12" is not "v1"
+    if not lines or lines[0][:len(magic) + 1] not in (magic, magic + " "):
         raise FormatError(f"{path}: missing {what} header")
     header = _key_values(lines[0][len(magic):].split())
     try:

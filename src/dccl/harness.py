@@ -107,8 +107,7 @@ class ExperimentConfig:
         n_domains = self.dataset.domain_count
         if not 0 <= self.holdout < n_domains:
             raise ValueError(f"holdout domain {self.holdout} outside [0, {n_domains})")
-        if n_domains > 1:
-            check_batch_size(self.optim.batch_size, n_domains - 1)
+        check_batch_size(self.optim.batch_size, n_domains - 1)
         return self
 
     @property

@@ -107,11 +107,6 @@ def sample_positives_cdc(labels, rng):
     return assignment
 
 
-def self_positives(n):
-    """Every sample's positive is its own second augmentation view."""
-    return np.arange(n, dtype=np.int64)
-
-
 def mix_anchor_positives(assignment, pma_probability, rng):
     """Independently replace each positive with the sample's anchor embedding.
 
@@ -187,11 +182,11 @@ def total_loss(batch, logits, cfg, gen=None, noise=None):
 
 def resolve_positives(cfg, labels, rng):
     """Positive assignment for a batch under the configured flags."""
-    n = len(labels)
     if cfg.cdc_enabled:
         assignment = sample_positives_cdc(labels, rng)
     else:
-        assignment = self_positives(n)
+        # every sample's positive is its own second augmentation view
+        assignment = np.arange(len(labels), dtype=np.int64)
     if cfg.pma_enabled:
         assignment = mix_anchor_positives(assignment, cfg.pma_probability, rng)
     return assignment

@@ -159,28 +159,25 @@ class Model:
     def embed(self, x, training=False):
         """Unit-norm embeddings of a batch, as a Tensor.
 
-        In training mode `x` may also be a list of equal-shape batches, the
-        views of one step; a list of Tensors comes back, one per view.  All
-        views are embedded as one tape op, `ad.embed_views`: batch norm
-        uses each view's batch statistics and moves the running ones
-        (momentum `BN_MOMENTUM`) view by view, in view order.  A cell
-        takes each view as one (R, n, d) batch per run.  Evaluation
-        mode is a plain numpy walk over the same layers, with batch norm
-        from the running statistics and rows normalized by
-        `ad.normalize_rows`.  It records nothing, even under an active
-        tape that watches the parameters, so no gradient flows through
-        it.  The package embeds in that mode for the anchor's embeddings,
-        validation and test accuracy, and connectivity."""
-        views = x if isinstance(x, list) else [x]
+        In training mode `x` is one (n, d) array, or a list of equal-shape
+        arrays, the views of one step; a list of Tensors comes back, one
+        per view.  A cell takes each view as one (R, n, d) array, a batch
+        per run.  All views are embedded as one tape op, `ad.embed_views`:
+        batch norm uses each view's batch statistics and moves the running
+        ones (momentum `BN_MOMENTUM`) view by view, in view order.
+        Evaluation mode takes one array of rows and is a plain numpy walk
+        over the same layers, with batch norm from the running statistics
+        and rows normalized by `ad.normalize_rows`.  It records nothing,
+        even under an active tape that watches the parameters, so no
+        gradient flows through it.  The package embeds in that mode for the
+        anchor's embeddings, validation and test accuracy, and
+        connectivity."""
         if training:
-            xs = [v.data if isinstance(v, Tensor) else v for v in views]
-            for v in xs:
+            views = x if isinstance(x, list) else [x]
+            for v in views:
                 self._check_width(np.shape(v))
-            # the views stacked, each at least 2-d
-            xs = np.array(xs, dtype=np.float64)
-            if xs.ndim < 3:
-                xs = xs.reshape(len(views), 1, -1)
-            zs, batch_stats = ad.embed_views(xs, self._layers, BN_EPS)
+            zs, batch_stats = ad.embed_views(np.array(views, dtype=np.float64), self._layers,
+                                             BN_EPS)
             stats, m = self._stats, BN_MOMENTUM
             for mu, var in batch_stats:
                 for v in range(len(views)):
@@ -189,8 +186,7 @@ class Model:
                     stats["head.bn.running_var"] = ((1.0 - m) * stats["head.bn.running_var"]
                                                     + m * var[v])
             return zs if isinstance(x, list) else zs[0]
-        (h,) = views
-        h = np.atleast_2d(np.asarray(h.data if isinstance(h, Tensor) else h, dtype=np.float64))
+        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
         self._check_width(h.shape)
         stats = self._stats
         for W, b, bn, relu in self._layers:
@@ -204,7 +200,7 @@ class Model:
         return Tensor(ad.normalize_rows(h)[0])
 
     def _check_width(self, shape):
-        width = shape[-1] if shape else 1  # a scalar is one row of width 1
+        width = shape[-1]
         if width != self.input_dim:
             raise ad.ShapeError(f"batch width {width} does not match encoder input "
                                 f"width {self.input_dim}")

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# decay rates of the first and second moment estimates, and the term that
+# keeps the update's denominator off zero (Kingma & Ba's defaults)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam over one flat parameter vector.
@@ -15,11 +19,8 @@ class Adam:
     bits of one step per parameter.
     """
 
-    def __init__(self, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=5e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = self.v = None
 
@@ -29,10 +30,9 @@ class Adam:
         if self.m is None:
             self.m, self.v = np.zeros(flat.size), np.zeros(flat.size)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
-        m = b1 * self.m + (1.0 - b1) * grad
-        v = b2 * self.v + (1.0 - b2) * (grad * grad)
-        np.subtract(flat, self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps), out=out)
+        bias1 = 1.0 - BETA1 ** self.t
+        bias2 = 1.0 - BETA2 ** self.t
+        m = BETA1 * self.m + (1.0 - BETA1) * grad
+        v = BETA2 * self.v + (1.0 - BETA2) * (grad * grad)
+        np.subtract(flat, self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS), out=out)
         self.m, self.v = m, v

@@ -58,20 +58,6 @@ class Dataset:
         return np.nonzero(self.domains == domain)[0]
 
 
-def combine(datasets):
-    first = datasets[0]
-    return Dataset(
-        np.concatenate([d.X for d in datasets]),
-        np.concatenate([d.labels for d in datasets]),
-        np.concatenate([d.domains for d in datasets]),
-        first.n_classes,
-        max(d.n_domains for d in datasets),
-        generator=first.generator,
-        params=dict(first.params),
-        seed=first.seed,
-    )
-
-
 def sgn(values):
     """Sign with the sgn(0) := 1 convention."""
     return np.where(np.asarray(values, dtype=np.float64) >= 0.0, 1.0, -1.0)
@@ -109,10 +95,9 @@ def gen_example31_both(n_per_class, seed=0):
     s1, s2 = np.random.SeedSequence(seed).generate_state(2)
     d1 = gen_example31(n_per_class, 1, seed=int(s1))
     d2 = gen_example31(n_per_class, 2, seed=int(s2))
-    ds = combine([d1, d2])
-    ds.seed = seed
-    ds.params = {"n_per_class": n_per_class}
-    return ds
+    return Dataset(np.concatenate([d1.X, d2.X]), np.concatenate([d1.labels, d2.labels]),
+                   np.concatenate([d1.domains, d2.domains]), n_classes=2, n_domains=2,
+                   generator="example31", params={"n_per_class": n_per_class}, seed=seed)
 
 
 def label_sign(class_ids):
@@ -120,7 +105,7 @@ def label_sign(class_ids):
     return 2.0 * np.asarray(class_ids, dtype=np.float64) - 1.0
 
 
-def toy_optimal_map(kind, X, y_sign=None):
+def toy_optimal_map(kind, X, y_sign):
     """Closed-form unit-circle embeddings for the toy family.
 
     kind "weak":       angle = (x1 - sgn(y)) * pi   (needs the label)
@@ -129,12 +114,8 @@ def toy_optimal_map(kind, X, y_sign=None):
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if kind == "weak":
-        if y_sign is None:
-            raise ValueError("the weak map is label-dependent; pass y_sign")
         theta = (X[:, 0] - sgn(y_sign)) * math.pi
     elif kind == "aggressive":
-        if y_sign is None:
-            raise ValueError("the aggressive map needs y_sign")
         theta = (sgn(X[:, 0]) + np.asarray(y_sign, dtype=np.float64)) * (math.pi / 3.0)
     else:
         raise ValueError(f"unknown toy map kind {kind!r}")

@@ -96,6 +96,29 @@ def test_worktree_is_removed_when_the_run_fails(tmp_path):
     assert listed.count("worktree ") == 1
 
 
+def test_the_change_runs_from_a_copy_of_the_tree_as_it_stands(tmp_path):
+    repo = committed_repo(tmp_path / "repo", "src/dccl/a.py", "x = 1\n")
+    (repo / "src" / "dccl" / "a.py").write_text("x = 2\n")          # uncommitted edit
+    (repo / "untracked.txt").write_text("new\n")
+    for left_out in ("BENCH_x.json", "src/dccl/__pycache__/a.pyc", "perfbench/_work/run.txt",
+                     "perfbench/results/r.json", ".hypothesis/db"):
+        (repo / left_out).parent.mkdir(parents=True, exist_ok=True)
+        (repo / left_out).write_text("left out\n")
+    (repo / "perfbench" / "run.py").write_text("kept\n")
+    with pytest.raises(RuntimeError, match="benchmark failed"):
+        with bench_pairs.trees("HEAD", repo=repo) as sides:
+            change = sides["change"]
+            assert change.parent == sides["parent"].parent
+            assert (sides["parent"] / "src" / "dccl" / "a.py").read_text() == "x = 1\n"
+            assert sorted(p.relative_to(change).as_posix() for p in change.rglob("*")
+                          if p.is_file()) == ["perfbench/run.py", "src/dccl/a.py",
+                                              "untracked.txt"]
+            assert (change / "src" / "dccl" / "a.py").read_text() == "x = 2\n"
+            raise RuntimeError("benchmark failed")
+    assert not change.parent.exists()
+    assert (repo / "BENCH_x.json").exists()
+
+
 def test_src_lines_counts_the_lines_of_the_package_modules(tmp_path):
     package = tmp_path / "src" / "dccl"
     package.mkdir(parents=True)

@@ -562,6 +562,14 @@ def test_connectivity_malformed_dump_names_line(tmp_path, capsys):
     assert ":3" in capsys.readouterr().err
 
 
+def test_connectivity_rejects_a_later_dump_version(tmp_path, capsys):
+    dump = tmp_path / "v12.txt"
+    dump.write_text("# dccl-dump v12 dim=2 classes=1 domains=1\n"
+                    "0,0,0,1.0,2.0\n1,0,0,0.5,0.5\n2,0,0,0.0,1.0\n")
+    assert main(["connectivity", "--dump", str(dump)]) == 1
+    assert capsys.readouterr().err == f"error: {dump}: missing embedding dump header\n"
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_connectivity_non_finite_dump_names_line(tmp_path, capsys, bad):
     dump = tmp_path / "bad.txt"

@@ -125,6 +125,23 @@ def test_embedding_dump_round_trips_byte_for_byte(records, more_classes, more_do
         (r.sample_id, r.class_id, r.domain_id, r.vector.tobytes()) for r in records]
 
 
+@pytest.mark.parametrize("version", ["v12", "v1x"])
+@pytest.mark.parametrize("read, what, table", [
+    (formats.read_dataset, "dataset",
+     "# dccl-data {} generator=g domains=1 classes=1 dim=2 seed=0 params=\n0,0,1.0,2.0\n"),
+    (formats.read_embeddings, "embedding dump",
+     "# dccl-dump {} dim=2 classes=1 domains=1\n0,0,0,1.0,2.0\n"),
+], ids=["dataset", "dump"])
+def test_a_later_version_header_is_not_read_as_v1(tmp_path, read, what, table, version):
+    path = tmp_path / "table.txt"
+    path.write_text(table.format(version))
+    with pytest.raises(formats.FormatError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: missing {what} header"
+    path.write_text(table.format("v1"))
+    read(path)  # the same table as v1 reads
+
+
 @PROPERTY
 @given(models())
 def test_checkpoint_round_trips_byte_for_byte(model):

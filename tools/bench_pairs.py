@@ -3,9 +3,11 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --workload loo-full --seed 11 --pairs 10
 
 Checks the parent out with `git worktree add --detach` into a temporary
-directory and runs `python3 perfbench/run.py --workload W --seed S --trace 0` in both
+directory, copies this tree as it stands (uncommitted edits and untracked
+files included) beside it, and runs
+`python3 perfbench/run.py --workload W --seed S --trace 0` in both fresh
 trees, one pair at a time, switching from pair to pair which side goes
-first.  The worktree is removed on every exit path, SIGTERM included.
+first.  Both are removed on every exit path, SIGTERM included.
 
 Writes BENCH_<workload>.json at the root of this tree.  For each
 end-to-end metric of BENCHMARK.json it holds each side's runs, median and
@@ -14,15 +16,16 @@ and `gain`: whether, over at least `MIN_PAIRS` pairs, the change won at
 least nine tenths of them and its median beats the parent's by more than
 the parent's interquartile range.  Each run's `correct`, `attempted` and `failed` counts are kept
 beside them.  Quartiles are `statistics.quantiles(..., method="inclusive")`.
-`meta.parent` and `meta.change` each record their tree's `src_lines`, the
-line count of `src/dccl/*.py`; `meta.change.uncommitted_changes` says
-whether this tree differs from its HEAD in anything but BENCH_*.json.
+`meta.parent` and `meta.change` each record the `src_lines` of the tree
+that ran, the line count of `src/dccl/*.py`; `meta.change.uncommitted_changes`
+says whether this tree differs from its HEAD in anything but BENCH_*.json.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import json
 import shutil
 import signal
@@ -35,6 +38,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 MIN_PAIRS = 10  # fewer pairs never claim a gain
+# left out of the copy of this tree: names at any depth, paths from its root
+SKIP_NAMES = (".git", "__pycache__", ".pytest_cache", ".hypothesis")
+SKIP_PATHS = ("perfbench/_work", "perfbench/results", "BENCH_*.json")
 
 
 def side_summary(runs):
@@ -77,7 +83,7 @@ def uncommitted_changes(repo=ROOT):
 @contextlib.contextmanager
 def worktree(ref, repo=ROOT):
     """A detached checkout of `ref`, removed with its directory on exit."""
-    temp_dir = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    temp_dir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     tree = temp_dir / "tree"
     try:
         git("worktree", "add", "--detach", str(tree), ref, cwd=repo)
@@ -87,6 +93,22 @@ def worktree(ref, repo=ROOT):
                        capture_output=True)
         shutil.rmtree(temp_dir, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=repo, capture_output=True)
+
+
+@contextlib.contextmanager
+def trees(ref, repo=ROOT):
+    """{side: tree}: a detached checkout of `ref` as the parent and a copy
+    of `repo` as it stands as the change, side by side in one temporary
+    directory that is removed on exit."""
+    def skipped(directory, names):
+        rel = Path(directory).relative_to(repo)
+        return [name for name in names if name in SKIP_NAMES
+                or any(fnmatch.fnmatch((rel / name).as_posix(), p) for p in SKIP_PATHS)]
+
+    with worktree(ref, repo=repo) as parent:
+        change = parent.parent / "change"
+        shutil.copytree(repo, change, symlinks=True, ignore=skipped)
+        yield {"parent": parent, "change": change}
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -139,20 +161,20 @@ def parse_args(argv=None):
 
 def main(argv=None):
     args = parse_args(argv)
-    # SIGTERM unwinds like Ctrl-C, through the worktree's cleanup
+    # SIGTERM unwinds like Ctrl-C, through the trees' cleanup
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     meta = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
             "seconds": seconds,
             "change": {"commit": git("rev-parse", "HEAD"),
-                       "uncommitted_changes": uncommitted_changes(),
-                       "src_lines": src_lines(ROOT)}}
-    with worktree(args.parent) as parent_tree:
-        meta["parent"] = {"ref": args.parent, "commit": git("rev-parse", "HEAD", cwd=parent_tree),
-                          "src_lines": src_lines(parent_tree)}
-        results, first = run_pairs({"parent": parent_tree, "change": ROOT}, args.workload,
-                                   args.seed, seconds, args.pairs)
+                       "uncommitted_changes": uncommitted_changes()}}
+    with trees(args.parent) as sides:
+        meta["parent"] = {"ref": args.parent,
+                          "commit": git("rev-parse", "HEAD", cwd=sides["parent"]),
+                          "src_lines": src_lines(sides["parent"])}
+        meta["change"]["src_lines"] = src_lines(sides["change"])
+        results, first = run_pairs(sides, args.workload, args.seed, seconds, args.pairs)
     out = report(results, first, bench["end_to_end"], meta)
     path = ROOT / f"BENCH_{args.workload}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

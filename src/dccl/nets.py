@@ -200,7 +200,7 @@ class Model:
         return Tensor(ad.normalize_rows(h)[0])
 
     def _check_width(self, shape):
-        width = shape[-1]
+        width = shape[-1] if shape else 1  # a scalar is one row of width 1
         if width != self.input_dim:
             raise ad.ShapeError(f"batch width {width} does not match encoder input "
                                 f"width {self.input_dim}")

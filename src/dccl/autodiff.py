@@ -107,9 +107,11 @@ class Tensor:
     """Dense float64 value, optionally linked into the active gradient tape.
 
     A tensor is a constant until a tape watches it (or produces it); the
-    node id is just a name inside whichever tape knows it.  Data arrays
-    are replaced, never mutated in place, so backward closures can safely
-    capture them.
+    node id is just a name inside whichever tape knows it.  Backward
+    closures capture data arrays, so only two places write a model's
+    arrays in place: `nets.Model.descend` steps the parameters once the
+    reverse sweep is done, and training-mode `nets.Model.embed` moves the
+    batch-norm running statistics, which no closure reads.
     """
 
     __slots__ = ("data", "node_id")

@@ -365,11 +365,11 @@ def train_cell(cfgs, anchor=None, run_dirs=None):
     from that run's own streams and under its own toggles, then embeds,
     scores and differentiates all runs at once on a `Model.lockstep`
     cell, whose (R, N) array holds one run's parameters per row, and each
-    run's `Adam` steps its row.  Each run's model views its row again
-    before evaluation, which, with checkpoint selection, the test and the
-    run directory, stays per run, in config order.  A failure in any run
-    raises out of the cell; `_grid_job` then replays the cell one run at a
-    time.
+    run's `Adam` steps its row in place.  Each run's model views its row
+    for the whole run.  Evaluation, with checkpoint selection, the test
+    and the run directory, stays per run, in config order.  A failure in
+    any run raises out of the cell; `_grid_job` then replays the cell one
+    run at a time.
     """
     started = time.perf_counter()
     cfg = cfgs[0]
@@ -395,10 +395,9 @@ def train_cell(cfgs, anchor=None, run_dirs=None):
     connectivity_init = _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False),
                                               cfg.seed)
 
-    models = [run.model for run in runs]
     adams = [Adam(lr=cfg.optim.lr) for _ in runs]
     stacked = len(runs) > 1
-    cell, flat = Model.lockstep(models)
+    cell, flat = Model.lockstep([run.model for run in runs])
     for step in range(1, cfg.optim.steps + 1):
         drawn = [run.draw(dataset, z_pre_all) for run in runs]
         view1, view2, yb, assignment, z_pre, noise = (
@@ -416,12 +415,11 @@ def train_cell(cfgs, anchor=None, run_dirs=None):
         for row in rows:
             if not math.isfinite(row.total):
                 raise TrainingDiverged(step, row.total)
-        flat = cell.descend(adams, flat, tape.gradients(breakdown.total, stacked=stacked))
+        cell.descend(adams, flat, tape.gradients(breakdown.total, stacked=stacked))
         for run, row in zip(runs, rows):
             run.curve.append(row)
 
         if step % cfg.optim.eval_every == 0 or step == cfg.optim.steps:
-            cell.point_runs(models, flat)
             for run in runs:
                 run.evaluate(step, dataset)
 
@@ -600,9 +598,10 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
     it under out_dir when given, and hands every cell of that seed the
     anchor as read back.  It scores each seed's initial connectivity once.
 
-    One worker builds the anchors, then runs the cells in order.
-    `workers` > 1 scores the initial connectivity first, so forked workers
-    inherit it, and runs the cells in a pool of at most one process per
+    One worker builds the anchors, then runs the cells in order; the
+    first cell of each seed scores its initial connectivity.  `workers` > 1
+    scores the initial connectivity first, so forked workers inherit it,
+    and runs the cells in a pool of at most one process per
     cell: first the cells that need no anchor, then, as the parent reads
     back each seed's anchor, that seed's other cells, each group costliest
     first (`_cost`).  An anchor that fails cancels the cells not yet
@@ -639,15 +638,11 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
             cells.append((keys, cfgs, run_dirs))
     anchored = [cfgs[0].needs_anchor for _, cfgs, _ in cells]
     anchors = _grid_anchors(cfg, seeds, out_root) if any(anchored) else ()
-
-    def score_initial_connectivity():
-        for seed in seeds:
-            _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False), seed)
-
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        score_initial_connectivity()
+        for seed in seeds:  # forked workers inherit the memo
+            _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False), seed)
         futures = {}
         with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             def submit(picked, anchor):
@@ -666,7 +661,6 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
             outcomes = [futures[i].result() for i in range(len(cells))]
     else:
         anchors = dict(anchors)
-        score_initial_connectivity()
         outcomes = [_grid_job(cfgs, anchors.get(cfgs[0].seed), run_dirs)
                     for _, cfgs, run_dirs in cells]
     done = {key: outcome for (keys, _, _), results in zip(cells, outcomes)

@@ -5,13 +5,14 @@ One architecture serves everywhere: encoder -> projection head ->
 unit-norm embedding z, with a linear classifier reading z.  A `Model`
 keeps its weights in one parameter table and its batch-norm running
 statistics in one statistics table, keyed by their checkpoint names;
-the forward pass, the optimizer, checkpoints and checksums all read
-those tables.  The anchor is a `Model` of kind "anchor", trained on
-pooled all-domain data and never trained again; its embeddings stand in
-for a large pre-trained model's representation space.  Training steps
-R runs' parameters as the rows of one flat array, which a
-`Model.lockstep` cell views, so that one forward pass, loss and reverse
-sweep serve a lockstep grid cell.
+the forward pass, the optimizer and checkpoints all read those tables.
+The anchor is a `Model` of kind "anchor", trained on pooled all-domain
+data and never trained again; its embeddings stand in for a large
+pre-trained model's representation space.  Training steps R runs'
+parameters in place as the rows of one flat array, which a
+`Model.lockstep` cell and each run's own model view for the whole run,
+so that one forward pass, loss and reverse sweep serve a lockstep grid
+cell.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class Model:
         per view.  A cell takes each view as one (R, n, d) array, a batch
         per run.  All views are embedded as one tape op, `ad.embed_views`:
         batch norm uses each view's batch statistics and moves the running
-        ones (momentum `BN_MOMENTUM`) view by view, in view order.
+        ones in place (momentum `BN_MOMENTUM`) view by view, in view order.
         Evaluation mode takes one array of rows and is a plain numpy walk
         over the same layers, with batch norm from the running statistics
         and rows normalized by `ad.normalize_rows`.  It records nothing,
@@ -178,13 +179,13 @@ class Model:
                 self._check_width(np.shape(v))
             zs, batch_stats = ad.embed_views(np.array(views, dtype=np.float64), self._layers,
                                              BN_EPS)
-            stats, m = self._stats, BN_MOMENTUM
+            m = BN_MOMENTUM
             for mu, var in batch_stats:
+                running_mean, running_var = (self._stats["head.bn.running_mean"],
+                                             self._stats["head.bn.running_var"])
                 for v in range(len(views)):
-                    stats["head.bn.running_mean"] = ((1.0 - m) * stats["head.bn.running_mean"]
-                                                     + m * mu[v])
-                    stats["head.bn.running_var"] = ((1.0 - m) * stats["head.bn.running_var"]
-                                                    + m * var[v])
+                    running_mean[...] = (1.0 - m) * running_mean + m * mu[v]
+                    running_var[...] = (1.0 - m) * running_var + m * var[v]
             return zs if isinstance(x, list) else zs[0]
         h = np.atleast_2d(np.asarray(x, dtype=np.float64))
         self._check_width(h.shape)
@@ -224,41 +225,32 @@ class Model:
         """The cell that trains R runs of one spec in lockstep, and the
         (R, N) array whose rows lay out their parameters for `point`.  The
         cell views that array and stacks the runs' running statistics, so
-        that one `embed`, `logits` and loss serve all R.  A cell of one run
-        is its model, without a run axis."""
+        that one `embed`, `logits` and loss serve all R; each run's model
+        views its row of both, so it sees every step without being pointed
+        again.  A cell of one run is its model, without a run axis."""
         flat = np.array([np.concatenate([t.data.reshape(-1) for t in m._params.values()])
                          for m in models])
+        for model, row in zip(models, flat):
+            model.point(row)
         if len(models) == 1:
-            models[0].point(flat[0])
             return models[0], flat
         cell = copy.copy(models[0])
         cell._params = {name: Tensor(t.data) for name, t in cell._params.items()}
         cell._layers = cell._layers_of(cell._params)
         cell._stats = {name: np.array([m._stats[name] for m in models]) for name in cell._stats}
         cell.point(flat)
+        for r, model in enumerate(models):
+            model._stats = {name: arr[r] for name, arr in cell._stats.items()}
         return cell, flat
 
     def descend(self, adams, flat, grads):
-        """Run r's `adams[r].step` from its row of `flat` and of `grads`
-        (node id -> array, with an entry for every parameter of this cell)
-        to its row of a new (R, N) array, which the cell then views and
-        which is returned."""
-        runs = len(flat)
-        grad = np.concatenate([grads[t.node_id].reshape(runs, -1)
+        """Step run r's row of `flat` in place with `adams[r]` and its row
+        of `grads` (node id -> array, with an entry for every parameter of
+        this cell)."""
+        grad = np.concatenate([grads[t.node_id].reshape(len(flat), -1)
                                for t in self._params.values()], axis=1)
-        following = np.empty_like(flat)
-        for adam, row, g, out in zip(adams, flat, grad, following):
-            adam.step(row, g, out)
-        self.point(following if runs > 1 else following[0])
-        return following
-
-    def point_runs(self, models, flat):
-        """Point each run of this cell at its row of `flat` and of the
-        cell's running statistics."""
-        for r, model in enumerate(models):
-            model.point(flat[r])
-            if model is not self:
-                model._stats = {name: arr[r] for name, arr in self._stats.items()}
+        for adam, row, g in zip(adams, flat, grad):
+            adam.step(row, g)
 
     def parameters(self):
         """The live parameter table, name -> Tensor."""
@@ -296,14 +288,6 @@ class Model:
             else:
                 self._stats[name] = arr
 
-    def checksum(self):
-        digest = hashlib.sha256()
-        for table in ({name: t.data for name, t in self._params.items()}, self._stats):
-            for name in sorted(table):
-                digest.update(name.encode())
-                digest.update(np.ascontiguousarray(table[name]).tobytes())
-        return digest.hexdigest()
-
 
 def dataset_hash(dataset):
     digest = hashlib.sha256()
@@ -338,7 +322,7 @@ def build_anchor(dataset, anchor_cfg, spec, seed):
             loss = ad.softmax_cross_entropy(logits, train.labels[idx])
         if not np.isfinite(loss.item()):
             raise TrainingDiverged(step, loss.item(), what="anchor loss")
-        flat = model.descend(adams, flat, tape.gradients(loss))
+        model.descend(adams, flat, tape.gradients(loss))
     val_acc = model.accuracy(dataset.X[val_idx], dataset.labels[val_idx])
     model.kind = "anchor"
     model.provenance = {"seed": str(seed), "data_hash": dataset_hash(dataset),

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,18 @@ def numerical_gradient(f, x, h=1e-5):
 def generator_tensors(dim):
     """The generator's initial tensors, as a model built `with_gen` holds them."""
     return {name: Tensor(arr) for name, arr in nets.generator(dim).items()}
+
+
+def model_checksum(model):
+    """SHA-256 over a model's parameter and running-statistics tables,
+    each walked in name order, name then array bytes."""
+    digest = hashlib.sha256()
+    tables = ({name: t.data for name, t in model.parameters().items()}, model.stats())
+    for table in tables:
+        for name in sorted(table):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(table[name]).tobytes())
+    return digest.hexdigest()
 
 
 def max_rel_err(analytic, numeric):

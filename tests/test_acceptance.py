@@ -323,7 +323,7 @@ def test_criterion_6_intra_class_variance_vanishes():
         # it, and its zero moments, as they are
         for t in model.parameters().values():
             grads.setdefault(t.node_id, np.zeros(t.data.shape))
-        flat = model.descend(adams, flat, grads)
+        model.descend(adams, flat, grads)
 
     var_final = intra_class_variance(model.embed(dataset.X).data, dataset.labels)
     elapsed = time.perf_counter() - started

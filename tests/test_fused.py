@@ -487,7 +487,7 @@ def test_adam_matches_loop(seed, steps):
     model, flat = Model.lockstep([model])
     for _ in range(steps):
         grads = {p.node_id: rng.standard_normal(p.shape) for p in fast_params.values()}
-        flat = model.descend([fast], flat, grads)
+        model.descend([fast], flat, grads)
         slow.step(slow_params, grads)
         for name in fast_params:
             assert np.array_equal(fast_params[name].data, slow_params[name].data)

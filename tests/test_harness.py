@@ -10,9 +10,12 @@ from dccl.connectivity import connectivity_report
 from dccl.formats import load_checkpoint
 from dccl.harness import (DEFAULT_ROWS, AblationRow, AnchorConfig, AugmentConfig,
                           DatasetSpec, ExperimentConfig, OptimConfig, TrainingDiverged,
-                          ablation_grid, build_run_anchor, collect_embeddings, train)
+                          ablation_grid, build_run_anchor, collect_embeddings, train,
+                          train_cell)
 from dccl.losses import LossConfig
 from dccl.nets import Model, ModelSpec
+
+from conftest import model_checksum
 
 
 def micro_config(**overrides):
@@ -187,10 +190,12 @@ def test_anchor_checksum_constant_across_harness_run():
     cfg = micro_config(loss=LossConfig(pma_enabled=True, gt_enabled=True))
     ds = cfg.dataset.build()
     anchor = build_run_anchor(cfg, ds)
-    checksum = anchor.checksum()
+    checksum = model_checksum(anchor)
     for m in range(3):
         train(replace(cfg, holdout=m), anchor=anchor)
-    assert anchor.checksum() == checksum
+    # a cell steps its runs' parameters in place; none of them is the anchor's
+    train_cell([replace(cfg, holdout=m) for m in range(3)], anchor=anchor)
+    assert model_checksum(anchor) == checksum
 
 
 def test_grid_rows_and_worker_equivalence(tmp_path):

@@ -224,8 +224,7 @@ def model_steps(models, runs_views, labels, positives, z_pre, noise, cfg, steps)
             breakdown = total_loss(batch, cell.logits(z1), cfg, gen=cell.parameters(),
                                    noise=stack(noise))
         totals.append(np.atleast_1d(breakdown.total.data))
-        flat = cell.descend(adams, flat, tape.gradients(breakdown.total, stacked=len(models) > 1))
-    cell.point_runs(models, flat)
+        cell.descend(adams, flat, tape.gradients(breakdown.total, stacked=len(models) > 1))
     return totals, [model.get_state() for model in models]
 
 

@@ -5,10 +5,11 @@ from dccl import autodiff as ad
 from dccl import losses, nets
 from dccl.autodiff import Tape, Tensor
 from dccl.formats import load_checkpoint, save_checkpoint
+from dccl.optim import Adam
 from dccl.synthdata import gen_rotated_gaussians
 
 import elementary as el
-from conftest import generator_tensors, max_rel_err, numerical_gradient
+from conftest import generator_tensors, max_rel_err, model_checksum, numerical_gradient
 
 
 def small_model(seed=0, with_gen=False, batchnorm=True):
@@ -157,7 +158,7 @@ def anchor(pooled_dataset):
 
 def test_anchor_is_deterministic(pooled_dataset, anchor):
     again = nets.build_anchor(pooled_dataset, nets.AnchorConfig(steps=400), ANCHOR_SPEC, 7)
-    assert anchor.checksum() == again.checksum()
+    assert model_checksum(anchor) == model_checksum(again)
     assert again.provenance == anchor.provenance
     x = pooled_dataset.X[:10]
     assert np.array_equal(anchor.embed(x).data, again.embed(x).data)
@@ -187,18 +188,17 @@ def test_anchor_accuracy_on_separable_pool(pooled_dataset, anchor):
 
 
 def test_anchor_checksum_survives_unrelated_training(pooled_dataset, anchor):
-    checksum = anchor.checksum()
+    checksum = model_checksum(anchor)
     # any training step of a *different* model must leave the anchor alone
     model = small_model(seed=1)
     from dccl.autodiff import softmax_cross_entropy
-    from dccl.optim import Adam
 
     with Tape() as tape:
         model.watch(tape)
         logits = model.logits(model.embed(pooled_dataset.X[:8, :2], training=True))
         loss = softmax_cross_entropy(logits, np.zeros(8, dtype=int))
     model.descend([Adam()], nets.Model.lockstep([model])[1], tape.gradients(loss))
-    assert anchor.checksum() == checksum
+    assert model_checksum(anchor) == checksum
 
 
 def test_build_anchor_rejects_empty():
@@ -209,11 +209,31 @@ def test_build_anchor_rejects_empty():
 
 # --- the flat layout ---------------------------------------------------------
 
+def step_cell(cell, flat, runs, steps, seed=0):
+    """`steps` Adam steps of a lockstep cell of `runs` runs on a
+    cross-entropy loss; a parameter it leaves out (the generator's) gets a
+    zero gradient."""
+    rng = np.random.default_rng(seed)
+    adams = [Adam(lr=0.05) for _ in range(runs)]
+    lead = (runs,) if runs > 1 else ()
+    for _ in range(steps):
+        with Tape() as tape:
+            cell.watch(tape)
+            z = cell.embed(rng.standard_normal(lead + (8, 2)), training=True)
+            loss = ad.softmax_cross_entropy(cell.logits(z), rng.integers(0, 3, lead + (8,)))
+        grads = tape.gradients(loss, stacked=runs > 1)
+        for t in cell.parameters().values():
+            grads.setdefault(t.node_id, np.zeros(t.shape))
+        cell.descend(adams, flat, grads)
+
+
 @pytest.mark.parametrize("batchnorm", [True, False])
 def test_flat_layout_round_trips_every_parameter(batchnorm):
     """Table -> flat row -> views gives back every parameter bit for bit,
     each a view of its span of the row, spans in table order; a lockstep
-    cell views the rows of R runs, and `point_runs` gives each run its own."""
+    cell views the rows of R runs, and as it steps them in place each
+    run's model keeps viewing its own row, of the parameters and of the
+    running statistics, without being pointed again."""
     models = [small_model(seed=s, with_gen=True, batchnorm=batchnorm) for s in range(3)]
     for s, model in enumerate(models):
         model.embed(np.random.default_rng(s).standard_normal((8, 2)), training=True)
@@ -228,21 +248,44 @@ def test_flat_layout_round_trips_every_parameter(batchnorm):
         for name, arr in cell.stats().items():
             assert arr[r].tobytes() == table[name].tobytes(), name
 
-    fresh = flat * 1.0
-    cell.point_runs(models, fresh)
+    step_cell(cell, flat, runs=3, steps=3)
     for r, (model, table) in enumerate(zip(models, tables)):
         assert model.get_state().keys() == table.keys()
-        for name, arr in model.get_state().items():
-            assert arr.shape == table[name].shape and arr.tobytes() == table[name].tobytes()
-        for t in model.parameters().values():
-            assert np.shares_memory(t.data, fresh[r])
+        assert flat[r].tobytes() != np.concatenate([table[n].reshape(-1) for n in names]).tobytes()
+        assert flat[r].tobytes() == np.concatenate(
+            [t.data.reshape(-1) for t in model.parameters().values()]).tobytes()
+        for name, t in model.parameters().items():
+            assert t.data.shape == table[name].shape
+            assert np.shares_memory(t.data, flat[r])
+            assert t.data.tobytes() == cell.parameters()[name].data[r].tobytes(), name
+        for name, arr in model.stats().items():
+            assert arr.shape == table[name].shape
+            assert np.shares_memory(arr, cell.stats()[name][r])
+            assert arr.tobytes() == cell.stats()[name][r].tobytes(), name
 
-    alone = models[0]
+    alone, stepped = models[0], flat
     cell, flat = nets.Model.lockstep([alone])
-    assert cell is alone and flat.tobytes() == fresh[:1].tobytes()
+    assert cell is alone and flat.tobytes() == stepped[:1].tobytes()
     for name, t in alone.parameters().items():
         assert t.data.shape == tables[0][name].shape
         assert np.shares_memory(t.data, flat)
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_a_run_state_does_not_move_as_its_cell_steps(runs):
+    """A cell steps its runs' parameters and running statistics in place,
+    and checkpoint selection keeps a run's `get_state()` across later
+    steps: the state must be a copy."""
+    models = [small_model(seed=s) for s in range(runs)]
+    cell, flat = nets.Model.lockstep(models)
+    step_cell(cell, flat, runs, steps=1)
+    state = models[-1].get_state()
+    kept = {name: arr.copy() for name, arr in state.items()}
+    step_cell(cell, flat, runs, steps=1, seed=1)
+    live = models[-1].get_state()
+    for name, arr in state.items():
+        assert arr.tobytes() == kept[name].tobytes(), name
+        assert live[name].tobytes() != arr.tobytes(), name
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -254,7 +297,7 @@ def test_model_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "model.txt"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    assert loaded.checksum() == model.checksum()
+    assert model_checksum(loaded) == model_checksum(model)
     again = tmp_path / "model2.txt"
     save_checkpoint(loaded, again)
     assert path.read_bytes() == again.read_bytes()

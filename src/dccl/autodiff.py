@@ -108,10 +108,11 @@ class Tensor:
 
     A tensor is a constant until a tape watches it (or produces it); the
     node id is just a name inside whichever tape knows it.  Backward
-    closures capture data arrays, so only two places write a model's
+    closures capture data arrays, so only three places write a model's
     arrays in place: `nets.Model.descend` steps the parameters once the
-    reverse sweep is done, and training-mode `nets.Model.embed` moves the
-    batch-norm running statistics, which no closure reads.
+    reverse sweep is done, training-mode `nets.Model.embed` moves the
+    batch-norm running statistics, which no closure reads, and
+    `nets.Model.set_state` loads a state outside any tape.
     """
 
     __slots__ = ("data", "node_id")

@@ -189,8 +189,9 @@ def cmd_ablate(args):
     write_text(exp_dir / "config.txt", config_snapshot(values))
     grid = ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=values["seeds"],
                          workers=args.workers, out_dir=exp_dir)
-    write_text(exp_dir / "summary.csv", grid.table_csv())
     write_text(exp_dir / "summary.txt", grid.table_text())
+    # written last: an experiment with a summary.csv is finished
+    write_text(exp_dir / "summary.csv", grid.table_csv())
     print(grid.table_text(), end="")
     print(grid.table_csv(), end="")
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -27,9 +27,9 @@ from .connectivity import EmbeddingRecord, connectivity_report
 from .formats import save_checkpoint
 from .losses import ContrastBatch, LossConfig, resolve_positives, total_loss
 from .nets import (AnchorConfig, Model, ModelSpec, TrainingDiverged, anchor_split,
-                   build_anchor, dataset_hash)
+                   build_anchor, dataset_hash, seed_streams)
 from .optim import Adam
-from .options import check_ranges, fmt, fmt_or_undefined, option
+from .options import check_ranges, config_fields, fmt, fmt_or_undefined, option
 from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment, check_batch_size,
                         gen_example31_both, gen_rotated_gaussians, make_batches)
 
@@ -175,12 +175,6 @@ def _mean_connectivity(model, dataset):
     return report.mean_score
 
 
-def _seed_streams(seed):
-    """Seeds of a run's init, split, label, batch, augment, contrast and
-    noise streams."""
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(7)]
-
-
 @functools.lru_cache(maxsize=None)
 def _initial_connectivity(dataset_spec, model_spec, seed):
     """Pooled connectivity of a seed's untrained model, memoized for the
@@ -189,7 +183,7 @@ def _initial_connectivity(dataset_spec, model_spec, seed):
     `with_gen=False`.  Batch norm uses its initial statistics."""
     dataset = dataset_spec.build()
     model = Model(dataset.dim, dataset.n_classes, model_spec,
-                  np.random.default_rng(_seed_streams(seed)[0]))
+                  np.random.default_rng(seed_streams(seed)[0]))
     return _mean_connectivity(model, dataset)
 
 
@@ -197,7 +191,7 @@ def train_split(cfg, dataset):
     """A run's labelled training rows, validation rows (the held-out domain
     in neither) and batch stream, which raises on a domain too small for
     its share of a batch before any batch is drawn."""
-    _, split_s, label_s, batch_s, *_ = _seed_streams(cfg.seed)
+    _, split_s, label_s, batch_s, *_ = seed_streams(cfg.seed)
     rng_split = np.random.default_rng(split_s)
     train_idx, val_idx = [], []
     for m in range(dataset.n_domains):
@@ -248,7 +242,7 @@ class _Run:
 
     def __init__(self, cfg, dataset):
         self.cfg = cfg
-        init_s, _, _, _, augment_s, contrast_s, noise_s = _seed_streams(cfg.seed)
+        init_s, _, _, _, augment_s, contrast_s, noise_s = seed_streams(cfg.seed)
         self.rng_augment = np.random.default_rng(augment_s)
         self.rng_contrast = np.random.default_rng(contrast_s)
         self.rng_noise = np.random.default_rng(noise_s)
@@ -336,20 +330,10 @@ RUN_OWN = ("holdout", "loss.cdc_enabled", "loss.pma_enabled", "loss.self_contras
            "loss.aggressive_augmentation")
 
 
-def _field_names(cfg, prefix=""):
-    """The dotted name of each field of a config, a nested block's fields
-    in place of the block."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if is_dataclass(value):
-            yield from _field_names(value, f"{prefix}{f.name}.")
-        else:
-            yield prefix + f.name
-
-
 def _cell_mismatch(cfg, other):
     """The first field, dotted, that keeps `other` out of `cfg`'s cell, or None."""
-    names = [name for name in (*CELL_KEY, *_field_names(cfg)) if name not in RUN_OWN]
+    dotted = (block + f.name for block, f, _ in config_fields(cfg))
+    names = [name for name in (*CELL_KEY, *dotted) if name not in RUN_OWN]
     return next((name for name in names if attrgetter(name)(cfg) != attrgetter(name)(other)),
                 None)
 
@@ -561,7 +545,7 @@ CELL_RUNS = 8
 
 def _cost(cfgs):
     """How many costly loss terms a cell's runs have on, summed over its
-    runs: the rank of the cell's training time, which a pool takes
+    runs: the rank of the cell's training time, which the grid starts
     costliest first."""
     return sum(c.loss.cdc_enabled + c.loss.pma_enabled + c.loss.gt_enabled
                + c.loss.self_contrast_only for c in cfgs)
@@ -583,6 +567,18 @@ def _grid_anchors(cfg, seeds, out_root):
         yield seed, anchor
 
 
+def _grid_order(cells, cfg, seeds, out_root):
+    """(cell index, anchor) of each cell in start order, lazily: the cells
+    that need no anchor, then each seed's other cells as that seed's anchor
+    is built, each group costliest first (`_cost`), ties in cell order."""
+    by_cost = sorted(range(len(cells)), key=lambda i: -_cost(cells[i][1]))
+    anchored = {i for i in by_cost if cells[i][1][0].needs_anchor}
+    yield from ((i, None) for i in by_cost if i not in anchored)
+    for seed, anchor in _grid_anchors(cfg, seeds, out_root) if anchored else ():
+        yield from ((i, anchor) for i in by_cost
+                    if i in anchored and cells[i][1][0].seed == seed)
+
+
 def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=None):
     """Leave-one-domain-out average for every ablation row and seed; the
     one runner of many holdouts (`dccl loo` is a grid of one row).
@@ -594,22 +590,19 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
     row of more runs is a cell alone.  The default rows on 4 domains give
     six cells per seed: ERM; self-contrast and CDC; PMA and CDC+PMA; GT;
     PMA+GT and CDC+GT; the full method without and with aggressive
-    augmentation.  The parent builds each seed's anchor once, checkpoints
-    it under out_dir when given, and hands every cell of that seed the
-    anchor as read back.  It scores each seed's initial connectivity once.
+    augmentation.
 
-    One worker builds the anchors, then runs the cells in order; the
-    first cell of each seed scores its initial connectivity.  `workers` > 1
-    scores the initial connectivity first, so forked workers inherit it,
-    and runs the cells in a pool of at most one process per
-    cell: first the cells that need no anchor, then, as the parent reads
-    back each seed's anchor, that seed's other cells, each group costliest
-    first (`_cost`).  An anchor that fails cancels the cells not yet
-    started and raises once the running ones finish.  Otherwise every
-    cell runs to its end, for any worker count, and the grid raises the
-    error of the first failing run in (row, seed, holdout) order, after
-    every run that did not fail wrote its directory.  Under out_dir the
-    grid writes `<row>/seed<s>/holdout<m>/` run directories and
+    Cells start in one order for any worker count (`_grid_order`), and
+    the parent builds each seed's anchor once, checkpoints it under
+    out_dir when given, and hands that seed's cells the anchor as read
+    back.  One worker runs each cell as it comes; more workers score each
+    seed's initial connectivity first, so forked workers inherit it, and
+    hand each cell to a pool of at most one process per cell.  An anchor
+    that fails starts no further cell and raises once the started ones
+    finish.  Otherwise every cell runs to its end, and the grid raises
+    the error of the first failing run in (row, seed, holdout) order,
+    after every run that did not fail wrote its directory.  Under out_dir
+    the grid writes `<row>/seed<s>/holdout<m>/` run directories and
     `anchors/`, nothing else.
     """
     n_domains = cfg.dataset.domain_count
@@ -636,35 +629,24 @@ def ablation_grid(cfg, rows=DEFAULT_ROWS, seeds=(0, 1, 2), workers=1, out_dir=No
                         else out_root / name / f"seed{seed}" / f"holdout{m}"
                         for name, _, m in keys]
             cells.append((keys, cfgs, run_dirs))
-    anchored = [cfgs[0].needs_anchor for _, cfgs, _ in cells]
-    anchors = _grid_anchors(cfg, seeds, out_root) if any(anchored) else ()
+    order = _grid_order(cells, cfg, seeds, out_root)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         for seed in seeds:  # forked workers inherit the memo
             _initial_connectivity(cfg.dataset, replace(cfg.model, with_gen=False), seed)
-        futures = {}
         with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            def submit(picked, anchor):
-                for i in sorted(picked, key=lambda i: -_cost(cells[i][1])):
-                    _, cfgs, run_dirs = cells[i]
-                    futures[i] = pool.submit(_grid_job, cfgs, anchor, run_dirs)
-
-            submit([i for i, a in enumerate(anchored) if not a], None)
             try:
-                for seed, anchor in anchors:
-                    submit([i for i, (_, cfgs, _) in enumerate(cells)
-                            if anchored[i] and cfgs[0].seed == seed], anchor)
+                futures = {i: pool.submit(_grid_job, cells[i][1], anchor, cells[i][2])
+                           for i, anchor in order}
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
-            outcomes = [futures[i].result() for i in range(len(cells))]
+            outcomes = {i: future.result() for i, future in futures.items()}
     else:
-        anchors = dict(anchors)
-        outcomes = [_grid_job(cfgs, anchors.get(cfgs[0].seed), run_dirs)
-                    for _, cfgs, run_dirs in cells]
-    done = {key: outcome for (keys, _, _), results in zip(cells, outcomes)
-            for key, outcome in zip(keys, results)}
+        outcomes = {i: _grid_job(cells[i][1], anchor, cells[i][2]) for i, anchor in order}
+    done = {key: outcome for i, results in outcomes.items()
+            for key, outcome in zip(cells[i][0], results)}
     runs = {(row.name, seed, m): done[row.name, seed, m]
             for row in rows for seed in seeds for m in holdouts}
     failure = next((r for r in runs.values() if isinstance(r, Exception)), None)

@@ -147,7 +147,7 @@ class Model:
         """The embedding's layers over parameter table `p`, as
         `ad.embed_views` takes them: (W, b, (gamma, beta) or None, relu
         after) each.  They hold the table's Tensors, whose data `point`
-        and `set_state` replace, so they are built once per table."""
+        replaces, so they are built once per table."""
         spec = self.spec
         last = len(spec.encoder_hidden) - 1
         layers = [(p[f"enc.{i}.W"], p[f"enc.{i}.b"], None, i < last) for i in range(last + 1)]
@@ -270,7 +270,8 @@ class Model:
         return state
 
     def set_state(self, state):
-        """Copy arrays into their slots.  An unknown name raises KeyError
+        """Copy arrays into their slots, in place, so a lockstep run's model
+        still views its rows of the cell.  An unknown name raises KeyError
         and an array whose shape differs from its slot's ShapeError."""
         for name, arr in state.items():
             if name in self._params:
@@ -279,14 +280,11 @@ class Model:
                 slot = self._stats[name]
             else:
                 raise KeyError(f"unknown state entry {name!r}")
-            arr = np.array(arr, dtype=np.float64)
+            arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != slot.shape:
                 raise ad.ShapeError(f"array {name!r} has shape {arr.shape}, "
                                     f"its slot {slot.shape}")
-            if name in self._params:
-                self._params[name].data = arr
-            else:
-                self._stats[name] = arr
+            slot[...] = arr
 
 
 def dataset_hash(dataset):
@@ -295,6 +293,13 @@ def dataset_hash(dataset):
     digest.update(np.ascontiguousarray(dataset.labels).tobytes())
     digest.update(np.ascontiguousarray(dataset.domains).tobytes())
     return digest.hexdigest()
+
+
+def seed_streams(seed):
+    """Seeds of a run's init, split, label, batch, augment, contrast and
+    noise streams; the anchor of `seed` takes the first three as its
+    init, split and batch streams."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(7)]
 
 
 def build_anchor(dataset, anchor_cfg, spec, seed):
@@ -310,8 +315,8 @@ def build_anchor(dataset, anchor_cfg, spec, seed):
     if len(dataset) == 0:
         raise ValueError("cannot build an anchor from an empty dataset")
     val_idx, train, batches = anchor_split(dataset, anchor_cfg, seed)
-    init_s = int(np.random.SeedSequence(seed).generate_state(3)[0])
-    model = Model(dataset.dim, dataset.n_classes, spec, np.random.default_rng(init_s))
+    model = Model(dataset.dim, dataset.n_classes, spec,
+                  np.random.default_rng(seed_streams(seed)[0]))
     model, flat = Model.lockstep([model])
     adams = [Adam(lr=anchor_cfg.lr)]
     for step in range(1, anchor_cfg.steps + 1):
@@ -333,7 +338,7 @@ def build_anchor(dataset, anchor_cfg, spec, seed):
 def anchor_split(dataset, anchor_cfg, seed):
     """The pooled validation rows, training set and batch stream of the
     anchor of `seed`, which raises on a domain too small for its share."""
-    _, split_s, batch_s = (int(s) for s in np.random.SeedSequence(seed).generate_state(3))
+    _, split_s, batch_s = seed_streams(seed)[:3]
     order = np.random.default_rng(split_s).permutation(len(dataset))
     n_val = max(1, int(round(0.2 * len(dataset))))
     train = dataset.subset(order[n_val:])

@@ -24,16 +24,24 @@ def option(default, help, key=None, choices=None, within=None):
                                             "within": within})
 
 
-def _option_values(obj, prefix=""):
-    """(config key, field, value) of each `option` field of a config
-    dataclass or instance, nested config blocks included; a class gives
-    its defaults."""
+def config_fields(obj, prefix=""):
+    """(block, field, value) of each field of a config dataclass or
+    instance, a nested config block's fields in place of the block, where
+    block is the dotted path of the field's block ("" at the top, else
+    ending in "."); a class gives its defaults."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(f.default):
-            yield from _option_values(value, f"{prefix}{f.name}.")
-        elif f.metadata:
-            yield prefix + (f.metadata["key"] or f.name), f, value
+            yield from config_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix, f, value
+
+
+def _option_values(obj):
+    """(config key, field, value) of each `option` field of a config
+    dataclass or instance, nested config blocks included."""
+    return ((block + (f.metadata["key"] or f.name), f, value)
+            for block, f, value in config_fields(obj) if f.metadata)
 
 
 def option_fields(cls):

@@ -417,18 +417,25 @@ def test_ablate_divergence_in_a_worker_is_runtime_failure(tmp_path, capsys):
     assert "runtime failure: non-finite loss" in capsys.readouterr().err
 
 
-def test_ablate_anchor_divergence_beside_the_pool_is_runtime_failure(tmp_path, capsys):
-    # the anchor-free rows run in the pool while the parent builds seed 0's
-    # anchor; its failure cancels the cells that have not started
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ablate_anchor_divergence_is_runtime_failure(tmp_path, capsys, workers):
+    # the anchor-free cells start before the parent builds seed 0's anchor;
+    # its failure starts no further cell
     path = write_config(tmp_path, "experiment = grid\nseeds = 0,1\nanchor.lr = 1e200\n")
     with np.errstate(all="ignore"):
-        assert main(["ablate", "--config", str(path), "--workers", "2"]) == 2
+        assert main(["ablate", "--config", str(path), "--workers", str(workers)]) == 2
     assert re.fullmatch(r"runtime failure: non-finite anchor loss .*\n", capsys.readouterr().err)
     grid = tmp_path / "runs" / "grid"
-    for run_dir in grid.glob("*/seed*/holdout*"):
-        assert sorted(p.name for p in run_dir.iterdir()) == [
+    run_dirs = {p.relative_to(grid) for p in grid.glob("*/seed*/holdout*")}
+    for run_dir in run_dirs:
+        assert sorted(p.name for p in (grid / run_dir).iterdir()) == [
             "checkpoint.txt", "losses.csv", "result.csv"]
     assert {p.name for p in grid.iterdir() if p.is_dir()} <= {"erm", "self_contrast", "cdc"}
+    if workers == 1:
+        # no pool cancels a cell: every anchor-free run finished
+        assert run_dirs == {Path(row, f"seed{s}", f"holdout{m}")
+                            for row in ("erm", "self_contrast", "cdc")
+                            for s in (0, 1) for m in range(3)}
 
 
 def test_domain_smaller_than_its_batch_share_is_user_error(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ from dccl.harness import (DEFAULT_ROWS, AblationRow, AnchorConfig, AugmentConfig
                           ablation_grid, build_run_anchor, collect_embeddings, train,
                           train_cell)
 from dccl.losses import LossConfig
-from dccl.nets import Model, ModelSpec
+from dccl.nets import Model, ModelSpec, seed_streams
 
 from conftest import model_checksum
 
@@ -243,22 +243,26 @@ def test_grid_needs_a_row_and_a_seed_before_any_work(tmp_path, monkeypatch, rows
     assert not (tmp_path / "grid").exists()
 
 
+def _cell_entry(cfgs, anchor):
+    """("cell", its rows, seed, anchored) of a grid job."""
+    names = {row.apply(micro_config()).loss: row.name for row in DEFAULT_ROWS}
+    rows = tuple(dict.fromkeys(names[cfg.loss] for cfg in cfgs))
+    return ("cell", rows, cfgs[0].seed, anchor is not None)
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Stand in for the process pool and log, in order, its size
-    ("pool", max_workers), each job it is handed ("cell", its rows, seed,
-    anchored), which it runs at once in this process, and each anchor
-    build ("anchor", seed)."""
+    ("pool", max_workers), each job it is handed (`_cell_entry`), which it
+    runs at once in this process, and each anchor build ("anchor", seed)."""
     log = []
-    names = {row.apply(micro_config()).loss: row.name for row in DEFAULT_ROWS}
 
     class RecordingPool(concurrent.futures.Executor):
         def __init__(self, max_workers):
             log.append(("pool", max_workers))
 
         def submit(self, fn, cfgs, anchor, run_dirs):
-            rows = tuple(dict.fromkeys(names[cfg.loss] for cfg in cfgs))
-            log.append(("cell", rows, cfgs[0].seed, anchor is not None))
+            log.append(_cell_entry(cfgs, anchor))
             future = concurrent.futures.Future()
             future.set_result(fn(cfgs, anchor, run_dirs))
             return future
@@ -306,25 +310,28 @@ def test_grid_pool_takes_anchor_free_cells_first_and_costliest_first(recording_p
                                for seed in (0, 1) for m in range(3)]
 
 
-def test_one_worker_builds_every_anchor_before_the_first_cell(recording_pool, monkeypatch):
-    def counted_job(*args):
-        recording_pool.append(("job",))
-        return job(*args)
+def test_one_worker_starts_anchors_and_cells_in_the_pool_order(recording_pool, monkeypatch,
+                                                               tmp_path):
+    def recorded_job(cfgs, anchor, run_dirs):
+        recording_pool.append(_cell_entry(cfgs, anchor))
+        return job(cfgs, anchor, run_dirs)
 
+    ablation_grid(short_grid_config(), seeds=(0, 1), workers=2, out_dir=tmp_path / "pool")
+    pool_order = recording_pool[1:]  # what the pool test above pins, past ("pool", 2)
+    recording_pool.clear()
     job = harness._grid_job
-    monkeypatch.setattr(harness, "_grid_job", counted_job)
-    ablation_grid(short_grid_config(), seeds=(0, 1), workers=1)
-    assert recording_pool == [("anchor", 0), ("anchor", 1)] + [("job",)] * 12
+    monkeypatch.setattr(harness, "_grid_job", recorded_job)
+    ablation_grid(short_grid_config(), seeds=(0, 1), workers=1, out_dir=tmp_path / "one")
+    assert recording_pool == pool_order
 
 
 def _fresh_initial_connectivity(cfg):
     """What `train` scored before the memo: a model built with the run's own
     spec, generator included when GT is on."""
     dataset = cfg.dataset.build()
-    init_s = int(np.random.SeedSequence(cfg.seed).generate_state(7)[0])
     model = Model(dataset.dim, dataset.n_classes,
                   replace(cfg.model, with_gen=cfg.loss.gt_enabled),
-                  np.random.default_rng(init_s))
+                  np.random.default_rng(seed_streams(cfg.seed)[0]))
     return harness._mean_connectivity(model, dataset)
 
 

@@ -288,6 +288,23 @@ def test_a_run_state_does_not_move_as_its_cell_steps(runs):
         assert live[name].tobytes() != arr.tobytes(), name
 
 
+def test_set_state_keeps_a_run_viewing_its_row():
+    """Loading a state into a lockstep run's model writes into its rows of
+    the cell, so the cell's later steps still move that run."""
+    models = [small_model(seed=s) for s in range(2)]
+    cell, flat = nets.Model.lockstep(models)
+    step_cell(cell, flat, runs=2, steps=1)
+    models[1].set_state(models[1].get_state())
+    loaded = models[1].get_state()
+    step_cell(cell, flat, runs=2, steps=1, seed=1)
+    for name, t in models[1].parameters().items():
+        assert np.shares_memory(t.data, flat[1]), name
+        assert t.data.tobytes() != loaded[name].tobytes(), name
+    for name, arr in models[1].stats().items():
+        assert np.shares_memory(arr, cell.stats()[name]), name
+        assert arr.tobytes() != loaded[name].tobytes(), name
+
+
 # --- checkpoints -------------------------------------------------------------
 
 def test_model_checkpoint_roundtrip(tmp_path):

@@ -13,6 +13,7 @@ still gets the bytes of its own run.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import time
 from dataclasses import dataclass, replace
@@ -26,12 +27,25 @@ from . import formats
 from .connectivity import EmbeddingRecord, connectivity_report
 from .formats import save_checkpoint
 from .losses import ContrastBatch, LossConfig, resolve_positives, total_loss
-from .nets import (AnchorConfig, Model, ModelSpec, TrainingDiverged, anchor_split,
-                   build_anchor, dataset_hash, seed_streams)
+from .nets import AnchorConfig, Model, ModelSpec, anchor_split, seed_streams
 from .optim import Adam
 from .options import check_ranges, config_fields, fmt, fmt_or_undefined, option
 from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment, check_batch_size,
                         gen_example31_both, gen_rotated_gaussians, make_batches)
+
+
+class TrainingDiverged(RuntimeError):
+    """A training step met a non-finite loss; `cli` maps it to exit code 2."""
+
+    def __init__(self, step, value, what="loss"):
+        super().__init__(f"non-finite {what} ({value}) at step {step}")
+        self.step = step
+        self.value = value
+        self.what = what
+
+    def __reduce__(self):
+        # a grid worker's exception reaches the parent pickled
+        return type(self), (self.step, self.value, self.what)
 
 
 @dataclass(frozen=True)
@@ -153,6 +167,42 @@ class RunResult:
             ("n_train", str(self.n_train)),
             ("n_val", str(self.n_val)),
         ]
+
+
+def dataset_hash(dataset):
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(dataset.X).tobytes())
+    digest.update(np.ascontiguousarray(dataset.labels).tobytes())
+    digest.update(np.ascontiguousarray(dataset.domains).tobytes())
+    return digest.hexdigest()
+
+
+def build_anchor(dataset, anchor_cfg, spec, seed):
+    """Train a model with plain cross-entropy on pooled all-domain data and
+    return it as a Model of kind "anchor", never to be trained again.
+
+    The pooled data covers every domain with its labels, the held-out one
+    of any run included: runs never train on held-out rows, but the anchor
+    does.  Each step is a one-run `_step` with every loss term off.
+    Provenance records the seed, a dataset hash, and the accuracy on a
+    pooled validation split of a fifth of the data.
+    """
+    if len(dataset) == 0:
+        raise ValueError("cannot build an anchor from an empty dataset")
+    val_idx, train, batches = anchor_split(dataset, anchor_cfg, seed)
+    model = Model(dataset.dim, dataset.n_classes, spec,
+                  np.random.default_rng(seed_streams(seed)[0]))
+    model, flat = Model.lockstep([model])
+    adams, erm = [Adam(lr=anchor_cfg.lr)], LossConfig()
+    for step in range(1, anchor_cfg.steps + 1):
+        idx = next(batches)
+        _step(model, flat, adams, erm, [(train.X[idx], None, train.labels[idx], None, None, None)],
+              step, what="anchor loss")
+    val_acc = model.accuracy(dataset.X[val_idx], dataset.labels[val_idx])
+    model.kind = "anchor"
+    model.provenance = {"seed": str(seed), "data_hash": dataset_hash(dataset),
+                        "val_accuracy": fmt(val_acc)}
+    return model
 
 
 def build_run_anchor(cfg, dataset):
@@ -308,6 +358,31 @@ class _Run:
         return result
 
 
+def _step(cell, flat, adams, loss, drawn, step, what="loss"):
+    """One training step of a cell: embed, score and differentiate the
+    runs' `drawn` parts, stacked on a run axis when there are several,
+    under objective `loss`, then step each run's row of `flat` with its
+    `adams` entry.  Returns each run's `LossRow`; raises `TrainingDiverged`
+    before any row moves if a run's total is not finite."""
+    stacked = len(drawn) > 1
+    view1, view2, yb, assignment, z_pre, noise = (
+        map(_stack, zip(*drawn)) if stacked else drawn[0])
+    with ad.Tape() as tape:
+        cell.watch(tape)
+        z1, *z2 = cell.embed([view1] if view2 is None else [view1, view2], training=True)
+        batch = ContrastBatch(z=z1, labels=yb, z_alt=z2[0] if z2 else None,
+                              z_pre=z_pre, positive_assignment=assignment)
+        breakdown = total_loss(batch, cell.logits(z1), loss, gen=cell.parameters(), noise=noise)
+    values = zip(*[_per_run(term, len(drawn)) for term in (
+        breakdown.erm, breakdown.contrast, breakdown.gen, breakdown.total.data)])
+    rows = [LossRow(step, *terms) for terms in values]
+    for row in rows:
+        if not math.isfinite(row.total):
+            raise TrainingDiverged(step, row.total, what=what)
+    cell.descend(adams, flat, tape.gradients(breakdown.total, stacked=stacked))
+    return rows
+
+
 def _stack(parts):
     """The runs' arrays of one part of a step on a run axis, None for a
     part the loss leaves out; np.array stacks as np.stack does, faster."""
@@ -346,14 +421,12 @@ def train_cell(cfgs, anchor=None, run_dirs=None):
     self-contrast and aggressive augmentation.
 
     Each step draws every run's batch, augmentation, positives and noise
-    from that run's own streams and under its own toggles, then embeds,
-    scores and differentiates all runs at once on a `Model.lockstep`
-    cell, whose (R, N) array holds one run's parameters per row, and each
-    run's `Adam` steps its row in place.  Each run's model views its row
-    for the whole run.  Evaluation, with checkpoint selection, the test
-    and the run directory, stays per run, in config order.  A failure in
-    any run raises out of the cell; `_grid_job` then replays the cell one
-    run at a time.
+    from that run's own streams and under its own toggles, then `_step`s
+    a `Model.lockstep` cell, whose (R, N) array each run's model views
+    its row of.  Evaluation, with checkpoint selection, the test and the
+    run directory, stays per run, in config order.  A failure in any run
+    raises out of the cell; `_grid_job` then replays the cell one run at
+    a time.
     """
     started = time.perf_counter()
     cfg = cfgs[0]
@@ -380,27 +453,10 @@ def train_cell(cfgs, anchor=None, run_dirs=None):
                                               cfg.seed)
 
     adams = [Adam(lr=cfg.optim.lr) for _ in runs]
-    stacked = len(runs) > 1
     cell, flat = Model.lockstep([run.model for run in runs])
     for step in range(1, cfg.optim.steps + 1):
         drawn = [run.draw(dataset, z_pre_all) for run in runs]
-        view1, view2, yb, assignment, z_pre, noise = (
-            map(_stack, zip(*drawn)) if stacked else drawn[0])
-        with ad.Tape() as tape:
-            cell.watch(tape)
-            z1, *z2 = cell.embed([view1] if view2 is None else [view1, view2], training=True)
-            logits = cell.logits(z1)
-            batch = ContrastBatch(z=z1, labels=yb, z_alt=z2[0] if z2 else None,
-                                  z_pre=z_pre, positive_assignment=assignment)
-            breakdown = total_loss(batch, logits, cfg.loss, gen=cell.parameters(), noise=noise)
-        values = zip(*[_per_run(term, len(runs)) for term in (
-            breakdown.erm, breakdown.contrast, breakdown.gen, breakdown.total.data)])
-        rows = [LossRow(step, *terms) for terms in values]
-        for row in rows:
-            if not math.isfinite(row.total):
-                raise TrainingDiverged(step, row.total)
-        cell.descend(adams, flat, tape.gradients(breakdown.total, stacked=stacked))
-        for run, row in zip(runs, rows):
+        for run, row in zip(runs, _step(cell, flat, adams, cfg.loss, drawn, step)):
             run.curve.append(row)
 
         if step % cfg.optim.eval_every == 0 or step == cfg.optim.steps:

@@ -386,6 +386,18 @@ def test_start_up_never_loads_the_executor():
     assert out == "False\n"
 
 
+def test_the_model_module_loads_no_training_code():
+    """`dccl.nets` defines the model; the optimizer, the objective and the
+    training step that `harness.build_anchor` shares with runs sit above
+    it, so a fresh import of it loads none of them."""
+    code = ("import sys, dccl.nets; print([m for m in ('dccl.optim', 'dccl.losses', "
+            "'dccl.harness') if m in sys.modules])")
+    src = str(Path(dccl.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 def leak():
     raise RuntimeError("held-out domain 1 leaked into a training batch")
 

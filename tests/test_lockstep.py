@@ -326,7 +326,9 @@ def test_a_cell_steps_each_runs_adam_once_per_step(monkeypatch):
     and `nets.Model.embed`, whose per-step counts are pinned here: one
     augmentation per view of each run, one positive resolution per
     contrastive run, and one objective and one training-mode embedding
-    per cell step (and per anchor step, for the embedding)."""
+    per cell step and per anchor step.  Anchor steps draw from
+    `synthdata.make_batches`, not `harness.make_batches`, so they open no
+    step span."""
     from dccl import nets, optim
 
     adam_calls, draws = [], []
@@ -372,9 +374,33 @@ def test_a_cell_steps_each_runs_adam_once_per_step(monkeypatch):
         "Adam must change perfbench first")
     views = 2  # both rows contrast, so each run augments two views a step
     assert hooks == {"augment": steps * runs * views, "resolve_positives": steps * runs,
-                     "total_loss": steps, "embed": steps + anchor_steps}, (
+                     "total_loss": steps + anchor_steps, "embed": steps + anchor_steps}, (
         "perfbench's tracer spans these hooks per step: changing their counts must change "
         "perfbench first")
+
+
+@pytest.mark.parametrize("runs, what", [(3, {}), (1, {"what": "anchor loss"})],
+                         ids=["cell", "anchor"])
+def test_a_diverging_step_moves_no_parameter(runs, what):
+    """`harness._step` checks every run's total before `Model.descend`: a
+    NaN view in one run of a 3-run cell, or in a one-run anchor-style
+    step, raises `TrainingDiverged` naming its loss and leaves `flat` bit
+    for bit as it was.  The batch-norm running statistics are not covered:
+    the training-mode `embed` has moved them before the total is scored."""
+    spec = ModelSpec(encoder_hidden=(12,), embed_dim=6, head_hidden=12)
+    rng = np.random.default_rng(0)
+    x, labels = rng.standard_normal((9, 2)), np.arange(9) % 3
+    bad = x.copy()
+    bad[4, 1] = np.nan
+    cell, flat = Model.lockstep([Model(2, 3, spec, np.random.default_rng(r))
+                                 for r in range(runs)])
+    before = flat.copy()
+    drawn = [(bad if r == runs // 2 else x, None, labels, None, None, None) for r in range(runs)]
+    with pytest.raises(TrainingDiverged) as caught:
+        harness._step(cell, flat, [Adam() for _ in range(runs)], LossConfig(), drawn, 7, **what)
+    assert (caught.value.step, caught.value.what) == (7, what.get("what", "loss"))
+    assert np.isnan(caught.value.value)
+    assert same_bytes(flat, before)
 
 
 @pytest.mark.parametrize("model", [

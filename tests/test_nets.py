@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dccl import autodiff as ad
-from dccl import losses, nets
+from dccl import harness, losses, nets
 from dccl.autodiff import Tape, Tensor
 from dccl.formats import load_checkpoint, save_checkpoint
 from dccl.optim import Adam
@@ -153,11 +153,11 @@ ANCHOR_SPEC = nets.ModelSpec(encoder_hidden=(16,), embed_dim=8, head_hidden=16)
 
 @pytest.fixture(scope="module")
 def anchor(pooled_dataset):
-    return nets.build_anchor(pooled_dataset, nets.AnchorConfig(steps=400), ANCHOR_SPEC, 7)
+    return harness.build_anchor(pooled_dataset, nets.AnchorConfig(steps=400), ANCHOR_SPEC, 7)
 
 
 def test_anchor_is_deterministic(pooled_dataset, anchor):
-    again = nets.build_anchor(pooled_dataset, nets.AnchorConfig(steps=400), ANCHOR_SPEC, 7)
+    again = harness.build_anchor(pooled_dataset, nets.AnchorConfig(steps=400), ANCHOR_SPEC, 7)
     assert model_checksum(anchor) == model_checksum(again)
     assert again.provenance == anchor.provenance
     x = pooled_dataset.X[:10]
@@ -204,7 +204,7 @@ def test_anchor_checksum_survives_unrelated_training(pooled_dataset, anchor):
 def test_build_anchor_rejects_empty():
     empty = gen_rotated_gaussians(2, 2, 1, 0.3, 3.0, 0.3).subset([])
     with pytest.raises(ValueError):
-        nets.build_anchor(empty, nets.AnchorConfig(steps=1), nets.ModelSpec(), 0)
+        harness.build_anchor(empty, nets.AnchorConfig(steps=1), nets.ModelSpec(), 0)
 
 
 # --- the flat layout ---------------------------------------------------------

@@ -14,13 +14,12 @@ import sys
 from pathlib import Path
 
 from . import options
-from .autodiff import DegenerateInputError, ShapeError
 from .config import ConfigError, config_snapshot, experiment_config, load_config
 from .connectivity import connectivity_report
 from .formats import (FormatError, load_checkpoint, read_dataset, read_embeddings,
                       write_dataset, write_embeddings, write_text)
-from .harness import (DEFAULT_ROWS, AblationRow, DatasetSpec, TrainingDiverged, ablation_grid,
-                      check_splits, collect_embeddings, train)
+from .harness import (DEFAULT_ROWS, AblationRow, DatasetSpec, ablation_grid, check_splits,
+                      collect_embeddings, train)
 from .options import fmt, fmt_or_undefined
 from .synthdata import gen_example31_both, toy_map_accuracy
 
@@ -245,12 +244,6 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ConfigError, FormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TrainingDiverged, DegenerateInputError, ShapeError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -14,11 +14,7 @@ from __future__ import annotations
 from dataclasses import fields, is_dataclass, replace
 
 from .harness import ExperimentConfig
-from .options import check_value, key_values, option, option_fields, parser, render
-
-
-class ConfigError(ValueError):
-    """Unknown key, bad value, or unreadable config file."""
+from .options import ConfigError, check_value, key_values, option, option_fields, parser, render
 
 
 # the command-level keys: where runs go and which seeds they take
@@ -42,7 +38,7 @@ def parse_config_text(text, source="<config>"):
         except ValueError as exc:
             raise ConfigError(f"{key} {exc} ({source}:{lineno})") from None
     for key, f in _COMMAND_OPTIONS.items():
-        check_value(key, f, values[key], error=ConfigError)
+        check_value(key, f, values[key])
     if len(set(values["seeds"])) < len(values["seeds"]):
         raise ConfigError(f"seeds must be distinct, got {render(values['seeds'])}")
     return values
@@ -72,12 +68,7 @@ def experiment_config(values, seed, holdout=None):
     """Materialize an ExperimentConfig for one (seed, holdout) run."""
     if holdout is not None:
         values = {**values, "holdout": holdout}
-    cfg = replace(_build(ExperimentConfig, values), seed=seed)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+    return replace(_build(ExperimentConfig, values), seed=seed).validate()
 
 
 def config_snapshot(values):

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .options import FormatError
+
 # pairs per fill thread: a group's distance vector is filled on
 # min(available CPUs, pairs // THREAD_PAIRS) threads, so two threads start
 # at 2^19 pairs (k = 1025).  On 2 CPUs at d = 16, two threads lost to one
@@ -220,8 +222,8 @@ def _score_group(class_id, domain_id, points):
         mu, sigma, _ = pairwise_stats(points, dists)
     if not all(map(math.isfinite, (tau, mu, sigma))):
         domain = "all" if domain_id is None else domain_id
-        raise ValueError(f"class {class_id} domain {domain}: pairwise distances are not "
-                         f"finite in float64 (tau={tau} mu={mu} sigma={sigma})")
+        raise FormatError(f"class {class_id} domain {domain}: pairwise distances are not "
+                          f"finite in float64 (tau={tau} mu={mu} sigma={sigma})")
     if sigma == 0.0:
         return GroupScore(class_id, domain_id, count, tau, mu, sigma, None)
     return GroupScore(class_id, domain_id, count, tau, mu, sigma, (tau - mu) / sigma)
@@ -235,7 +237,7 @@ def connectivity_report(records, mode="pooled"):
     mode "per-domain" scores each class/domain pair separately.
     Groups with fewer than 2 points, or zero distance spread, are marked
     undefined and excluded from the mean/max aggregates; a group whose
-    tau, mu or sigma is not finite raises ValueError naming it.  Every other
+    tau, mu or sigma is not finite raises FormatError naming it.  Every other
     group calls `pairwise_stats` and `connecting_threshold` once each,
     through this module's namespace: perfbench's speed gauge and tracer
     hook those two names.

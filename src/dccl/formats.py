@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import ShapeError
 from .connectivity import EmbeddingRecord
 from .nets import Model, ModelSpec
-from .options import fmt, key_values, parser, render
+from .options import FormatError, fmt, key_values, parser, render
 from .synthdata import Dataset
 
 DATA_MAGIC = "# dccl-data v1"
@@ -26,10 +26,6 @@ CKPT_MAGIC = "# dccl-checkpoint v1"
 KINDS = ("model", "anchor")
 # coordinates a table read holds as Python floats before copying them out
 PARSE_CHUNK = 4096
-
-
-class FormatError(ValueError):
-    """Malformed dump, dataset or checkpoint file."""
 
 
 def write_text(path, text):

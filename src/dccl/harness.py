@@ -29,7 +29,7 @@ from .formats import save_checkpoint
 from .losses import ContrastBatch, LossConfig, resolve_positives, total_loss
 from .nets import AnchorConfig, Model, ModelSpec, anchor_split, seed_streams
 from .optim import Adam
-from .options import check_ranges, config_fields, fmt, fmt_or_undefined, option
+from .options import ConfigError, check_ranges, config_fields, fmt, fmt_or_undefined, option
 from .synthdata import (ADDITIVE, SCALING, AugmentationSpec, augment, check_batch_size,
                         gen_example31_both, gen_rotated_gaussians, make_batches)
 
@@ -113,14 +113,14 @@ class ExperimentConfig:
 
     def validate(self):
         if self.seed < 0:
-            raise ValueError(f"seeds must be at least 0, got {self.seed}")
+            raise ConfigError(f"seeds must be at least 0, got {self.seed}")
         check_ranges(self)
         # each block's own `validate` adds its cross-field checks
         self.loss.validate()
         self.model.validate()
         n_domains = self.dataset.domain_count
         if not 0 <= self.holdout < n_domains:
-            raise ValueError(f"holdout domain {self.holdout} outside [0, {n_domains})")
+            raise ConfigError(f"holdout domain {self.holdout} outside [0, {n_domains})")
         check_batch_size(self.optim.batch_size, n_domains - 1)
         return self
 

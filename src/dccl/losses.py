@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .options import check_ranges, option
+from .options import ConfigError, check_ranges, option
 
 ANCHOR_POSITIVE = -1
 
@@ -54,9 +54,9 @@ class LossConfig:
     def validate(self):
         check_ranges(self, name="loss.{}".format)
         if self.self_contrast_only and self.cdc_enabled:
-            raise ValueError("self_contrast_only and cdc_enabled are mutually exclusive")
+            raise ConfigError("self_contrast_only and cdc_enabled are mutually exclusive")
         if self.self_contrast_only and self.pma_enabled:
-            raise ValueError("self_contrast_only rules out anchor positives")
+            raise ConfigError("self_contrast_only rules out anchor positives")
         return self
 
     @property

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .options import check_ranges, option
+from .options import ConfigError, check_ranges, option
 from .synthdata import make_batches
 
 SOFTPLUS_INV_ONE = math.log(math.e - 1.0)  # softplus(x) == 1
@@ -63,10 +63,10 @@ class ModelSpec:
         """Raise unless `Model` takes this spec; the message names the config key."""
         check_ranges(self, name="model.{}".format)
         if not self.encoder_hidden:
-            raise ValueError("model.encoder_hidden must list at least one width")
+            raise ConfigError("model.encoder_hidden must list at least one width")
         if self.head_hidden > 0 and self.embed_dim < 1:
-            raise ValueError("model.embed_dim must be at least 1 while the head is on, "
-                             f"got {self.embed_dim}")
+            raise ConfigError("model.embed_dim must be at least 1 while the head is on, "
+                              f"got {self.embed_dim}")
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,26 @@ finds the marked fields, from which `dccl.config` derives its schema, and
 `check_value` and `check_ranges` check values against them.  `parser` and
 `render` are the one text form of a field value, shared by config files,
 the `gen-data` flags and checkpoints, and `key_values` is the one reader
-of their `key = value` lines.  This module lives apart from `dccl.config`
-because that module imports the ones that declare fields.
+of their `key = value` lines.  `ConfigError` and `FormatError`, the two
+user errors, are defined here, so that the module that finds a fault
+raises it; `dccl.config` and `dccl.formats` re-export them.  This module
+lives apart from `dccl.config` because that module imports the ones that
+declare fields.
 """
 
 import argparse
 import math
 from dataclasses import field, fields, is_dataclass
+
+
+class ConfigError(ValueError):
+    """A setting the user chose that the program cannot run: an unknown
+    key, a bad value, an unreadable config file.  The CLI exits 1."""
+
+
+class FormatError(ValueError):
+    """A malformed or unreadable dump, dataset or checkpoint file.  The CLI
+    exits 1."""
 
 
 def option(default, help, key=None, choices=None, within=None):
@@ -62,18 +75,18 @@ def _outside(value, within):
     return f"lie in {within}"
 
 
-def check_value(key, f, value, name=str, error=ValueError):
-    """Raise `error` unless `value` of the `option` field f is one of its
-    allowed values and lies in its interval (each item, for a tuple).  The
-    message names the value as `name` spells its config key:
+def check_value(key, f, value, name=str):
+    """Raise ConfigError unless `value` of the `option` field f is one of
+    its allowed values and lies in its interval (each item, for a tuple).
+    The message names the value as `name` spells its config key:
     `<key> must be at least N, got <value>`."""
     choices, within = f.metadata["choices"], f.metadata["within"]
     if choices and value not in choices:
-        raise error(f"{name(key)} must be one of {choices}, got {value!r}")
+        raise ConfigError(f"{name(key)} must be one of {choices}, got {value!r}")
     for item in value if isinstance(value, tuple) else (value,):
         need = within and _outside(item, within)
         if need:
-            raise error(f"{name(key)} must {need}, got {item}")
+            raise ConfigError(f"{name(key)} must {need}, got {item}")
 
 
 def check_ranges(obj, name=str):

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .options import ConfigError
+
 
 @dataclass
 class Dataset:
@@ -207,7 +209,7 @@ def check_batch_size(batch_size, n_domains):
         lower = (batch_size // n_domains) * n_domains
         upper = lower + n_domains
         options = f"{lower} or {upper}" if lower >= n_domains else f"{upper}"
-        raise ValueError(
+        raise ConfigError(
             f"batch size {batch_size} is not divisible by {n_domains} domains; try {options}"
         )
 
@@ -219,19 +221,19 @@ def make_batches(dataset, batch_size, seed=0, key="batch_size"):
     present in the dataset; a domain is reshuffled only once its samples
     are exhausted, so an epoch touches each sample at most once per
     domain.  Yields index arrays into `dataset`.  A domain with fewer
-    samples than its share of a batch raises ValueError here, before the
+    samples than its share of a batch raises ConfigError here, before the
     first batch, naming `key`, the setting that sized the batch.
     """
     present = np.unique(dataset.domains)
     n_dom = len(present)
     if n_dom == 0:
-        raise ValueError("dataset has no samples")
+        raise ConfigError("dataset has no samples")
     check_batch_size(batch_size, n_dom)
     per_domain = batch_size // n_dom
     pools = [dataset.domain_indices(m).astype(np.int64) for m in present]
     for m, pool in zip(present, pools):
         if len(pool) < per_domain:
-            raise ValueError(
+            raise ConfigError(
                 f"domain {m} has {len(pool)} training samples, fewer than its share of "
                 f"{per_domain} in a batch of {batch_size} ({key}) over {n_dom} domains"
             )

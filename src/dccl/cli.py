@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Commands: toy, gen-data, train, loo, ablate, connectivity,
-dump-embeddings.  Exit codes are a stable contract: 0 success, 1 user
-error (bad arguments, configs, or input files), 2 runtime failure.
+dump-embeddings.  Exit codes are a stable contract: 0 is success, 1 is a
+usage error, a `ConfigError` or a `FormatError`, and anything else is 2.
 Everything a command prints or writes is a deterministic function of
 (arguments, config, seed); timing chatter goes to stderr only.
 """
@@ -44,6 +44,17 @@ def _int_at_least(low):
     return parse
 
 
+def _out_file(text):
+    """An argparse type: a file path in an existing directory that is not
+    itself a directory, checked before a command does any work."""
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{path.parent} is not an existing directory")
+    return text
+
+
 def _flag(key):
     """The `gen-data` flag of a dataset key."""
     return "--" + key.replace("_", "-")
@@ -66,7 +77,7 @@ def build_parser():
     for key, f in options.option_fields(DatasetSpec):
         p.add_argument(_flag(key), type=options.parser(f),
                        choices=f.metadata["choices"], default=f.default, help=f.metadata["help"])
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_file, required=True)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train",
@@ -93,14 +104,14 @@ def build_parser():
                        help="score an embedding dump")
     p.add_argument("--dump", required=True)
     p.add_argument("--mode", choices=("pooled", "per-domain"), default="pooled")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_file, default=None)
     p.set_defaults(func=cmd_connectivity)
 
     p = sub.add_parser("dump-embeddings",
                        help="embed a dataset dump with a checkpointed model")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_file, required=True)
     p.set_defaults(func=cmd_dump_embeddings)
     return parser
 
@@ -243,7 +254,7 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (ConfigError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

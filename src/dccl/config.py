@@ -6,7 +6,9 @@ rejected, every key has a default and help text).  `SCHEMA` is derived
 from the three command-level options and the `option` fields of
 `ExperimentConfig` and its blocks, so each default is written once, and
 each range beside it; `dccl.options` reads and renders each value, and
-`ExperimentConfig.validate` checks every range in one walk.
+`ExperimentConfig.validate` checks every range in one walk.  A bad config
+raises `ConfigError`, which `dccl.options` defines and this module
+re-exports.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 from dataclasses import fields, is_dataclass, replace
 
 from .harness import ExperimentConfig
-from .options import ConfigError, check_value, key_values, option, option_fields, parser, render
+from .options import (ConfigError, check_value, key_values, option, option_fields, parser,
+                      read_file, render)
 
 
 # the command-level keys: where runs go and which seeds they take
@@ -45,12 +48,7 @@ def parse_config_text(text, source="<config>"):
 
 
 def load_config(path):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(read_file(path, "config", ConfigError), source=str(path))
 
 
 def _build(cls, values, prefix=""):

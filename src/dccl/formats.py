@@ -2,7 +2,9 @@
 
 Every float is printed with 17 significant digits, which round-trips
 IEEE float64 exactly, so dump -> load -> dump is byte-identical.  Every
-artifact the package writes goes through `write_text`.
+artifact the package writes goes through `write_text`.  A file that is
+malformed or cannot be read raises `FormatError`, which `dccl.options`
+defines and this module re-exports.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .autodiff import ShapeError
 from .connectivity import EmbeddingRecord
 from .nets import Model, ModelSpec
-from .options import FormatError, fmt, key_values, parser, render
+from .options import FormatError, fmt, key_values, parser, read_file, render
 from .synthdata import Dataset
 
 DATA_MAGIC = "# dccl-data v1"
@@ -73,8 +75,7 @@ def _read_table(path, magic, what, keys, n_ids, ranges=()):
     Returns the header fields, the integer header values named by `keys`,
     an (N, n_ids) id array and an (N, dim) coordinate array.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_file(path, what, FormatError).splitlines()
     # the magic ends at a space or at the end of the line: "v12" is not "v1"
     if not lines or lines[0][:len(magic) + 1] not in (magic, magic + " "):
         raise FormatError(f"{path}: missing {what} header")
@@ -202,7 +203,7 @@ def save_checkpoint(model, path):
 
 def load_checkpoint(path):
     """Rebuild the checkpointed Model, its kind and provenance included."""
-    text = Path(path).read_text()
+    text = read_file(path, "checkpoint", FormatError)
     if text.splitlines()[:1] != [CKPT_MAGIC]:
         raise FormatError(f"{path}: not a checkpoint file")
     # the magic line reads as a comment

@@ -16,6 +16,7 @@ declare fields.
 import argparse
 import math
 from dataclasses import field, fields, is_dataclass
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -158,6 +159,15 @@ def render(value):
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def read_file(path, what, error):
+    """The text of the `what` file at path; a file that cannot be opened or
+    decoded raises `error`: `cannot read <what> file <path>: <reason>`."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from None
 
 
 def key_values(text, source, error):

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dccl
 from dccl import autodiff as ad
@@ -16,7 +21,7 @@ from dccl.config import (SCHEMA, ConfigError, experiment_config, load_config,
                          parse_config_text)
 from dccl.formats import FormatError, read_dataset, read_embeddings
 from dccl.harness import ExperimentConfig
-from dccl.options import option_fields
+from dccl.options import option_fields, render
 
 
 MICRO_CONFIG = """
@@ -262,6 +267,40 @@ def _bounds(within, kind):
             yield (beyond, bound) if closed else (bound, None)
 
 
+# (key, config text of a value `_bounds` yields, whether it lies past the
+# bound) of every ranged key
+BOUND_SETTINGS = [(key, render((value,) if kind is tuple else value), past)
+                  for key, within, kind in RANGED
+                  for outside, on in _bounds(within, int if kind is tuple else kind)
+                  for value, past in ((outside, True), (on, False)) if value is not None]
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from(BOUND_SETTINGS), min_size=1, max_size=4,
+                unique_by=lambda setting: setting[0]))
+def test_train_at_the_declared_bounds_exits_by_the_contract(chosen):
+    """`train` with 1-4 keys on or just past their bounds: a value past
+    its bound exits 1 before any write, a run that exits 0 records no nan,
+    and any other fault is one runtime failure line, not a numpy warning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = Path(tmp) / "runs"
+        config = Path(tmp) / "fuzz.cfg"
+        config.write_text(MICRO_CONFIG + f"output_dir = {runs}\noptim.steps = 6\n"
+                          + "".join(f"{key} = {value}\n" for key, value, _ in chosen))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", str(config)])
+        assert code in (0, 1, 2), err.getvalue()
+        if any(past for _, _, past in chosen):
+            assert code == 1, err.getvalue()
+        if code == 1:
+            assert not (runs / "micro").exists()
+        if code == 0:
+            assert "nan" not in (runs / "micro" / "train" / "seed0" / "result.csv").read_text()
+        if code == 2:
+            assert "encountered in" not in err.getvalue()
+
+
 @pytest.mark.parametrize("key, within, kind", RANGED, ids=[key for key, _, _ in RANGED])
 def test_declared_range_is_checked_at_its_bounds(key, within, kind):
     base = parse_config_text(MICRO_CONFIG)
@@ -408,11 +447,13 @@ def leak():
      "softmax_cross_entropy column index out of range [0, 3)"),
     (lambda: ad._check_rows(np.array([8]), 8, "contrastive_term"),
      "contrastive_term row index out of range [0, 8)"),
-    # a ShapeError is a ValueError, but every width a user sets is checked
-    # before the tape sees it, so one that reaches `main` is an internal fault
+    # every width a user sets is checked before the tape sees it, so a
+    # ShapeError that reaches `main` is an internal fault; only ConfigError
+    # and FormatError exit 1, whatever else is a ValueError
     (lambda: ad.Tensor(np.zeros((2, 0))), "tensor dimensions must be strictly positive, "
                                           "got (2, 0)"),
-], ids=["leak", "cols", "rows", "shape"])
+    (lambda: np.zeros(2).reshape(3), "cannot reshape array of size 2 into shape (3,)"),
+], ids=["leak", "cols", "rows", "shape", "value"])
 def test_other_failure_during_training_is_one_runtime_failure_line(tmp_path, capsys,
                                                                    monkeypatch, fail, message):
     from dccl import cli
@@ -676,6 +717,58 @@ def test_dataset_dump_with_ids_out_of_range_names_file(tmp_path, capsys, rows, m
     with pytest.raises(FormatError) as err:
         read_dataset(data)
     assert str(err.value) == f"{data}: {message}"
+
+
+def cli_inputs(tmp_path):
+    """Paths of a dataset dump, a checkpoint that embeds it, and an
+    embedding dump, each valid."""
+    from dccl.formats import save_checkpoint
+    from dccl.nets import Model, ModelSpec
+
+    data, ckpt, dump = tmp_path / "data.txt", tmp_path / "ckpt.txt", tmp_path / "emb.txt"
+    assert main(["gen-data", "--out", str(data)]) == 0
+    save_checkpoint(Model(2, 3, ModelSpec(), np.random.default_rng(0)), ckpt)
+    dump.write_text("# dccl-dump v1 dim=2 classes=1 domains=1\n0,0,0,1.0,2.0\n1,0,0,0.5,0.5\n")
+    return data, ckpt, dump
+
+
+@pytest.mark.parametrize("flag, what", [("--dump", "embedding dump"), ("--data", "dataset"),
+                                        ("--checkpoint", "checkpoint")])
+def test_input_file_that_cannot_be_read_is_user_error(tmp_path, capsys, flag, what):
+    data, ckpt, dump = cli_inputs(tmp_path)
+    out = tmp_path / "out.txt"
+    command = (["connectivity", "--dump", str(dump)] if flag == "--dump" else
+               ["dump-embeddings", "--checkpoint", str(ckpt), "--data", str(data),
+                "--out", str(out)])
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    command[command.index(flag) + 1] = str(directory)
+    capsys.readouterr()
+    assert main(command) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {what} file {directory}: ")
+    assert "Is a directory" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "connectivity", "dump-embeddings"])
+@pytest.mark.parametrize("target, message", [
+    ("nodir/out.txt", "{tmp}/nodir is not an existing directory"),
+    ("", "{tmp} is a directory"),
+], ids=["missing-directory", "directory"])
+def test_unusable_out_is_usage_error_before_any_work(tmp_path, capsys, command, target, message):
+    data, ckpt, dump = cli_inputs(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    inputs = {"gen-data": [],
+              "connectivity": ["--dump", str(dump)],
+              "dump-embeddings": ["--checkpoint", str(ckpt), "--data", str(data)]}[command]
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(tmp_path / target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: argument --out: {message.format(tmp=tmp_path)}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_dump_embeddings_of_a_dataset_without_rows_names_file(tmp_path, capsys):
